@@ -101,6 +101,10 @@ class PipelineConfig:
             raise ValueError("t_thresh must be >= 0")
         if self.margin < 0.0:
             raise ValueError("margin must be >= 0")
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ValueError("nms_iou must be in [0, 1]")
+        if not 0.0 <= self.proposal_dedup_iou <= 1.0:
+            raise ValueError("proposal_dedup_iou must be in [0, 1]")
 
 
 @dataclass
@@ -110,8 +114,6 @@ class FrameResult:
     frame_index: int
     final_detections: list[Detection]
     mask: RegionMask
-    proposals_from_tracker: int
-    proposals_from_proposal_net: int
     work: WorkReport
     tracker_boxes: list[Detection] = field(default_factory=list)
     proposal_boxes: list[Detection] = field(default_factory=list)
@@ -177,7 +179,7 @@ class Pipeline:
             final = nms(raw, cfg.nms_iou, cfg.class_agnostic_nms)
             mask = RegionMask.full_frame(w, h)
             work = self._work(mask, cfg.cost.baseline_proposal_count, None, None, 0, 0, True)
-            return FrameResult(frame_index, final, mask, 0, 0, work)
+            return FrameResult(frame_index, final, mask, work)
 
         proposal_raw = self._known(self.proposal_source.detect(frame_index))
         proposal_boxes = [d for d in proposal_raw if d.score >= cfg.c_thresh]
@@ -210,8 +212,6 @@ class Pipeline:
             frame_index,
             final,
             mask,
-            len(tracker_boxes),
-            len(proposal_boxes),
             work,
             tracker_boxes,
             proposal_boxes,

@@ -17,9 +17,7 @@ from pathlib import Path
 from . import __version__
 from .cascade import FileBackedSource, Pipeline, SequenceResult
 from .config import Settings, load_settings
-from .costmodel import refine_cost
 from .errors import DataError, EvaluationRefused
-from .geometry import RegionMask
 from .ingest import (
     ClassMap,
     generate_synthetic,
@@ -32,7 +30,8 @@ from .ingest import (
 )
 from .metrics import DifficultyReport, evaluate_classes
 from .runio import (
-    parse_mask_dump,
+    WorkRecord,
+    parse_work_records,
     read_manifest,
     write_manifest,
     write_mask_dump,
@@ -51,6 +50,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -78,7 +87,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--mode", choices=("single", "cascaded", "catdet"))
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--dump-masks", action="store_true", help="also dump per-frame region boxes")
-    run.add_argument("--jobs", type=int, default=1, help="sequences processed in parallel")
+    run.add_argument("--jobs", type=_positive_int, default=1, help="sequences processed in parallel")
     run.add_argument("--force", action="store_true", help="overwrite an existing output directory")
 
     ev = sub.add_parser("eval", parents=[common], help="evaluate detections against ground truth")
@@ -87,10 +96,10 @@ def _build_parser() -> _Parser:
     ev.add_argument("--out", help="directory for curve data and manifest")
     ev.add_argument("--force", action="store_true")
 
-    cr = sub.add_parser("cost-report", parents=[common], help="op break-down from run outputs")
-    cr.add_argument("runs", nargs="+", help="run output directories (need --dump-masks runs)")
+    cr = sub.add_parser("cost-report", help="op break-down from run outputs")
+    cr.add_argument("runs", nargs="+", help="run output directories")
 
-    gen = sub.add_parser("gen-synthetic", parents=[common], help="generate a synthetic sequence")
+    gen = sub.add_parser("gen-synthetic", help="generate a synthetic sequence")
     gen.add_argument("--scenario", required=True, help="scenario file")
     gen.add_argument("--seed", type=int, help="override the scenario seed")
     gen.add_argument("--out", required=True, help="output sequence directory")
@@ -309,81 +318,47 @@ def _fmt_opt(value: float | None) -> str:
     return "/" if value is None else str(value)
 
 
-def cmd_cost_report(args) -> int:
-    rows = []
-    for run_dir in args.runs:
-        run = Path(run_dir)
-        manifest = read_manifest(run / "manifest.json")
-        masks_path = run / "masks.txt"
-        if not masks_path.exists():
-            raise DataError(
-                f"{run}: no masks.txt; rerun with --dump-masks to enable cost reports"
-            )
-        snapshot = manifest.get("config", {})
-        settings = Settings(_merge_snapshot(snapshot))
-        cost = settings.cost_config()
-        mode = snapshot.get("pipeline", {}).get("mode", "catdet")
-        margin = settings.values["pipeline"]["margin"]
-        seq = manifest.get("sequence", {})
-        frame_w, frame_h = seq.get("frame_w"), seq.get("frame_h")
-        frame_count = seq.get("frame_count", 0)
-        if frame_w is None or frame_h is None:
-            raise DataError(f"{run}: manifest lacks sequence frame dimensions")
-        frames = parse_mask_dump(masks_path)
+def _run_totals(run: Path) -> tuple[str, int, WorkRecord]:
+    """Mode, frame count and work.txt totals of one run; "/" sources become None."""
+    manifest_path = run / "manifest.json"
+    manifest = read_manifest(manifest_path)
+    mode = manifest.get("config", {}).get("pipeline", {}).get("mode")
+    frame_count = manifest.get("sequence", {}).get("frame_count")
+    if mode is None or frame_count is None:
+        raise DataError("not a run manifest (no pipeline mode or frame count)", str(manifest_path))
+    _, total = parse_work_records(run / "work.txt")
+    total = dataclasses.replace(
+        total,
+        from_tracker_ops=total.from_tracker_ops if mode == "catdet" else None,
+        from_proposal_ops=total.from_proposal_ops if mode != "single" else None,
+    )
+    return mode, frame_count, total
 
-        totals = {"proposal": 0.0, "refine": 0.0, "from_tracker": 0.0, "from_proposal": 0.0}
-        for frame in range(frame_count):
-            per = frames.get(frame, {k: [] for k in ("tracker", "proposal", "refine", "mask")})
-            mask = RegionMask(frame_w, frame_h, tuple(per["mask"]))
-            if mode == "single":
-                totals["refine"] += refine_cost(mask, cost.baseline_proposal_count, cost)
-                continue
-            totals["proposal"] += cost.proposal_fullframe_ops
-            totals["refine"] += refine_cost(mask, len(per["refine"]), cost)
-            totals["from_proposal"] += refine_cost(
-                RegionMask.from_boxes(per["proposal"], frame_w, frame_h, margin),
-                len(per["proposal"]),
-                cost,
-            )
-            if mode == "catdet":
-                totals["from_tracker"] += refine_cost(
-                    RegionMask.from_boxes(per["tracker"], frame_w, frame_h, margin),
-                    len(per["tracker"]),
-                    cost,
-                )
-        rows.append((run.name, mode, frame_count, totals))
+
+def cmd_cost_report(args) -> int:
+    rows = [(Path(run).name, *_run_totals(Path(run))) for run in args.runs]
+
+    def one_decimal(value: float | None) -> str:
+        return "/" if value is None else f"{value:.1f}"
 
     print(
         f"{'run':<24} {'mode':<9} {'total':>8} {'proposal':>9} {'refine':>8} "
         f"{'from_trk':>9} {'from_prop':>10}"
     )
     for name, mode, _, t in rows:
-        total = t["proposal"] + t["refine"]
-        from_trk = f"{t['from_tracker']:.1f}" if mode == "catdet" else "/"
-        from_prop = f"{t['from_proposal']:.1f}" if mode != "single" else "/"
         print(
-            f"{name:<24} {mode:<9} {total:>8.1f} {t['proposal']:>9.1f} "
-            f"{t['refine']:>8.1f} {from_trk:>9} {from_prop:>10}"
+            f"{name:<24} {mode:<9} {t.total_ops:>8.1f} {t.proposal_ops:>9.1f} "
+            f"{t.refine_ops:>8.1f} {one_decimal(t.from_tracker_ops):>9} "
+            f"{one_decimal(t.from_proposal_ops):>10}"
         )
     for name, mode, frame_count, t in rows:
-        total = t["proposal"] + t["refine"]
         print(
-            f"record run={name} mode={mode} frames={frame_count} total_ops={total} "
-            f"proposal_ops={t['proposal']} refine_ops={t['refine']} "
-            f"from_tracker_ops={_fmt_opt(t['from_tracker'] if mode == 'catdet' else None)} "
-            f"from_proposal_ops={_fmt_opt(t['from_proposal'] if mode != 'single' else None)}"
+            f"record run={name} mode={mode} frames={frame_count} total_ops={t.total_ops} "
+            f"proposal_ops={t.proposal_ops} refine_ops={t.refine_ops} "
+            f"from_tracker_ops={_fmt_opt(t.from_tracker_ops)} "
+            f"from_proposal_ops={_fmt_opt(t.from_proposal_ops)}"
         )
     return EXIT_OK
-
-
-def _merge_snapshot(snapshot: dict) -> dict:
-    """Fill a manifest config snapshot over the defaults (older runs may omit keys)."""
-    base = load_settings(None, []).values
-    for section, kv in snapshot.items():
-        if section not in base:
-            base[section] = {}
-        base[section].update(kv)
-    return base
 
 
 def cmd_gen_synthetic(args) -> int:

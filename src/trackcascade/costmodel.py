@@ -110,26 +110,6 @@ def refine_cost(mask: RegionMask, n_proposals: int, config: CostModelConfig) -> 
     )
 
 
-def attribute_costs(
-    tracker_mask: RegionMask,
-    proposal_mask: RegionMask,
-    union_mask: RegionMask,
-    config: CostModelConfig,
-    n_tracker_props: int,
-    n_proposal_props: int,
-) -> tuple[float, float, float]:
-    """Stand-alone cost of each proposal source and their combined cost.
-
-    `union_mask` must be the union of the two component masks; the combined
-    cost is then no larger than the sum of the parts (overlap counted once),
-    with equality exactly when the masks are disjoint.
-    """
-    from_tracker = refine_cost(tracker_mask, n_tracker_props, config)
-    from_proposal = refine_cost(proposal_mask, n_proposal_props, config)
-    combined = refine_cost(union_mask, n_tracker_props + n_proposal_props, config)
-    return from_tracker, from_proposal, combined
-
-
 def estimate_time(work: float, config: CostModelConfig) -> float:
     """Linear launch-time model: alpha * work + b."""
     if not config.has_timing:

@@ -352,13 +352,17 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
                 vel = [float(v) for v in o.get("velocity", fallback="0 0").split()]
                 while len(vel) < 3:
                     vel.append(0.0)
+                box = BoundingBox(*coords)
+                if box.width <= 0:
+                    # box_at scales the height by height / width.
+                    raise DataError(f"[{section}] box width must be > 0", str(path))
                 scenario.objects.append(
                     ObjectScript(
                         name=section.split(".", 1)[1],
                         class_name=o.get("class"),
                         entry_frame=o.getint("entry"),
                         exit_frame=o.getint("exit"),
-                        box=BoundingBox(*coords),
+                        box=box,
                         velocity=tuple(vel[:3]),
                     )
                 )

@@ -8,6 +8,7 @@ from trackcascade import (
     Detection,
     DetectionStore,
     SequenceMeta,
+    refine_cost,
     write_detections,
     write_meta,
 )
@@ -44,3 +45,17 @@ def write_sequence(
     if labels_text is not None:
         (seq / "labels.txt").write_text(labels_text)
     return seq
+
+
+def source_costs(tracker_mask, proposal_mask, union_mask, config, n_tracker, n_proposal):
+    """Stand-alone refine cost of each proposal source and of their union.
+
+    The union is charged for both sources' proposals; its cost is at most
+    the sum of the parts (mask overlap counted once), with equality exactly
+    when the masks are disjoint.
+    """
+    return (
+        refine_cost(tracker_mask, n_tracker, config),
+        refine_cost(proposal_mask, n_proposal, config),
+        refine_cost(union_mask, n_tracker + n_proposal, config),
+    )

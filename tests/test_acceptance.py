@@ -27,7 +27,6 @@ from trackcascade import (
     Tracker,
     TrackerConfig,
     associate,
-    attribute_costs,
     average_precision,
     estimate_time,
     evaluate_classes,
@@ -46,7 +45,7 @@ from trackcascade import (
 )
 from trackcascade.cli import main as cli_main
 
-from conftest import DATA
+from conftest import DATA, source_costs
 
 ALL = DIFFICULTY_PRESETS["all"]
 
@@ -151,7 +150,7 @@ def test_criterion_4b_attribution_subadditive():
         a, b = _random_mask(rng), _random_mask(rng)
         union = RegionMask(a.frame_w, a.frame_h, a.regions + b.regions)
         na, nb = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        ft, fp, combined = attribute_costs(a, b, union, cfg, na, nb)
+        ft, fp, combined = source_costs(a, b, union, cfg, na, nb)
         assert combined <= ft + fp + 1e-9
         disjoint = all(
             ra.intersect(rb) is None for ra in a.regions for rb in b.regions

@@ -136,7 +136,7 @@ class TestCascadeModes:
         for c in (0.1, 0.3, 0.56, 0.7, 0.95):
             pipeline = build("cascaded", c_thresh=c)
             counts.append(
-                [r.proposals_from_proposal_net for r in pipeline.run_sequence().frames]
+                [len(r.proposal_boxes) for r in pipeline.run_sequence().frames]
             )
         for lo, hi in zip(counts, counts[1:]):
             assert all(h <= l for l, h in zip(lo, hi))
@@ -188,9 +188,9 @@ class TestCascadeModes:
     def test_tracker_predictions_feed_next_frame_mask(self):
         pipeline = build("catdet", t_thresh=0.5)
         first = pipeline.run_frame(0)
-        assert first.proposals_from_tracker == 0
+        assert len(first.tracker_boxes) == 0
         second = pipeline.run_frame(1)
-        assert second.proposals_from_tracker > 0
+        assert len(second.tracker_boxes) > 0
 
     def test_timing_annotations_when_configured(self):
         stores = moving_object_stores()
@@ -234,7 +234,7 @@ class TestOpsMonotonicity:
             )
             result = pipeline.run_sequence()
             rows.append(
-                (sum(r.proposals_from_tracker for r in result.frames), result.total.total_ops)
+                (sum(len(r.tracker_boxes) for r in result.frames), result.total.total_ops)
             )
         for (p_lo, o_lo), (p_hi, o_hi) in zip(rows, rows[1:]):
             assert p_hi <= p_lo

@@ -199,6 +199,27 @@ class TestUsageErrors:
             run_cli("run", "--out", "x")
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+    def test_jobs_below_one_exits_one(self, seq_dir, tmp_path, jobs):
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", "--sequence", str(seq_dir), "--out", str(tmp_path / "o"),
+                    "--jobs", jobs)
+        assert err.value.code == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        ["pipeline.nms_iou=7", "pipeline.nms_iou=-0.1",
+         "pipeline.proposal_dedup_iou=-3", "pipeline.proposal_dedup_iou=1.5"],
+    )
+    def test_nms_threshold_out_of_range_is_data_error(self, seq_dir, tmp_path, capsys, override):
+        assert run_cli(
+            "run", "--sequence", str(seq_dir), "--mode", "catdet",
+            "--out", str(tmp_path / "o"), "--set", override,
+        ) == 2
+        key = override.split("=")[0].split(".")[1]
+        assert f"{key} must be in [0, 1]" in capsys.readouterr().err
+
     def test_bad_override_is_data_error(self, seq_dir, tmp_path):
         assert run_cli(
             "run", "--sequence", str(seq_dir), "--mode", "single",
@@ -222,10 +243,49 @@ class TestCostReport:
             total.from_tracker_ops, abs=1e-9
         )
 
-    def test_requires_mask_dump(self, seq_dir, tmp_path):
+    def test_records_are_work_totals_without_mask_dump(self, seq_dir, tmp_path, capsys):
+        runs = []
+        for mode in ("single", "cascaded", "catdet"):
+            out = tmp_path / mode
+            assert run_cli("run", "--sequence", str(seq_dir), "--mode", mode,
+                           "--out", str(out)) == 0
+            assert not (out / "masks.txt").exists()
+            runs.append(out)
+        capsys.readouterr()
+        assert run_cli("cost-report", *map(str, runs)) == 0
+        records = [l for l in capsys.readouterr().out.splitlines() if l.startswith("record ")]
+        assert len(records) == 3
+        for record, run in zip(records, runs):
+            fields = dict(kv.split("=", 1) for kv in record.split()[1:])
+            assert (fields["run"], fields["mode"], fields["frames"]) == (run.name, run.name, "4")
+            totals = (run / "work.txt").read_text().splitlines()[-1].split()
+            assert totals[0] == "total"
+            assert fields["proposal_ops"] == totals[1]
+            assert fields["refine_ops"] == totals[2]
+            assert fields["total_ops"] == totals[3]
+            # "/" marks a source the mode does not have
+            assert fields["from_tracker_ops"] == (totals[4] if run.name == "catdet" else "/")
+            assert fields["from_proposal_ops"] == (totals[5] if run.name != "single" else "/")
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    def test_bad_work_file_is_data_error(self, seq_dir, tmp_path, capsys, damage):
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))
+        work = out / "work.txt"
+        if damage == "missing":
+            work.unlink()
+        else:
+            work.write_text("total 1.0 2.0\n")
+        capsys.readouterr()
         assert run_cli("cost-report", str(out)) == 2
+        assert str(work) in capsys.readouterr().err
+
+    def test_rejects_config_options(self, seq_dir, tmp_path):
+        out = tmp_path / "out"
+        run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))
+        with pytest.raises(SystemExit) as err:
+            run_cli("cost-report", "--set", "cost.b=1", str(out))
+        assert err.value.code == 1
 
     def test_single_mode_report(self, seq_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -281,3 +341,27 @@ class TestGenSynthetic:
                     "--out", str(out))
             outs.append((out / "proposal.txt").read_bytes())
         assert outs[0] != outs[1]
+
+
+    def test_rejects_config_options(self, tmp_path):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = gen\nframes = 2\nframe_w = 500\nframe_h = 300\n\n"
+            "[object.a]\nclass = car\nentry = 0\nexit = 1\nbox = 50 50 150 120\n"
+        )
+        with pytest.raises(SystemExit) as err:
+            run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(tmp_path / "g"),
+                    "--set", "x.y=1")
+        assert err.value.code == 1
+
+    def test_zero_width_object_is_data_error(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = gen\nframes = 2\nframe_w = 500\nframe_h = 300\n\n"
+            "[object.thin]\nclass = car\nentry = 0\nexit = 1\nbox = 50 50 50 120\n"
+        )
+        assert run_cli("gen-synthetic", "--scenario", str(scenario),
+                       "--out", str(tmp_path / "g")) == 2
+        err = capsys.readouterr().err  # exit 2 means no exception escaped main
+        assert str(scenario) in err and "[object.thin]" in err
+        assert not (tmp_path / "g").exists()

@@ -6,12 +6,13 @@ from trackcascade import (
     CostModelConfig,
     RegionMask,
     WorkReport,
-    attribute_costs,
     estimate_time,
     greedy_merge,
     refine_cost,
     total_work,
 )
+
+from conftest import source_costs
 
 FRAME_W, FRAME_H = 1242.0, 375.0
 
@@ -73,13 +74,13 @@ class TestAttributeCosts:
         a = mask(BoundingBox(0, 0, 100, 100))
         b = mask(BoundingBox(500, 0, 600, 100))
         union = mask(*a.regions, *b.regions)
-        ft, fp, combined = attribute_costs(a, b, union, CostModelConfig(), 2, 3)
+        ft, fp, combined = source_costs(a, b, union, CostModelConfig(), 2, 3)
         assert combined == pytest.approx(ft + fp)
 
     def test_identical_masks_share_feature_term(self):
         cfg = CostModelConfig()
         a = mask(BoundingBox(0, 0, 200, 200))
-        ft, fp, combined = attribute_costs(a, a, a, cfg, 5, 5)
+        ft, fp, combined = source_costs(a, a, a, cfg, 5, 5)
         feature = cfg.refine_feature_fullframe_ops * a.coverage()
         assert ft == pytest.approx(feature + 5 * cfg.refine_per_proposal_ops)
         assert combined == pytest.approx(feature + 10 * cfg.refine_per_proposal_ops)
@@ -89,7 +90,7 @@ class TestAttributeCosts:
         a = mask(BoundingBox(0, 0, 100, 100))
         b = mask(BoundingBox(70, 0, 170, 100))  # 30% of a overlapped
         union = mask(*a.regions, *b.regions)
-        ft, fp, combined = attribute_costs(a, b, union, cfg, 0, 0)
+        ft, fp, combined = source_costs(a, b, union, cfg, 0, 0)
         cov_a, cov_b = a.coverage(), b.coverage()
         cov_ab = 100 * 30 / (FRAME_W * FRAME_H)
         assert combined == pytest.approx(
@@ -103,7 +104,7 @@ class TestAttributeCosts:
             a, b = rand_mask(rng), rand_mask(rng)
             union = mask(*a.regions, *b.regions)
             na, nb = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-            ft, fp, combined = attribute_costs(a, b, union, cfg, na, nb)
+            ft, fp, combined = source_costs(a, b, union, cfg, na, nb)
             assert combined <= ft + fp + 1e-9
             if masks_disjoint(a, b):
                 assert combined == pytest.approx(ft + fp, abs=1e-9)
