@@ -17,6 +17,10 @@ from pathlib import Path
 from . import __version__
 from .cascade import FileBackedSource, Pipeline, SequenceResult
 from .config import Settings, load_settings
+# refine_cost and parse_mask_dump are unused here since cost-report reads
+# work.txt; they stay importable from this module because perfbench/tracing.py
+# hooks them on it (ROADMAP item 1).
+from .costmodel import refine_cost  # noqa: F401
 from .errors import DataError, EvaluationRefused
 from .ingest import (
     ClassMap,
@@ -31,6 +35,7 @@ from .ingest import (
 from .metrics import DifficultyReport, evaluate_classes
 from .runio import (
     WorkRecord,
+    parse_mask_dump,  # noqa: F401
     parse_work_records,
     read_manifest,
     write_manifest,
@@ -314,8 +319,8 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _fmt_opt(value: float | None) -> str:
-    return "/" if value is None else str(value)
+def _fmt_opt(value: float | None, spec: str = "") -> str:
+    return "/" if value is None else format(value, spec)
 
 
 def _run_totals(run: Path) -> tuple[str, int, WorkRecord]:
@@ -338,9 +343,6 @@ def _run_totals(run: Path) -> tuple[str, int, WorkRecord]:
 def cmd_cost_report(args) -> int:
     rows = [(Path(run).name, *_run_totals(Path(run))) for run in args.runs]
 
-    def one_decimal(value: float | None) -> str:
-        return "/" if value is None else f"{value:.1f}"
-
     print(
         f"{'run':<24} {'mode':<9} {'total':>8} {'proposal':>9} {'refine':>8} "
         f"{'from_trk':>9} {'from_prop':>10}"
@@ -348,8 +350,8 @@ def cmd_cost_report(args) -> int:
     for name, mode, _, t in rows:
         print(
             f"{name:<24} {mode:<9} {t.total_ops:>8.1f} {t.proposal_ops:>9.1f} "
-            f"{t.refine_ops:>8.1f} {one_decimal(t.from_tracker_ops):>9} "
-            f"{one_decimal(t.from_proposal_ops):>10}"
+            f"{t.refine_ops:>8.1f} {_fmt_opt(t.from_tracker_ops, '.1f'):>9} "
+            f"{_fmt_opt(t.from_proposal_ops, '.1f'):>10}"
         )
     for name, mode, frame_count, t in rows:
         print(

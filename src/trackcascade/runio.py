@@ -17,6 +17,8 @@ from .errors import DataError
 from .geometry import BoundingBox
 from .ingest import SequenceMeta, _data_lines, _parse_float, _parse_int
 
+MASK_KINDS = ("tracker", "proposal", "refine", "mask")
+
 _WORK_COLUMNS = (
     "frame proposal_ops refine_ops total_ops from_tracker_ops from_proposal_ops "
     "coverage n_tracker_props n_proposal_props n_refine_props merged_regions estimated_time"
@@ -104,6 +106,23 @@ def write_mask_dump(results: Iterable[FrameResult], path: Path) -> None:
             for kind, boxes in per_kind:
                 for b in sorted(boxes, key=_box_order):
                     fh.write(f"{r.frame_index} {kind} {b.x1} {b.y1} {b.x2} {b.y2}\n")
+
+
+def parse_mask_dump(path: str | Path) -> dict[int, dict[str, list[BoundingBox]]]:
+    """frame -> kind -> boxes; every frame key holds all four kinds."""
+    path = Path(path)
+    frames: dict[int, dict[str, list[BoundingBox]]] = {}
+    for lineno, fields in _data_lines(path):
+        if len(fields) != 6:
+            raise DataError(f"expected 6 fields, got {len(fields)}", str(path), lineno)
+        frame = _parse_int(fields[0], "frame", path, lineno)
+        kind = fields[1]
+        if kind not in MASK_KINDS:
+            raise DataError(f"unknown mask kind {kind!r}", str(path), lineno)
+        x1, y1, x2, y2 = (_parse_float(t, "coordinate", path, lineno) for t in fields[2:6])
+        per = frames.setdefault(frame, {k: [] for k in MASK_KINDS})
+        per[kind].append(BoundingBox(x1, y1, x2, y2))
+    return frames
 
 
 def _timestamp() -> str:

@@ -5,7 +5,7 @@ import pytest
 
 from trackcascade import ClassMap, SequenceMeta, nms, parse_detections
 from trackcascade.cli import main
-from trackcascade.runio import parse_work_records
+from trackcascade.runio import MASK_KINDS, parse_mask_dump, parse_work_records
 
 from conftest import DATA, make_store, write_sequence
 
@@ -61,6 +61,22 @@ class TestRun:
             ) == 0
             outs.append(read_tree(out))
         assert outs[0] == outs[1]
+
+    def test_mask_dump_round_trip(self, seq_dir, tmp_path):
+        out = tmp_path / "out"
+        run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
+                "--out", str(out), "--dump-masks")
+        frames = parse_mask_dump(out / "masks.txt")
+        rows = [l.split() for l in (out / "work.txt").read_text().splitlines()
+                if l and l[0].isdigit()]
+        assert len(rows) == 4
+        for row in rows:
+            per = frames.get(int(row[0]), {k: [] for k in MASK_KINDS})
+            # n_tracker_props n_proposal_props n_refine_props
+            assert [len(per[k]) for k in ("tracker", "proposal", "refine")] == [
+                int(t) for t in row[7:10]
+            ]
+        assert any(per["mask"] for per in frames.values())
 
     def test_manifest_contents(self, seq_dir, tmp_path):
         out = tmp_path / "out"
@@ -199,7 +215,7 @@ class TestUsageErrors:
             run_cli("run", "--out", "x")
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_exits_one(self, seq_dir, tmp_path, jobs):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--sequence", str(seq_dir), "--out", str(tmp_path / "o"),
