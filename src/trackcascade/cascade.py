@@ -23,6 +23,7 @@ from .ingest import DetectionStore, SequenceMeta
 from .tracker import Tracker, TrackerConfig
 
 MODES = ("single", "cascaded", "catdet")
+MASK_MIN_OVERLAP = 0.5  # share of a detection's area that must lie inside the mask
 
 
 class DetectorSource(ABC):
@@ -48,7 +49,7 @@ class DetectorSource(ABC):
 class FileBackedSource(DetectorSource):
     """Replays stored full-frame detections, simulating masked execution.
 
-    A stored detection survives masking iff at least `mask_min_overlap` of
+    A stored detection survives masking iff at least MASK_MIN_OVERLAP of
     its own area lies inside the mask union (a real network needs the object
     mostly inside the computed-feature region). Frames outside
     [0, frame_count) raise MissingFrameError when a frame count is known.
@@ -59,12 +60,10 @@ class FileBackedSource(DetectorSource):
         store: DetectionStore,
         name: str = "source",
         frame_count: int | None = None,
-        mask_min_overlap: float = 0.5,
     ):
         self.store = store
         self.name = name
         self.frame_count = frame_count
-        self.mask_min_overlap = mask_min_overlap
 
     def detect(self, frame_index, mask=None, proposals=None) -> list[Detection]:
         if frame_index < 0 or (self.frame_count is not None and frame_index >= self.frame_count):
@@ -75,7 +74,7 @@ class FileBackedSource(DetectorSource):
         dets = self.store.get(frame_index)
         if mask is None:
             return dets
-        return [d for d in dets if mask_overlap_fraction(d.box, mask) >= self.mask_min_overlap]
+        return [d for d in dets if mask_overlap_fraction(d.box, mask) >= MASK_MIN_OVERLAP]
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,6 @@ class Pipeline:
         self._pending_predictions: list[Detection] = []
         self._next_frame: int | None = None
 
-    @property
-    def tracker(self) -> Tracker | None:
-        return self._tracker
-
     def reset(self) -> None:
         if self._tracker is not None:
             self._tracker.reset()
@@ -178,7 +173,7 @@ class Pipeline:
             raw = self._known(self.refine_source.detect(frame_index))
             final = nms(raw, cfg.nms_iou, cfg.class_agnostic_nms)
             mask = RegionMask.full_frame(w, h)
-            work = self._work(mask, cfg.cost.baseline_proposal_count, None, None, 0, 0, True)
+            work = self._work(mask, cfg.cost.baseline_proposal_count, None, None, 0, 0)
             return FrameResult(frame_index, final, mask, work)
 
         proposal_raw = self._known(self.proposal_source.detect(frame_index))
@@ -206,7 +201,6 @@ class Pipeline:
             proposal_mask,
             len(tracker_boxes),
             len(proposal_boxes),
-            False,
         )
         result = FrameResult(
             frame_index,
@@ -229,17 +223,14 @@ class Pipeline:
         proposal_mask: RegionMask | None,
         n_tracker: int,
         n_proposal: int,
-        single: bool,
     ) -> WorkReport:
+        """Op counts of one frame; no proposal mask means the single-model run."""
         cost = self.config.cost
+        single = proposal_mask is None
         refine_ops = refine_cost(mask, n_proposals, cost)
         proposal_ops = 0.0 if single else cost.proposal_fullframe_ops
-        from_tracker = (
-            refine_cost(tracker_mask, n_tracker, cost) if tracker_mask is not None else None
-        )
-        from_proposal = (
-            refine_cost(proposal_mask, n_proposal, cost) if proposal_mask is not None else None
-        )
+        from_tracker = None if single else refine_cost(tracker_mask, n_tracker, cost)
+        from_proposal = None if single else refine_cost(proposal_mask, n_proposal, cost)
         estimated = None
         merged_count = len(mask.regions)
         if cost.has_timing:

@@ -11,7 +11,6 @@ import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -57,16 +56,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trackcascade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -92,7 +81,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--mode", choices=("single", "cascaded", "catdet"))
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--dump-masks", action="store_true", help="also dump per-frame region boxes")
-    run.add_argument("--jobs", type=_positive_int, default=1, help="sequences processed in parallel")
     run.add_argument("--force", action="store_true", help="overwrite an existing output directory")
 
     ev = sub.add_parser("eval", parents=[common], help="evaluate detections against ground truth")
@@ -137,7 +125,7 @@ def _atomic_dir(out: Path, force: bool):
 
 
 def _run_one_sequence(settings: Settings, mode: str, seq_dir: Path):
-    """Execute one sequence; returns everything the (serialized) writer needs."""
+    """Execute one sequence; returns everything the writer needs."""
     meta = parse_meta(seq_dir / "meta.cfg")
     class_map = ClassMap(settings.classes)
     refine_path = seq_dir / "refine.txt"
@@ -197,18 +185,14 @@ def cmd_run(args) -> int:
     sequences = [Path(s) for s in args.sequence]
     out_root = Path(args.out)
     if len(sequences) == 1:
-        jobs = [(sequences[0], out_root)]
+        outs = [out_root]
     else:
-        jobs = [(seq, out_root / parse_meta(seq / "meta.cfg").sequence_id) for seq in sequences]
+        outs = [out_root / parse_meta(seq / "meta.cfg").sequence_id for seq in sequences]
 
-    # Sequences may execute in parallel; output writing stays serialized.
-    if args.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_one_sequence, settings, mode, seq) for seq, _ in jobs]
-            executed = [f.result() for f in futures]
-    else:
-        executed = [_run_one_sequence(settings, mode, seq) for seq, _ in jobs]
-    for (_, out), (meta, class_map, inputs, result) in zip(jobs, executed):
+    # Every sequence runs before any is written, so a bad input in any of
+    # them leaves no output behind.
+    executed = [_run_one_sequence(settings, mode, seq) for seq in sequences]
+    for out, (meta, class_map, inputs, result) in zip(outs, executed):
         _write_run_outputs(
             settings, mode, out, meta, class_map, inputs, result, args.dump_masks, args.force
         )

@@ -37,7 +37,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "confidence_cap": ("int", 3),
         "match_gain": ("int", 1),
         "miss_cost": ("int", 1),
-        "input_score_threshold": ("float", 0.0),
     },
     "cost": {
         "proposal_fullframe_ops": ("float", CostModelConfig().proposal_fullframe_ops),
@@ -145,9 +144,6 @@ class Settings:
 
     def dontcare_by_name(self) -> dict[str, str]:
         return dict(self.values["dontcare"])
-
-    def eval_settings(self) -> dict[str, Any]:
-        return dict(self.values["eval"])
 
     def difficulties(self) -> list[DifficultyFilter]:
         out = []

@@ -65,9 +65,6 @@ class ClassMap:
     def name_of(self, class_id: int) -> str:
         return self._names[class_id]
 
-    def is_configured(self, class_id: int) -> bool:
-        return class_id in self.configured
-
 
 @dataclass(frozen=True)
 class SequenceMeta:
@@ -93,14 +90,8 @@ class DetectionStore:
     def get(self, frame_index: int) -> list[Detection]:
         return list(self._by_frame.get(frame_index, []))
 
-    def frames(self) -> list[int]:
-        return sorted(self._by_frame)
-
     def all(self) -> list[Detection]:
-        return [d for f in self.frames() for d in self._by_frame[f]]
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._by_frame.values())
+        return [d for f in sorted(self._by_frame) for d in self._by_frame[f]]
 
     def add(self, det: Detection) -> None:
         self._by_frame.setdefault(det.frame_index, []).append(det)
@@ -182,8 +173,6 @@ class KittiLabels:
 
     tracks: list[GroundTruthTrack]
     dontcare_by_frame: dict[int, list[BoundingBox]]
-    class_names: dict[int, str]
-    max_frame: int = 0
 
 
 def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiLabels:
@@ -196,7 +185,6 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
     entries: dict[int, list[GtEntry]] = {}
     track_class: dict[int, int] = {}
     dontcare: dict[int, list[BoundingBox]] = {}
-    max_frame = 0
     for lineno, fields in _data_lines(path):
         if len(fields) < 17:
             raise DataError(f"expected >= 17 fields, got {len(fields)}", str(path), lineno)
@@ -208,7 +196,6 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
         x1, y1, x2, y2 = (_parse_float(t, "coordinate", path, lineno) for t in fields[6:10])
         if x2 < x1 or y2 < y1:
             raise DataError(f"inverted box ({x1}, {y1}, {x2}, {y2})", str(path), lineno)
-        max_frame = max(max_frame, frame)
         box = BoundingBox(x1, y1, x2, y2)
         if class_id == DONTCARE_ID:
             dontcare.setdefault(frame, []).append(box)
@@ -226,8 +213,7 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
     tracks = [
         GroundTruthTrack(tid, track_class[tid], entries[tid]) for tid in sorted(entries)
     ]
-    names = {cid: class_map.name_of(cid) for cid in set(track_class.values())}
-    return KittiLabels(tracks, dontcare, names, max_frame)
+    return KittiLabels(tracks, dontcare)
 
 
 def write_tracks(labels: KittiLabels, class_map: ClassMap, path: str | Path) -> None:
@@ -462,12 +448,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         frame_h=scenario.frame_h,
         frame_rate=scenario.frame_rate,
     )
-    labels = KittiLabels(
-        tracks=[tracks[tid] for tid in sorted(tracks)],
-        dontcare_by_frame={},
-        class_names={class_map.id_of(n): n for n in class_names},
-        max_frame=scenario.frame_count - 1,
-    )
+    labels = KittiLabels(tracks=[tracks[tid] for tid in sorted(tracks)], dontcare_by_frame={})
     return SyntheticData(meta, labels, stores, class_map)
 
 

@@ -375,24 +375,6 @@ def delay_from_labels(data: ClassEvalData, threshold: float) -> tuple[float | No
     return total / len(data.tracks), never
 
 
-def delay_per_class(
-    tracks: Sequence[GroundTruthTrack],
-    detections: Iterable[Detection],
-    threshold: float,
-    iou_threshold: float,
-    difficulty: DifficultyFilter = DIFFICULTY_PRESETS["all"],
-) -> float | None:
-    """Mean entry delay of one class's tracks at a score threshold."""
-    class_ids = {t.class_id for t in tracks}
-    if len(class_ids) != 1:
-        raise ValueError("delay_per_class expects tracks of exactly one class")
-    (class_id,) = class_ids
-    dets = [d for d in detections if d.score >= threshold]
-    data = label_class_detections(tracks, dets, class_id, iou_threshold, difficulty)
-    mean, _ = delay_from_labels(data, threshold)
-    return mean
-
-
 def _class_precision(data: ClassEvalData, threshold: float) -> float:
     precision, _ = precision_recall_at(data, threshold)
     # A class with no detection at this threshold raises no false alarm.

@@ -149,7 +149,6 @@ def write_manifest(
     inputs: Iterable[str | Path],
     outputs: Iterable[str],
     meta: SequenceMeta | None = None,
-    extra: Mapping[str, object] | None = None,
 ) -> None:
     """Record everything that determines a run's outputs.
 
@@ -173,8 +172,6 @@ def write_manifest(
             "frame_h": meta.frame_h,
             "frame_rate": meta.frame_rate,
         }
-    if extra:
-        manifest.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

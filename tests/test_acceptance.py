@@ -399,7 +399,7 @@ def test_criterion_8_roundtrips_and_run_determinism(tmp_path, monkeypatch):
         tracks.append(GroundTruthTrack(tid, int(rng.integers(0, 2)), entries))
     from trackcascade.ingest import KittiLabels
 
-    labels = KittiLabels(tracks, {0: [BoundingBox(0, 0, 30, 30)]}, {})
+    labels = KittiLabels(tracks, {0: [BoundingBox(0, 0, 30, 30)]})
     l1, l2 = tmp_path / "l1.txt", tmp_path / "l2.txt"
     write_tracks(labels, class_map, l1)
     once_l = parse_kitti_tracking_labels(l1, class_map)

@@ -42,6 +42,17 @@ def read_tree(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def two_sequences(tmp_path, cmap) -> list[Path]:
+    """Sequences seq0 and seq1 whose refinement detections differ."""
+    seqs = []
+    for i in range(2):
+        meta = SequenceMeta(f"seq{i}", 3, 1000.0, 400.0)
+        proposal = make_store([(f, 0, 0.6, 100, 100, 200, 200) for f in range(3)])
+        refine = make_store([(f, 0, 0.9 - 0.1 * i, 100, 100 + 10 * i, 200, 200) for f in range(3)])
+        seqs.append(write_sequence(tmp_path, meta, proposal, refine, cmap))
+    return seqs
+
+
 class TestRun:
     def test_single_mode_equals_refinement_post_nms(self, seq_dir, tmp_path, cmap):
         out = tmp_path / "out"
@@ -111,20 +122,31 @@ class TestRun:
         ) == 0
         assert not (out / "keep.txt").exists()
 
-    def test_multiple_sequences_parallel(self, tmp_path, cmap):
-        seqs = []
-        for i in range(2):
-            meta = SequenceMeta(f"seq{i}", 3, 1000.0, 400.0)
-            proposal = make_store([(f, 0, 0.6, 100, 100, 200, 200) for f in range(3)])
-            refine = make_store([(f, 0, 0.9, 100, 100, 200, 200) for f in range(3)])
-            seqs.append(write_sequence(tmp_path, meta, proposal, refine, cmap))
+    def test_multiple_sequences(self, tmp_path, cmap):
+        seqs = two_sequences(tmp_path, cmap)
         out = tmp_path / "multi"
-        args = ["run", "--mode", "catdet", "--out", str(out), "--jobs", "2"]
+        args = ["run", "--mode", "catdet", "--out", str(out)]
         for s in seqs:
             args += ["--sequence", str(s)]
         assert run_cli(*args) == 0
         assert (out / "seq0" / "detections.txt").exists()
         assert (out / "seq1" / "detections.txt").exists()
+        for s in seqs:
+            alone = tmp_path / f"alone_{s.name}"
+            assert run_cli("run", "--mode", "catdet", "--out", str(alone), "--sequence", str(s)) == 0
+            got = (out / s.name / "detections.txt").read_bytes()
+            assert got == (alone / "detections.txt").read_bytes()
+
+    def test_bad_later_sequence_writes_nothing(self, tmp_path, cmap):
+        seqs = two_sequences(tmp_path, cmap)
+        (seqs[1] / "refine.txt").write_text("0 car 0.9 100 100 not-a-number 200\n")
+        out = tmp_path / "multi"
+        args = ["run", "--mode", "catdet", "--out", str(out)]
+        for s in seqs:
+            args += ["--sequence", str(s)]
+        assert run_cli(*args) == 2
+        assert not (out / "seq0").exists()
+        assert not (out / "seq1").exists()
 
     def test_missing_sequence_dir_is_data_error(self, tmp_path):
         assert run_cli(
@@ -215,8 +237,8 @@ class TestUsageErrors:
             run_cli("run", "--out", "x")
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("jobs", ["0", "-5"])
-    def test_jobs_below_one_exits_one(self, seq_dir, tmp_path, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-5", "2"])
+    def test_jobs_is_usage_error(self, seq_dir, tmp_path, jobs):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--sequence", str(seq_dir), "--out", str(tmp_path / "o"),
                     "--jobs", jobs)
@@ -241,6 +263,14 @@ class TestUsageErrors:
             "run", "--sequence", str(seq_dir), "--mode", "single",
             "--out", str(tmp_path / "o"), "--set", "pipeline.nonsense=1",
         ) == 2
+
+    def test_tracker_input_score_threshold_is_unknown_key(self, seq_dir, tmp_path, capsys):
+        # The tracker takes its input threshold from pipeline.t_thresh.
+        assert run_cli(
+            "run", "--sequence", str(seq_dir), "--mode", "catdet",
+            "--out", str(tmp_path / "o"), "--set", "tracker.input_score_threshold=0.99",
+        ) == 2
+        assert "unknown key tracker.input_score_threshold" in capsys.readouterr().err
 
 
 class TestCostReport:

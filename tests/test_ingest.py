@@ -37,7 +37,7 @@ class TestClassMap:
     def test_unknown_registered_and_flagged(self, cmap):
         cid = cmap.id_of("cyclist")
         assert cid == 2
-        assert not cmap.is_configured(cid)
+        assert cid not in cmap.configured
         assert cmap.flagged == {"cyclist"}
 
     def test_dontcare_special(self, cmap):
@@ -49,7 +49,7 @@ class TestDetectionFile:
     def test_comments_only(self, tmp_path, cmap):
         p = tmp_path / "d.txt"
         p.write_text("# nothing here\n\n  # more\n")
-        assert len(parse_detections(p, cmap)) == 0
+        assert len(parse_detections(p, cmap).all()) == 0
 
     def test_single_record_round_trip(self, tmp_path, cmap):
         p = tmp_path / "d.txt"
@@ -239,8 +239,8 @@ class TestSynthetic:
             sources={"proposal": NoiseModel(miss_prob=1.0), "refine": NoiseModel()},
         )
         data = generate_synthetic(scenario)
-        assert len(data.detections["proposal"]) == 0
-        assert len(data.detections["refine"]) == 5
+        assert len(data.detections["proposal"].all()) == 0
+        assert len(data.detections["refine"].all()) == 5
 
     def test_seeded_determinism_is_byte_identical(self, tmp_path):
         from trackcascade import write_sequence_dir

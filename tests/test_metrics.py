@@ -11,7 +11,6 @@ from trackcascade import (
     GroundTruthTrack,
     GtEntry,
     average_precision,
-    delay_per_class,
     evaluate_classes,
     find_t_beta,
     iou,
@@ -19,7 +18,7 @@ from trackcascade import (
     match_frame,
     mean_delay,
 )
-from trackcascade.metrics import ClassEvalData, DetLabel, pr_curve_points
+from trackcascade.metrics import ClassEvalData, DetLabel, delay_from_labels, pr_curve_points
 
 ALL = DIFFICULTY_PRESETS["all"]
 
@@ -228,20 +227,33 @@ class TestApOracle:
             assert got == pytest.approx(expected, abs=1e-12)
 
 
+def class_delay(tracks, dets, threshold, iou_threshold, difficulty=ALL):
+    """Mean entry delay of one class's tracks at a score threshold.
+
+    All detections are labelled once and the threshold is applied to the
+    labels, as evaluate_classes does; greedy-by-score labelling is prefix
+    stable, so this equals labelling only the detections above it.
+    """
+    (class_id,) = {t.class_id for t in tracks}
+    data = label_class_detections(tracks, dets, class_id, iou_threshold, difficulty)
+    mean, _ = delay_from_labels(data, threshold)
+    return mean
+
+
 class TestDelay:
     def test_detected_at_entry_frame(self):
         tracks = [track(1, [3, 4, 5])]
         dets = [det(100, 100, 200, 200, frame=3)]
-        assert delay_per_class(tracks, dets, 0.0, 0.5) == 0.0
+        assert class_delay(tracks, dets, 0.0, 0.5) == 0.0
 
     def test_fig4_delay_is_one(self):
         tracks = [track(1, [0, 1, 2, 3, 4])]
         dets = [det(100, 100, 200, 200, frame=f) for f in (1, 2, 4)]
-        assert delay_per_class(tracks, dets, 0.0, 0.5) == 1.0
+        assert class_delay(tracks, dets, 0.0, 0.5) == 1.0
 
     def test_never_detected_counts_full_length(self):
         tracks = [track(1, [0, 1, 2, 3, 4])]
-        assert delay_per_class(tracks, [], 0.0, 0.5) == 5.0
+        assert class_delay(tracks, [], 0.0, 0.5) == 5.0
 
     def test_threshold_zero_is_minimum(self):
         rng = np.random.default_rng(33)
@@ -251,9 +263,9 @@ class TestDelay:
             for f in range(6)
             if rng.random() < 0.7
         ]
-        base = delay_per_class(tracks, dets, 0.0, 0.5)
+        base = class_delay(tracks, dets, 0.0, 0.5)
         for t in [0.3, 0.5, 0.8, 0.95]:
-            assert delay_per_class(tracks, dets, t, 0.5) >= base
+            assert class_delay(tracks, dets, t, 0.5) >= base
 
     def test_raising_threshold_never_lowers_delay(self):
         tracks = [track(1, list(range(8))), track(2, list(range(2, 8)), box=(400, 100, 500, 200))]
@@ -265,14 +277,14 @@ class TestDelay:
                     dets.append(Detection(e.box, 0, float(rng.uniform(0.2, 1)), e.frame_index))
         last = -1.0
         for thr in sorted({d.score for d in dets}):
-            d = delay_per_class(tracks, dets, thr, 0.5)
+            d = class_delay(tracks, dets, thr, 0.5)
             assert d >= last - 1e-12
             last = d
 
     def test_difficulty_filter_excludes_tracks(self):
         small = GroundTruthTrack(1, 0, [GtEntry(0, BoundingBox(0, 0, 10, 10))])
         hard = DIFFICULTY_PRESETS["hard"]  # min height 25
-        assert delay_per_class([small], [], 0.0, 0.5, difficulty=hard) is None
+        assert class_delay([small], [], 0.0, 0.5, difficulty=hard) is None
 
 
 class TestFindTBeta:
