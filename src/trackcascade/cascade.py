@@ -6,14 +6,15 @@ Three modes:
   cascaded  proposal-source boxes above c_thresh select the refinement regions
   catdet    tracker predictions join the proposal boxes before region selection
 
-Detections feed back into the tracker only after NMS, so the tracker only
-ever sees final, de-duplicated detections.
+Detections feed back into the tracker only after NMS, and only those scoring
+at least t_thresh, so the tracker only ever sees final, de-duplicated
+detections.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .costmodel import CostModelConfig, WorkReport, estimate_time, greedy_merge, refine_cost, total_work
@@ -145,8 +146,7 @@ class Pipeline:
         self.known_classes = known_classes
         self._tracker: Tracker | None = None
         if config.mode == "catdet":
-            tracker_cfg = replace(config.tracker, input_score_threshold=config.t_thresh)
-            self._tracker = Tracker(tracker_cfg, meta.frame_w, meta.frame_h, known_classes)
+            self._tracker = Tracker(config.tracker, meta.frame_w, meta.frame_h, known_classes)
         self._pending_predictions: list[Detection] = []
         self._next_frame: int | None = None
 
@@ -212,7 +212,8 @@ class Pipeline:
             refine_proposals,
         )
         if self._tracker is not None:
-            self._pending_predictions = self._tracker.step(frame_index, final)
+            tracked = [d for d in final if d.score >= cfg.t_thresh]
+            self._pending_predictions = self._tracker.step(frame_index, tracked)
         return result
 
     def _work(

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .cascade import FileBackedSource, Pipeline, SequenceResult
+from .cascade import MODES, FileBackedSource, Pipeline, SequenceResult
 from .config import Settings, load_settings
 # refine_cost and parse_mask_dump are unused here since cost-report reads
 # work.txt; they stay importable from this module because perfbench/tracing.py
@@ -34,6 +34,7 @@ from .ingest import (
 from .metrics import DifficultyReport, evaluate_classes
 from .runio import (
     WorkRecord,
+    _fmt_opt,
     parse_mask_dump,  # noqa: F401
     parse_work_records,
     read_manifest,
@@ -78,7 +79,11 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", parents=[common], help="run the cascade over sequences")
     run.add_argument("--sequence", action="append", required=True, help="sequence directory")
-    run.add_argument("--mode", choices=("single", "cascaded", "catdet"))
+    run.add_argument(
+        "--mode",
+        choices=MODES,
+        help="same as --set pipeline.mode=MODE, and applied after every --set",
+    )
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--dump-masks", action="store_true", help="also dump per-frame region boxes")
     run.add_argument("--force", action="store_true", help="overwrite an existing output directory")
@@ -124,7 +129,7 @@ def _atomic_dir(out: Path, force: bool):
     return _Staging()
 
 
-def _run_one_sequence(settings: Settings, mode: str, seq_dir: Path):
+def _run_one_sequence(settings: Settings, seq_dir: Path):
     """Execute one sequence; returns everything the writer needs."""
     meta = parse_meta(seq_dir / "meta.cfg")
     class_map = ClassMap(settings.classes)
@@ -134,14 +139,12 @@ def _run_one_sequence(settings: Settings, mode: str, seq_dir: Path):
     refine = FileBackedSource(refine_store, "refine", meta.frame_count)
     proposal = None
     inputs = [seq_dir / "meta.cfg", refine_path]
-    if mode != "single":
+    config = settings.pipeline_config()
+    if config.mode != "single":
         proposal_store = parse_detections(proposal_path, class_map)
         proposal = FileBackedSource(proposal_store, "proposal", meta.frame_count)
         inputs.append(proposal_path)
 
-    config = settings.pipeline_config()
-    if config.mode != mode:
-        config = dataclasses.replace(config, mode=mode)
     pipeline = Pipeline(config, meta, refine, proposal, known_classes=set(class_map.configured))
     result: SequenceResult = pipeline.run_sequence()
     return meta, class_map, inputs, result
@@ -149,7 +152,6 @@ def _run_one_sequence(settings: Settings, mode: str, seq_dir: Path):
 
 def _write_run_outputs(
     settings: Settings,
-    mode: str,
     out: Path,
     meta,
     class_map: ClassMap,
@@ -166,9 +168,9 @@ def _write_run_outputs(
         if dump_masks:
             write_mask_dump(result.frames, tmp / "masks.txt")
             outputs.append("masks.txt")
-        snapshot = settings.snapshot()
-        snapshot["pipeline"]["mode"] = mode
-        write_manifest(tmp / "manifest.json", "run", snapshot, inputs, outputs, meta=meta)
+        write_manifest(
+            tmp / "manifest.json", "run", settings.snapshot(), inputs, outputs, meta=meta
+        )
     if class_map.flagged:
         print(f"note: dropped detections of unconfigured classes: {sorted(class_map.flagged)}")
     t = result.total
@@ -180,21 +182,29 @@ def _write_run_outputs(
 
 
 def cmd_run(args) -> int:
-    settings = load_settings(args.config, args.overrides)
-    mode = args.mode or settings.mode
+    mode_override = [f"pipeline.mode={args.mode}"] if args.mode else []
+    settings = load_settings(args.config, args.overrides + mode_override)
     sequences = [Path(s) for s in args.sequence]
     out_root = Path(args.out)
     if len(sequences) == 1:
         outs = [out_root]
     else:
-        outs = [out_root / parse_meta(seq / "meta.cfg").sequence_id for seq in sequences]
+        ids = [parse_meta(seq / "meta.cfg").sequence_id for seq in sequences]
+        for i, sequence_id in enumerate(ids):
+            if sequence_id in ids[:i]:
+                raise DataError(
+                    f"duplicate sequence id {sequence_id!r}: each sequence of a run "
+                    "needs its own output directory",
+                    str(sequences[i] / "meta.cfg"),
+                )
+        outs = [out_root / sequence_id for sequence_id in ids]
 
     # Every sequence runs before any is written, so a bad input in any of
     # them leaves no output behind.
-    executed = [_run_one_sequence(settings, mode, seq) for seq in sequences]
+    executed = [_run_one_sequence(settings, seq) for seq in sequences]
     for out, (meta, class_map, inputs, result) in zip(outs, executed):
         _write_run_outputs(
-            settings, mode, out, meta, class_map, inputs, result, args.dump_masks, args.force
+            settings, out, meta, class_map, inputs, result, args.dump_masks, args.force
         )
     return EXIT_OK
 
@@ -301,10 +311,6 @@ def cmd_eval(args) -> int:
         )
         return EXIT_REFUSED
     return EXIT_OK
-
-
-def _fmt_opt(value: float | None, spec: str = "") -> str:
-    return "/" if value is None else format(value, spec)
 
 
 def _run_totals(run: Path) -> tuple[str, int, WorkRecord]:

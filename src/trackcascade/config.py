@@ -1,13 +1,16 @@
 """Declarative key = value configuration with defaults, file values and overrides.
 
 Files use INI sections, one per module; `--set section.key=value` overrides
-win over file values, which win over the built-in defaults. The fully
-resolved snapshot is what run manifests record.
+win over file values, which win over the built-in defaults. Every key but
+`pipeline.classes` and `eval.difficulties` is a field of a config dataclass,
+and its default is that field's default. The fully resolved snapshot is what
+run manifests record.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from pathlib import Path
 from typing import Any
 
@@ -17,52 +20,42 @@ from .errors import ConfigError
 from .metrics import DIFFICULTY_PRESETS, DifficultyFilter, EvalConfig
 from .tracker import TrackerConfig
 
-# kind: float | int | bool | str | strlist | optfloat | recall
-_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
-    "pipeline": {
-        "mode": ("str", "catdet"),
-        "c_thresh": ("float", 0.3),
-        "t_thresh": ("float", 0.5),
-        "margin": ("float", 30.0),
-        "nms_iou": ("float", 0.5),
-        "proposal_dedup_iou": ("float", 0.7),
-        "class_agnostic_nms": ("bool", False),
-        "classes": ("strlist", ["car", "pedestrian"]),
-    },
-    "tracker": {
-        "iou_threshold_beta": ("float", 0.0),
-        "decay_eta": ("float", 0.7),
-        "min_width": ("float", 10.0),
-        "boundary_chop_fraction": ("float", 0.5),
-        "confidence_cap": ("int", 3),
-        "match_gain": ("int", 1),
-        "miss_cost": ("int", 1),
-    },
-    "cost": {
-        "proposal_fullframe_ops": ("float", CostModelConfig().proposal_fullframe_ops),
-        "refine_feature_fullframe_ops": ("float", CostModelConfig().refine_feature_fullframe_ops),
-        "refine_per_proposal_ops": ("float", CostModelConfig().refine_per_proposal_ops),
-        "baseline_proposal_count": ("int", 300),
-        "alpha": ("optfloat", None),
-        "b": ("optfloat", None),
-    },
-    "eval": {
-        "beta": ("float", 0.8),
-        "ap_recall_points": ("recall", 11),
-        "difficulties": ("strlist", ["moderate", "hard"]),
-        "sparse_annotations": ("bool", False),
-    },
+# A config key is a config dataclass field with a plain default; its kind
+# comes from the field's annotation. Nested configs, mappings and
+# DifficultyFilter.name have no plain default, so they are not keys.
+_KINDS = {
+    "float": "float",
+    "int": "int",
+    "bool": "bool",
+    "str": "str",
+    "float | None": "optfloat",
+    "int | None": "recall",
 }
+
+
+def _keys(cls) -> dict[str, tuple[str, Any]]:
+    """key -> (kind, default) for every config key of a config dataclass."""
+    return {
+        f.name: (_KINDS[f.type], f.default)
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
+
+
+# kind: the values of _KINDS, plus strlist for the keys declared here
+_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
+    "pipeline": {**_keys(PipelineConfig), "classes": ("strlist", ["car", "pedestrian"])},
+    "tracker": _keys(TrackerConfig),
+    "cost": _keys(CostModelConfig),
+    "eval": {**_keys(EvalConfig), "difficulties": ("strlist", ["moderate", "hard"])},
+}
+_DIFFICULTY_KEYS = _keys(DifficultyFilter)
 
 _DEFAULT_MATCH_IOU = {"car": 0.7, "pedestrian": 0.5}
 _DEFAULT_DONTCARE = {"van": "car", "person_sitting": "pedestrian"}
 
-_DIFFICULTY_KEYS = {
-    "min_size": ("float", 0.0),
-    "size_axis": ("str", "height"),
-    "max_occlusion": ("int", 99),
-    "max_truncation": ("float", 1.0),
-}
+# eval.match_iou / eval.dontcare are accepted as section aliases
+_SECTION_ALIASES = {"eval.match_iou": "match_iou", "eval.dontcare": "dontcare"}
 
 
 def _convert(kind: str, raw: Any, where: str) -> Any:
@@ -104,40 +97,13 @@ class Settings:
     def classes(self) -> list[str]:
         return list(self.values["pipeline"]["classes"])
 
-    @property
-    def mode(self) -> str:
-        return self.values["pipeline"]["mode"]
-
-    def tracker_config(self) -> TrackerConfig:
-        v = self.values["tracker"]
-        try:
-            return TrackerConfig(**v)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def cost_config(self) -> CostModelConfig:
-        v = self.values["cost"]
-        try:
-            return CostModelConfig(**v)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
     def pipeline_config(self) -> PipelineConfig:
-        p = self.values["pipeline"]
-        try:
-            return PipelineConfig(
-                mode=p["mode"],
-                c_thresh=p["c_thresh"],
-                t_thresh=p["t_thresh"],
-                margin=p["margin"],
-                nms_iou=p["nms_iou"],
-                proposal_dedup_iou=p["proposal_dedup_iou"],
-                class_agnostic_nms=p["class_agnostic_nms"],
-                tracker=self.tracker_config(),
-                cost=self.cost_config(),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _build(
+            PipelineConfig,
+            self.values["pipeline"],
+            tracker=_build(TrackerConfig, self.values["tracker"]),
+            cost=_build(CostModelConfig, self.values["cost"]),
+        )
 
     def match_iou_by_name(self) -> dict[str, float]:
         return dict(self.values["match_iou"])
@@ -150,7 +116,7 @@ class Settings:
         for name in self.values["eval"]["difficulties"]:
             custom = self.values.get("difficulty", {}).get(name)
             if custom is not None:
-                out.append(DifficultyFilter(name=name, **custom))
+                out.append(_build(DifficultyFilter, custom, name=name))
             elif name in DIFFICULTY_PRESETS:
                 out.append(DIFFICULTY_PRESETS[name])
             else:
@@ -170,17 +136,18 @@ class Settings:
             if alias in class_ids and target in class_ids:
                 tid = class_ids[target]
                 dontcare[tid] = dontcare.get(tid, frozenset()) | {class_ids[alias]}
-        e = self.values["eval"]
-        try:
-            return EvalConfig(
-                match_iou=match_iou,
-                ap_recall_points=e["ap_recall_points"],
-                beta=e["beta"],
-                dontcare_classes=dontcare,
-                sparse_annotations=e["sparse_annotations"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _build(
+            EvalConfig, self.values["eval"], match_iou=match_iou, dontcare_classes=dontcare
+        )
+
+
+def _build(cls, values: dict[str, Any], **nested):
+    """Instantiate a config dataclass from its keys' values plus nested arguments."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    try:
+        return cls(**{k: v for k, v in values.items() if k in names}, **nested)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _defaults() -> dict[str, dict[str, Any]]:
@@ -209,7 +176,7 @@ def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: Any) 
         name = section.split(".", 1)[1]
         if key not in _DIFFICULTY_KEYS:
             raise ConfigError(f"unknown key {where}")
-        kind, default = _DIFFICULTY_KEYS[key]
+        kind, _ = _DIFFICULTY_KEYS[key]
         custom = values["difficulty"].setdefault(
             name, {k: d for k, (_, d) in _DIFFICULTY_KEYS.items()}
         )
@@ -232,20 +199,13 @@ def load_settings(
             raise ConfigError(f"cannot read config: {exc}", str(path)) from None
         except configparser.Error as exc:
             raise ConfigError(f"bad config syntax: {exc}", str(path)) from None
-        # eval.match_iou / eval.dontcare accepted as section aliases
         for section in parser.sections():
-            target = {"eval.match_iou": "match_iou", "eval.dontcare": "dontcare"}.get(
-                section, section
-            )
             for key, raw in parser[section].items():
-                _apply(values, target, key, raw)
+                _apply(values, _SECTION_ALIASES.get(section, section), key, raw)
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         section, key = dotted.rsplit(".", 1)
-        section = {"eval.match_iou": "match_iou", "eval.dontcare": "dontcare"}.get(
-            section, section
-        )
-        _apply(values, section, key, raw)
+        _apply(values, _SECTION_ALIASES.get(section, section), key, raw)
     return Settings(values)

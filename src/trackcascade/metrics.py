@@ -32,7 +32,6 @@ class GtEntry:
     box: BoundingBox
     truncated: float = 0.0
     occluded: int = 0
-    fully_labeled: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "truncated", float(self.truncated))
@@ -73,11 +72,18 @@ class DifficultyFilter:
     max_occlusion: int = 99
     max_truncation: float = 1.0
 
+    def __post_init__(self):
+        if self.size_axis not in ("height", "width"):
+            raise ValueError(f"size_axis must be height or width, got {self.size_axis!r}")
+        if self.min_size < 0.0:
+            raise ValueError("min_size must be >= 0")
+        if not 0.0 <= self.max_truncation <= 1.0:
+            raise ValueError("max_truncation must be in [0, 1]")
+
     def qualifies(self, entry: GtEntry) -> bool:
         size = entry.box.height if self.size_axis == "height" else entry.box.width
         return (
-            entry.fully_labeled
-            and size >= self.min_size
+            size >= self.min_size
             and entry.occluded <= self.max_occlusion
             and entry.truncated <= self.max_truncation
         )

@@ -25,8 +25,9 @@ _WORK_COLUMNS = (
 )
 
 
-def _opt(value: float | None) -> str:
-    return "/" if value is None else str(value)
+def _fmt_opt(value: float | None, spec: str = "") -> str:
+    """A value formatted with `spec`, or "/" for None."""
+    return "/" if value is None else format(value, spec)
 
 
 def write_work_records(results: Iterable[FrameResult], total: WorkReport, path: Path) -> None:
@@ -36,15 +37,15 @@ def write_work_records(results: Iterable[FrameResult], total: WorkReport, path: 
             w = r.work
             fh.write(
                 f"{r.frame_index} {w.proposal_ops} {w.refine_ops} {w.total_ops} "
-                f"{_opt(w.refine_from_tracker_ops)} {_opt(w.refine_from_proposal_ops)} "
+                f"{_fmt_opt(w.refine_from_tracker_ops)} {_fmt_opt(w.refine_from_proposal_ops)} "
                 f"{r.mask.coverage()} {len(r.tracker_boxes)} "
                 f"{len(r.proposal_boxes)} {len(r.refine_proposals)} "
-                f"{w.merged_region_count} {_opt(w.estimated_time)}\n"
+                f"{w.merged_region_count} {_fmt_opt(w.estimated_time)}\n"
             )
         fh.write(
             f"total {total.proposal_ops} {total.refine_ops} {total.total_ops} "
-            f"{_opt(total.refine_from_tracker_ops)} {_opt(total.refine_from_proposal_ops)} "
-            f"/ / / / {total.merged_region_count} {_opt(total.estimated_time)}\n"
+            f"{_fmt_opt(total.refine_from_tracker_ops)} {_fmt_opt(total.refine_from_proposal_ops)} "
+            f"/ / / / {total.merged_region_count} {_fmt_opt(total.estimated_time)}\n"
         )
 
 

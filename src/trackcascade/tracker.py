@@ -31,7 +31,6 @@ class TrackerConfig:
     confidence_cap: int = 3
     match_gain: int = 1
     miss_cost: int = 1
-    input_score_threshold: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.decay_eta <= 1.0:
@@ -208,11 +207,7 @@ class Tracker:
                     f"unknown class id {d.class_id} in frame {frame_index}; "
                     f"known classes: {sorted(self.known_classes)}"
                 )
-        usable = [
-            d
-            for d in detections
-            if d.score >= cfg.input_score_threshold and d.box.width > 0 and d.box.height > 0
-        ]
+        usable = [d for d in detections if d.box.width > 0 and d.box.height > 0]
         by_class: dict[int, list[Detection]] = {}
         for d in usable:
             by_class.setdefault(d.class_id, []).append(d)

@@ -192,6 +192,18 @@ class TestCascadeModes:
         second = pipeline.run_frame(1)
         assert len(second.tracker_boxes) > 0
 
+    def test_detection_below_t_thresh_never_tracked(self):
+        proposal = make_store([(f, 0, 0.6, 100.0, 100.0, 200.0, 200.0) for f in range(6)])
+        refine = make_store([(f, 0, 0.4, 100.0, 100.0, 200.0, 200.0) for f in range(6)])
+        pipeline = build("catdet", stores=(proposal, refine), t_thresh=0.5)
+        frames = pipeline.run_sequence().frames
+        assert all(r.final_detections for r in frames)
+        assert all(r.tracker_boxes == [] for r in frames)
+        assert pipeline._tracker.tracks == ()
+        # the same detections are tracked once t_thresh lets them through
+        frames = build("catdet", stores=(proposal, refine), t_thresh=0.4).run_sequence().frames
+        assert all(r.tracker_boxes for r in frames[1:])
+
     def test_timing_annotations_when_configured(self):
         stores = moving_object_stores()
         config = PipelineConfig(mode="catdet", cost=CostModelConfig(alpha=1e-3, b=0.01))

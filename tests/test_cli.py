@@ -148,6 +148,27 @@ class TestRun:
         assert not (out / "seq0").exists()
         assert not (out / "seq1").exists()
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_duplicate_sequence_ids_write_nothing(self, seq_dir, tmp_path, capsys, force):
+        out = tmp_path / "multi"
+        args = ["run", "--mode", "single", "--out", str(out),
+                "--sequence", str(seq_dir), "--sequence", str(seq_dir)]
+        assert run_cli(*args, *(["--force"] if force else [])) == 2
+        assert "duplicate sequence id 'seq0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mode_option_wins_over_set(self, seq_dir, tmp_path):
+        trees = []
+        for extra in ([], ["--set", "pipeline.mode=single"]):
+            out = tmp_path / f"out{len(trees)}"
+            assert run_cli(
+                "run", "--sequence", str(seq_dir), "--out", str(out), *extra, "--mode", "catdet",
+            ) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
+        manifest = json.loads(trees[1]["manifest.json"])
+        assert manifest["config"]["pipeline"]["mode"] == "catdet"
+
     def test_missing_sequence_dir_is_data_error(self, tmp_path):
         assert run_cli(
             "run", "--sequence", str(tmp_path / "nope"), "--mode", "single",
@@ -203,6 +224,23 @@ class TestEval:
         out = capsys.readouterr().out
         assert "mAP" in out  # AP still reported for labeled frames
         assert "refused" in out
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("size_axis", "banana", "size_axis must be height or width"),
+            ("min_size", "-1", "min_size must be >= 0"),
+            ("max_truncation", "1.5", "max_truncation must be in [0, 1]"),
+            ("max_truncation", "-0.1", "max_truncation must be in [0, 1]"),
+        ],
+    )
+    def test_out_of_range_difficulty_is_data_error(self, capsys, key, value, message):
+        code = run_cli(
+            "eval", "--gt", str(DATA / "fig4_labels.txt"), "--det", str(DATA / "fig4_detections.txt"),
+            "--set", f"difficulty.x.{key}={value}", "--set", "eval.difficulties=x",
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_gt_is_data_error(self, tmp_path):
         assert run_cli("eval", "--gt", str(tmp_path / "nope.txt"),

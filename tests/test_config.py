@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
-from trackcascade import ConfigError
+from trackcascade import ConfigError, DifficultyFilter, PipelineConfig
 from trackcascade.config import load_settings
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SAMPLE = """\
 [pipeline]
@@ -48,14 +52,36 @@ class TestDefaults:
 
     def test_default_mode_and_classes(self):
         s = load_settings()
-        assert s.mode == "catdet"
+        assert s.values["pipeline"]["mode"] == "catdet"
+        assert s.pipeline_config().mode == "catdet"
         assert s.classes == ["car", "pedestrian"]
 
     def test_typed_configs_build(self):
         s = load_settings()
         assert s.pipeline_config().nms_iou == 0.5
-        assert s.cost_config().alpha is None
+        assert s.pipeline_config().cost.alpha is None
         assert [d.name for d in s.difficulties()] == ["moderate", "hard"]
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        s = load_settings()
+        assert s.pipeline_config() == PipelineConfig()  # tracker and cost compared too
+        custom = load_settings(None, ["difficulty.x.max_occlusion=2", "eval.difficulties=x"])
+        assert custom.difficulties() == [DifficultyFilter("x", max_occlusion=2)]
+
+    def test_readme_defaults_block(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "readme.cfg"
+        p.write_text(block)
+        got, want = load_settings(p).values, load_settings().values
+        assert got.keys() == want.keys()
+        for section, kv in want.items():
+            assert got[section].keys() == kv.keys()
+            for key, value in kv.items():
+                if isinstance(value, float):
+                    assert got[section][key] == pytest.approx(value), f"{section}.{key}"
+                else:
+                    assert got[section][key] == value, f"{section}.{key}"
 
 
 class TestFileLoading:
@@ -63,11 +89,11 @@ class TestFileLoading:
         p = tmp_path / "c.cfg"
         p.write_text(SAMPLE)
         s = load_settings(p)
-        assert s.mode == "cascaded"
+        assert s.values["pipeline"]["mode"] == "cascaded"
         assert s.values["pipeline"]["c_thresh"] == 0.45
         assert s.classes == ["car", "pedestrian", "cyclist"]
-        assert s.tracker_config().confidence_cap == 5
-        assert s.cost_config().alpha == 0.001
+        assert s.pipeline_config().tracker.confidence_cap == 5
+        assert s.pipeline_config().cost.alpha == 0.001
         assert s.values["eval"]["ap_recall_points"] is None  # "all"
         # match_iou section replaces keys but keeps unmentioned defaults
         assert s.match_iou_by_name()["cyclist"] == 0.5
@@ -96,7 +122,7 @@ class TestOverrides:
         p = tmp_path / "c.cfg"
         p.write_text(SAMPLE)
         s = load_settings(p, ["pipeline.mode=single", "eval.beta=0.9"])
-        assert s.mode == "single"
+        assert s.values["pipeline"]["mode"] == "single"
         assert s.values["eval"]["beta"] == 0.9
 
     def test_match_iou_override(self):

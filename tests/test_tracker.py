@@ -222,11 +222,6 @@ class TestStep:
             tracker.step(frame, [det(0, 0, 50, 50, frame=frame)])
             assert len(tracker.tracks) == 1
 
-    def test_input_threshold_applied(self):
-        tracker = simple_tracker(input_score_threshold=0.5)
-        preds = tracker.step(0, [det(0, 0, 50, 50, score=0.4)])
-        assert preds == [] and tracker.tracks == ()
-
     def test_unknown_class_rejected(self):
         tracker = Tracker(TrackerConfig(), FRAME_W, FRAME_H, known_classes={0})
         with pytest.raises(ValueError, match="unknown class"):
