@@ -135,13 +135,13 @@ def _run_one_sequence(settings: Settings, seq_dir: Path):
     class_map = ClassMap(settings.classes)
     refine_path = seq_dir / "refine.txt"
     proposal_path = seq_dir / "proposal.txt"
-    refine_store = parse_detections(refine_path, class_map)
+    refine_store = parse_detections(refine_path, class_map, meta.frame_count)
     refine = FileBackedSource(refine_store, "refine", meta.frame_count)
     proposal = None
     inputs = [seq_dir / "meta.cfg", refine_path]
     config = settings.pipeline_config()
     if config.mode != "single":
-        proposal_store = parse_detections(proposal_path, class_map)
+        proposal_store = parse_detections(proposal_path, class_map, meta.frame_count)
         proposal = FileBackedSource(proposal_store, "proposal", meta.frame_count)
         inputs.append(proposal_path)
 

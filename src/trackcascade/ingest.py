@@ -13,6 +13,7 @@ parse(write(parse(f))) == parse(f) holds exactly.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,8 +127,10 @@ def _parse_int(token: str, what: str, path: Path, lineno: int) -> int:
         raise DataError(f"bad {what} {token!r}", str(path), lineno) from None
 
 
-def parse_detections(path: str | Path, class_map: ClassMap) -> DetectionStore:
-    """Read a detection file; every malformed record is a located error."""
+def parse_detections(
+    path: str | Path, class_map: ClassMap, frame_count: int | None = None
+) -> DetectionStore:
+    """Read a detection file; a malformed record, or one past `frame_count`, is a located error."""
     path = Path(path)
     by_frame: dict[int, list[Detection]] = {}
     for lineno, fields in _data_lines(path):
@@ -136,6 +139,10 @@ def parse_detections(path: str | Path, class_map: ClassMap) -> DetectionStore:
         frame = _parse_int(fields[0], "frame index", path, lineno)
         if frame < 0:
             raise DataError(f"negative frame index {frame}", str(path), lineno)
+        if frame_count is not None and frame >= frame_count:
+            raise DataError(
+                f"frame {frame} is past the sequence's {frame_count} frames", str(path), lineno
+            )
         score = _parse_float(fields[2], "score", path, lineno)
         if not 0.0 <= score <= 1.0:
             raise DataError(f"score {score} outside [0, 1]", str(path), lineno)
@@ -247,7 +254,7 @@ def parse_meta(path: str | Path) -> SequenceMeta:
             frame_count=sec.getint("frame_count"),
             frame_w=sec.getfloat("frame_w"),
             frame_h=sec.getfloat("frame_h"),
-            frame_rate=sec.getfloat("frame_rate", fallback=10.0),
+            frame_rate=sec.getfloat("frame_rate", fallback=SequenceMeta.frame_rate),
         )
     except OSError as exc:
         raise DataError(f"cannot read meta: {exc}", str(path)) from None
@@ -258,11 +265,8 @@ def parse_meta(path: str | Path) -> SequenceMeta:
 def write_meta(meta: SequenceMeta, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[sequence]\n")
-        fh.write(f"sequence_id = {meta.sequence_id}\n")
-        fh.write(f"frame_count = {meta.frame_count}\n")
-        fh.write(f"frame_w = {meta.frame_w}\n")
-        fh.write(f"frame_h = {meta.frame_h}\n")
-        fh.write(f"frame_rate = {meta.frame_rate}\n")
+        for key, value in dataclasses.asdict(meta).items():
+            fh.write(f"{key} = {value}\n")
 
 
 # --- synthetic sequences -------------------------------------------------
@@ -302,6 +306,16 @@ class NoiseModel:
     fp_score_mean: float = 0.4
     fp_score_sigma: float = 0.0
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if not 0.0 <= self.miss_prob <= 1.0:
+            raise ValueError("miss_prob must be in [0, 1]")
+        for name in ("fp_per_frame", "jitter", "score_sigma", "fp_score_sigma"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class SyntheticScenario:
@@ -312,16 +326,19 @@ class SyntheticScenario:
     seed: int
     objects: list[ObjectScript]
     sources: dict[str, NoiseModel] = field(default_factory=dict)
-    frame_rate: float = 10.0
+    frame_rate: float = SequenceMeta.frame_rate
 
 
 def parse_scenario(path: str | Path) -> SyntheticScenario:
+    """Read a scenario file; a bad value is a DataError naming its [section]."""
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    section = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-        sec = parser["scenario"]
+        section = "scenario"
+        sec = parser[section]
         scenario = SyntheticScenario(
             name=sec.get("name", path.stem),
             frame_count=sec.getint("frames"),
@@ -329,7 +346,7 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
             frame_h=sec.getfloat("frame_h"),
             seed=sec.getint("seed", fallback=0),
             objects=[],
-            frame_rate=sec.getfloat("frame_rate", fallback=10.0),
+            frame_rate=sec.getfloat("frame_rate", fallback=SyntheticScenario.frame_rate),
         )
         for section in parser.sections():
             if section.startswith("object."):
@@ -341,7 +358,7 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
                 box = BoundingBox(*coords)
                 if box.width <= 0:
                     # box_at scales the height by height / width.
-                    raise DataError(f"[{section}] box width must be > 0", str(path))
+                    raise ValueError("box width must be > 0")
                 scenario.objects.append(
                     ObjectScript(
                         name=section.split(".", 1)[1],
@@ -354,20 +371,19 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
                 )
             elif section.startswith("source."):
                 s = parser[section]
+                fields = dataclasses.fields(NoiseModel)
+                unknown = sorted(set(s) - {f.name for f in fields})
+                if unknown:
+                    raise ValueError(f"unknown key {unknown[0]!r}")
                 scenario.sources[section.split(".", 1)[1]] = NoiseModel(
-                    miss_prob=s.getfloat("miss_prob", fallback=0.0),
-                    fp_per_frame=s.getfloat("fp_per_frame", fallback=0.0),
-                    jitter=s.getfloat("jitter", fallback=0.0),
-                    score_mean=s.getfloat("score_mean", fallback=0.9),
-                    score_sigma=s.getfloat("score_sigma", fallback=0.0),
-                    fp_score_mean=s.getfloat("fp_score_mean", fallback=0.4),
-                    fp_score_sigma=s.getfloat("fp_score_sigma", fallback=0.0),
+                    **{f.name: s.getfloat(f.name, fallback=f.default) for f in fields}
                 )
         return scenario
     except OSError as exc:
         raise DataError(f"cannot read scenario: {exc}", str(path)) from None
     except (configparser.Error, KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"bad scenario: {exc}", str(path)) from None
+        where = "" if section is None else f"[{section}] "
+        raise DataError(f"bad scenario: {where}{exc}", str(path)) from None
 
 
 @dataclass
@@ -376,13 +392,6 @@ class SyntheticData:
     labels: KittiLabels
     detections: dict[str, DetectionStore]
     class_map: ClassMap
-
-
-def _clip_entry(box: BoundingBox, frame_w: float, frame_h: float) -> tuple[BoundingBox, float] | None:
-    clipped = box.clip(frame_w, frame_h)
-    if clipped.area <= 0 or box.area <= 0:
-        return None
-    return clipped, 1.0 - clipped.area / box.area
 
 
 def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
@@ -396,28 +405,27 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     class_names = sorted({o.class_name.strip().lower() for o in scenario.objects})
     class_map = ClassMap(class_names)
 
-    tracks: dict[int, GroundTruthTrack] = {}
+    tracks: list[GroundTruthTrack] = []
+    live: dict[int, list[tuple[GtEntry, int]]] = {}  # frame -> (entry, class id), script order
     for tid, obj in enumerate(scenario.objects, start=1):
+        class_id = class_map.id_of(obj.class_name)
         entries = []
         for frame in range(obj.entry_frame, min(obj.exit_frame, scenario.frame_count - 1) + 1):
-            placed = _clip_entry(obj.box_at(frame), scenario.frame_w, scenario.frame_h)
-            if placed is None:
+            scripted = obj.box_at(frame)
+            clipped = scripted.clip(scenario.frame_w, scenario.frame_h)
+            if clipped.area <= 0 or scripted.area <= 0:
                 continue
-            clipped, truncation = placed
-            entries.append(GtEntry(frame, clipped, truncated=truncation, occluded=0))
+            entries.append(GtEntry(frame, clipped, truncated=1.0 - clipped.area / scripted.area))
+            live.setdefault(frame, []).append((entries[-1], class_id))
         if entries:
-            tracks[tid] = GroundTruthTrack(tid, class_map.id_of(obj.class_name), entries)
+            tracks.append(GroundTruthTrack(tid, class_id, entries))
 
     stores: dict[str, DetectionStore] = {name: DetectionStore() for name in sorted(scenario.sources)}
     for frame in range(scenario.frame_count):
         for source_name in sorted(scenario.sources):
             noise = scenario.sources[source_name]
             store = stores[source_name]
-            for tid, obj in enumerate(scenario.objects, start=1):
-                track = tracks.get(tid)
-                if track is None or not any(e.frame_index == frame for e in track.frames):
-                    continue
-                entry = next(e for e in track.frames if e.frame_index == frame)
+            for entry, class_id in live.get(frame, ()):
                 if rng.random() < noise.miss_prob:
                     continue
                 corners = np.array([entry.box.x1, entry.box.y1, entry.box.x2, entry.box.y2])
@@ -427,7 +435,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
                 box = BoundingBox(x1, y1, x2, y2).clip(scenario.frame_w, scenario.frame_h)
                 score = float(np.clip(rng.normal(noise.score_mean, noise.score_sigma), 0.01, 0.999))
                 if box.area > 0:
-                    store.add(Detection(box, track.class_id, score, frame))
+                    store.add(Detection(box, class_id, score, frame))
             for _ in range(int(rng.poisson(noise.fp_per_frame))):
                 w = rng.uniform(20.0, 120.0)
                 h = w * rng.uniform(0.5, 2.0)
@@ -448,7 +456,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         frame_h=scenario.frame_h,
         frame_rate=scenario.frame_rate,
     )
-    labels = KittiLabels(tracks=[tracks[tid] for tid in sorted(tracks)], dontcare_by_frame={})
+    labels = KittiLabels(tracks=tracks, dontcare_by_frame={})
     return SyntheticData(meta, labels, stores, class_map)
 
 

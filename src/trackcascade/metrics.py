@@ -4,8 +4,9 @@ Matching follows the greedy-by-score convention: detections claim ground
 truths in descending score order, one-to-one, at a per-class IoU threshold.
 Because the greedy pass over a score-sorted list is prefix stable, a single
 labelling of all detections yields the exact counts for every score
-threshold, which is what the precision/recall/delay curves, the interpolated
-AP and the precision-matched delay threshold are derived from.
+threshold. One score-descending pass per class (`ClassEvalData.sweep`)
+records them, and the precision/recall/delay curves, the interpolated AP and
+the precision-matched delay threshold are all read from it.
 
 Delay for a ground-truth track is the frame distance from its entry frame to
 the first frame in which a detection claims it; a track that is never
@@ -15,8 +16,12 @@ qualifying under the active difficulty filter are excluded.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import accumulate, groupby
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationRefused
 from .geometry import BoundingBox, Detection, iou
@@ -211,6 +216,16 @@ class TrackDelayInfo:
     length: int  # number of qualifying frames
 
 
+class SweepRow(NamedTuple):
+    """Counts over the labels scoring at least `score` (inf: before any label)."""
+
+    score: float
+    tp: int
+    fp: int
+    delay_total: int  # summed entry delay of the counted tracks, frames
+    never: int  # counted tracks with no true positive yet
+
+
 @dataclass
 class ClassEvalData:
     """Everything needed to derive curves, AP and delays for one class."""
@@ -219,7 +234,47 @@ class ClassEvalData:
     iou_threshold: float
     labels: list[DetLabel]  # sorted by descending score
     n_pos: int
-    tracks: list[TrackDelayInfo]
+    tracks: list[TrackDelayInfo]  # distinct track ids
+
+    @cached_property
+    def sweep(self) -> list[SweepRow]:
+        """One pass over the labels: a row before any label, then one per score.
+
+        Greedy-by-score labelling is prefix stable, so the row recorded after
+        a group of tied scores holds the exact counts at that threshold.
+        """
+        tracks = {t.track_id: t for t in self.tracks}
+        first_hit: dict[int, int] = {}
+        tp = fp = 0
+        delay_total = sum(t.length for t in self.tracks)
+        rows = [SweepRow(math.inf, tp, fp, delay_total, len(tracks))]
+        for score, group in groupby(self.labels, key=lambda l: l.score):
+            for lab in group:
+                tp += lab.is_tp
+                fp += not lab.is_tp
+                track = tracks.get(lab.track_id) if lab.is_tp else None
+                prev = first_hit.get(lab.track_id)
+                if track is not None and (prev is None or lab.frame_index < prev):
+                    # A first hit replaces the full length; an earlier frame, the later hit.
+                    old = track.entry_frame + track.length if prev is None else prev
+                    delay_total += lab.frame_index - old
+                    first_hit[lab.track_id] = lab.frame_index
+            rows.append(SweepRow(score, tp, fp, delay_total, len(tracks) - len(first_hit)))
+        return rows
+
+    def row_at(self, threshold: float) -> SweepRow:
+        """The sweep row counting exactly the labels that score >= threshold."""
+        return self.sweep[bisect.bisect_right(self.sweep, -threshold, key=lambda r: -r.score) - 1]
+
+    def precision(self, row: SweepRow, empty: float | None = None) -> float | None:
+        return row.tp / (row.tp + row.fp) if row.tp + row.fp else empty
+
+    def recall(self, row: SweepRow) -> float:
+        return row.tp / self.n_pos if self.n_pos else 0.0
+
+    def delay(self, row: SweepRow) -> float | None:
+        """Mean entry delay over the counted tracks; None when there are none."""
+        return row.delay_total / len(self.tracks) if self.tracks else None
 
 
 def _frame_gts_for_class(
@@ -294,24 +349,6 @@ def label_class_detections(
     return ClassEvalData(class_id, iou_threshold, labels, n_pos, track_infos)
 
 
-def pr_curve_points(data: ClassEvalData) -> list[tuple[float, float, float]]:
-    """(threshold, precision, recall) at every distinct score, descending score."""
-    points = []
-    tp = fp = 0
-    labels = data.labels
-    for i, lab in enumerate(labels):
-        if lab.is_tp:
-            tp += 1
-        else:
-            fp += 1
-        last_of_group = i + 1 == len(labels) or labels[i + 1].score != lab.score
-        if last_of_group and (tp + fp) > 0:
-            precision = tp / (tp + fp)
-            recall = tp / data.n_pos if data.n_pos else 0.0
-            points.append((lab.score, precision, recall))
-    return points
-
-
 def average_precision(data: ClassEvalData, recall_points: int | None = 11) -> float | None:
     """Interpolated AP; None when the class has no qualifying ground truth.
 
@@ -321,30 +358,20 @@ def average_precision(data: ClassEvalData, recall_points: int | None = 11) -> fl
     """
     if data.n_pos == 0:
         return None
-    points = pr_curve_points(data)
-    if not points:
-        return 0.0
-    if recall_points is not None:
-        grid = [i / (recall_points - 1) for i in range(recall_points)]
-        total = 0.0
-        for r in grid:
-            best = 0.0
-            for _, precision, recall in points:
-                if recall >= r - _RECALL_EPS and precision > best:
-                    best = precision
-            total += best
-        return total / len(grid)
-    # All-points: integrate the precision envelope over recall.
-    by_recall = sorted(points, key=lambda p: p[2])
-    ap = 0.0
-    prev_recall = 0.0
-    for i, (_, _, recall) in enumerate(by_recall):
-        envelope = max(p[1] for p in by_recall[i:])
-        ap += (recall - prev_recall) * envelope
-        prev_recall = recall
-    return ap
+    rows = data.sweep[1:]
+    # Recall never falls as the threshold drops, so the operating points of
+    # recall >= r are a suffix and the envelope is a running max from the right.
+    recalls = [data.recall(row) for row in rows]
+    envelope = list(accumulate((data.precision(row) for row in reversed(rows)), max))[::-1]
+    if recall_points is None:  # integrate the envelope over recall
+        steps = zip(recalls, [0.0] + recalls, envelope)
+        return sum(((r - prev) * p for r, prev, p in steps), 0.0)
+    grid = [i / (recall_points - 1) for i in range(recall_points)]
+    envelope.append(0.0)  # past the last operating point
+    return sum(envelope[bisect.bisect_left(recalls, r - _RECALL_EPS)] for r in grid) / len(grid)
 
 
+# Per-threshold rescans of the labels: the references the sweep is tested against.
 def precision_recall_at(data: ClassEvalData, threshold: float) -> tuple[float | None, float]:
     """Precision (None when no detection reaches the threshold) and recall."""
     tp = sum(1 for l in data.labels if l.is_tp and l.score >= threshold)
@@ -381,12 +408,6 @@ def delay_from_labels(data: ClassEvalData, threshold: float) -> tuple[float | No
     return total / len(data.tracks), never
 
 
-def _class_precision(data: ClassEvalData, threshold: float) -> float:
-    precision, _ = precision_recall_at(data, threshold)
-    # A class with no detection at this threshold raises no false alarm.
-    return 1.0 if precision is None else precision
-
-
 def find_t_beta(per_class: Sequence[ClassEvalData], beta: float) -> float:
     """Smallest detection score at which mean class precision reaches beta.
 
@@ -396,12 +417,13 @@ def find_t_beta(per_class: Sequence[ClassEvalData], beta: float) -> float:
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must be in (0, 1)")
-    scores = sorted({l.score for data in per_class for l in data.labels})
+    scores = sorted({row.score for data in per_class for row in data.sweep[1:]})
     if not scores:
         raise ValueError("no detections to search for a precision threshold")
     best_mean = None
     for t in scores:
-        mean = sum(_class_precision(d, t) for d in per_class) / len(per_class)
+        # A class with no detection at this threshold raises no false alarm.
+        mean = sum(d.precision(d.row_at(t), empty=1.0) for d in per_class) / len(per_class)
         if mean >= beta:
             return t
         if best_mean is None or mean > best_mean:
@@ -446,8 +468,8 @@ def mean_delay(per_class: Sequence[ClassEvalData], beta: float) -> DelayReport:
     t = find_t_beta(counted, beta)
     report: dict[int, ClassDelay] = {}
     for data in counted:
-        mean, never = delay_from_labels(data, t)
-        report[data.class_id] = ClassDelay(t, mean, len(data.tracks), never)
+        row = data.row_at(t)
+        report[data.class_id] = ClassDelay(t, data.delay(row), len(data.tracks), row.never)
     md = sum(c.mean_delay for c in report.values()) / len(report)
     return DelayReport(beta, t, report, md)
 
@@ -514,15 +536,12 @@ def evaluate_classes(
     reports: dict[int, ClassReport] = {}
     for class_id, data in per_class.items():
         ap = average_precision(data, config.ap_recall_points)
-        thresholds = sorted({l.score for l in data.labels})
-        curve = []
-        for t in thresholds:
-            precision, recall = precision_recall_at(data, t)
-            delay, _ = delay_from_labels(data, t) if with_delay else (None, 0)
-            curve.append((t, precision if precision is not None else 1.0, recall, delay))
-        base_t = thresholds[0] if thresholds else 0.0
-        base_precision, base_recall = precision_recall_at(data, base_t)
-        base_delay, _ = delay_from_labels(data, base_t) if with_delay else (None, 0)
+        delay = data.delay if with_delay else lambda row: None
+        curve = [
+            (row.score, data.precision(row), data.recall(row), delay(row))
+            for row in reversed(data.sweep[1:])
+        ]
+        base = data.sweep[-1]  # every label counted
         reports[class_id] = ClassReport(
             class_id,
             data.iou_threshold,
@@ -530,9 +549,9 @@ def evaluate_classes(
             data.n_pos,
             len(data.tracks),
             len(data.labels),
-            base_precision,
-            base_recall,
-            base_delay,
+            data.precision(base),
+            data.recall(base),
+            delay(base),
             curve,
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -166,13 +167,7 @@ def write_manifest(
         "outputs": sorted(outputs),
     }
     if meta is not None:
-        manifest["sequence"] = {
-            "sequence_id": meta.sequence_id,
-            "frame_count": meta.frame_count,
-            "frame_w": meta.frame_w,
-            "frame_h": meta.frame_h,
-            "frame_rate": meta.frame_rate,
-        }
+        manifest["sequence"] = dataclasses.asdict(meta)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

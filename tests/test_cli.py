@@ -169,6 +169,18 @@ class TestRun:
         manifest = json.loads(trees[1]["manifest.json"])
         assert manifest["config"]["pipeline"]["mode"] == "catdet"
 
+    @pytest.mark.parametrize("source", ["refine", "proposal"])
+    def test_detection_past_last_frame_is_data_error(self, seq_dir, tmp_path, capsys, source):
+        path = seq_dir / f"{source}.txt"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("57 car 0.9 100 100 200 200\n3 car 0.9 100 100 200 200\n9 car 0.9 0 0 9 9\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "frame 57 is past the sequence's 4 frames" in err
+        assert not out.exists()
+
     def test_missing_sequence_dir_is_data_error(self, tmp_path):
         assert run_cli(
             "run", "--sequence", str(tmp_path / "nope"), "--mode", "single",
@@ -437,6 +449,33 @@ class TestGenSynthetic:
             run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(tmp_path / "g"),
                     "--set", "x.y=1")
         assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("score_meen = 0.5", "unknown key 'score_meen'"),
+            ("miss_prob = 1.5", "miss_prob must be in [0, 1]"),
+            ("miss_prob = -0.1", "miss_prob must be in [0, 1]"),
+            ("fp_per_frame = -1", "fp_per_frame must be >= 0"),
+            ("jitter = -2", "jitter must be >= 0"),
+            ("score_sigma = -0.1", "score_sigma must be >= 0"),
+            ("fp_score_sigma = -0.1", "fp_score_sigma must be >= 0"),
+            ("fp_per_frame = inf", "fp_per_frame must be finite"),
+            ("score_mean = nan", "score_mean must be finite"),
+        ],
+    )
+    def test_bad_noise_value_is_data_error(self, tmp_path, capsys, line, message):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = gen\nframes = 2\nframe_w = 500\nframe_h = 300\n\n"
+            "[object.a]\nclass = car\nentry = 0\nexit = 1\nbox = 50 50 150 120\n\n"
+            f"[source.proposal]\n{line}\n"
+        )
+        assert run_cli("gen-synthetic", "--scenario", str(scenario),
+                       "--out", str(tmp_path / "g")) == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and f"[source.proposal] {message}" in err
+        assert not (tmp_path / "g").exists()
 
     def test_zero_width_object_is_data_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.cfg"

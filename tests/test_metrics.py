@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackcascade import (
     DIFFICULTY_PRESETS,
@@ -18,7 +20,13 @@ from trackcascade import (
     match_frame,
     mean_delay,
 )
-from trackcascade.metrics import ClassEvalData, DetLabel, delay_from_labels, pr_curve_points
+from trackcascade.metrics import (
+    ClassEvalData,
+    DetLabel,
+    TrackDelayInfo,
+    delay_from_labels,
+    precision_recall_at,
+)
 
 ALL = DIFFICULTY_PRESETS["all"]
 
@@ -121,9 +129,9 @@ class TestAveragePrecision:
         labels = [DetLabel(s, True, 1, f) for s, f in [(0.9, 1), (0.85, 2), (0.8, 4)]]
         labels += [DetLabel(s, False, None, 0) for s in (0.3, 0.28, 0.26, 0.24)]
         data = data_from_labels(labels, 5)
-        points = pr_curve_points(data)
-        assert points[-1][1] == pytest.approx(3 / 7, abs=1e-12)
-        assert points[-1][2] == pytest.approx(0.6, abs=1e-12)
+        last = data.sweep[-1]
+        assert data.precision(last) == pytest.approx(3 / 7, abs=1e-12)
+        assert data.recall(last) == pytest.approx(0.6, abs=1e-12)
         assert average_precision(data) == pytest.approx(7 / 11)
 
     def test_tp_above_fp_single_gt(self):
@@ -415,3 +423,175 @@ class TestEvaluateClasses:
         cfg = EvalConfig(match_iou={0: 0.7}, dontcare_classes={0: frozenset({2})})
         report = evaluate_classes([car, van], dets, cfg, ALL, with_delay=False)
         assert report.classes[0].ap == 1.0  # van det ignored, not an FP
+
+
+# --- the one-pass sweep against the per-threshold rescans -----------------
+
+# Few distinct scores, so tied groups are common.
+SCORES = st.sampled_from([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def det_labels(draw):
+    score = draw(SCORES)
+    frame = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        # Track 5 is never counted: a true positive whose track is not a delay track.
+        return DetLabel(score, True, draw(st.integers(1, 5)), frame)
+    return DetLabel(score, False, None, frame)
+
+
+@st.composite
+def class_data(draw, class_id=0):
+    tracks = [
+        TrackDelayInfo(tid, draw(st.integers(0, 5)), draw(st.integers(1, 6)))
+        for tid in range(1, draw(st.integers(0, 4)) + 1)
+    ]
+    labels = draw(st.lists(det_labels(), max_size=15))
+    # Sorted as label_class_detections sorts: a track's hits at different
+    # scores land out of frame order.
+    labels.sort(key=lambda l: (-l.score, l.frame_index))
+    n_pos = sum(l.is_tp for l in labels) + draw(st.integers(0, 3))
+    return ClassEvalData(class_id, 0.5, labels, n_pos, tracks)
+
+
+def class_list(min_classes=2, max_classes=3):
+    return st.integers(min_classes, max_classes).flatmap(
+        lambda n: st.tuples(*(class_data(class_id=c) for c in range(n)))
+    )
+
+
+def t_beta_bruteforce(per_class, beta):
+    """(t_beta, None) or (None, best mean) by rescanning at every score."""
+    best = None
+    for t in sorted({l.score for d in per_class for l in d.labels}):
+        precisions = [precision_recall_at(d, t)[0] for d in per_class]
+        mean = sum(1.0 if p is None else p for p in precisions) / len(per_class)
+        if mean >= beta:
+            return t, None
+        best = mean if best is None else max(best, mean)
+    return None, best
+
+
+def ap_bruteforce_envelope(data, recall_points):
+    """AP from the per-threshold rescans, with the O(P^2) precision envelope."""
+    if data.n_pos == 0:
+        return None
+    points = []
+    for t in sorted({l.score for l in data.labels}, reverse=True):
+        precision, recall = precision_recall_at(data, t)
+        points.append((precision, recall))
+    if not points:
+        return 0.0
+    if recall_points is not None:
+        grid = [i / (recall_points - 1) for i in range(recall_points)]
+        total = 0.0
+        for r in grid:
+            total += max((p for p, rec in points if rec >= r - 1e-9), default=0.0)
+        return total / len(grid)
+    by_recall = sorted(points, key=lambda p: p[1])
+    ap = 0.0
+    prev_recall = 0.0
+    for i, (_, recall) in enumerate(by_recall):
+        ap += (recall - prev_recall) * max(p for p, _ in by_recall[i:])
+        prev_recall = recall
+    return ap
+
+
+class TestSweepOracle:
+    @PROPERTY
+    @given(class_data(), st.lists(st.floats(0.0, 1.0), max_size=5))
+    def test_rows_equal_rescans(self, data, extra_thresholds):
+        thresholds = [row.score for row in data.sweep[1:]] + extra_thresholds + [0.0, 1.0]
+        for t in thresholds:
+            row = data.row_at(t)
+            assert (data.precision(row), data.recall(row)) == precision_recall_at(data, t)
+            assert (data.delay(row), row.never) == delay_from_labels(data, t)
+
+    @PROPERTY
+    @given(class_list(1, 3), st.sampled_from([0.3, 0.5, 0.8, 0.95]))
+    def test_find_t_beta_equals_bruteforce(self, per_class, beta):
+        per_class = list(per_class)
+        if not any(d.labels for d in per_class):
+            with pytest.raises(ValueError, match="no detections"):
+                find_t_beta(per_class, beta)
+            return
+        t, best = t_beta_bruteforce(per_class, beta)
+        if t is None:
+            with pytest.raises(ValueError, match=f"never reaches .* {best:.6f}$"):
+                find_t_beta(per_class, beta)
+        else:
+            assert find_t_beta(per_class, beta) == t
+
+    @PROPERTY
+    @given(class_list(), st.sampled_from([0.3, 0.5, 0.8]))
+    def test_mean_delay_at_t_beta_equals_rescan(self, per_class, beta):
+        counted = [d for d in per_class if d.tracks]
+        if not counted:
+            with pytest.raises(EvaluationRefused):
+                mean_delay(list(per_class), beta)
+            return
+        t, _ = t_beta_bruteforce(counted, beta)
+        if t is None:
+            with pytest.raises(ValueError):
+                mean_delay(list(per_class), beta)
+            return
+        report = mean_delay(list(per_class), beta)
+        assert report.threshold == t
+        assert sorted(report.per_class) == [d.class_id for d in counted]
+        for d in counted:
+            c = report.per_class[d.class_id]
+            assert (c.mean_delay, c.never_detected) == delay_from_labels(d, t)
+            assert c.counted_tracks == len(d.tracks)
+        assert report.mean_delay == sum(
+            delay_from_labels(d, t)[0] for d in counted
+        ) / len(counted)
+
+    @PROPERTY
+    @given(class_data(), st.sampled_from([None, 11, 2]))
+    def test_ap_equals_envelope_bruteforce(self, data, recall_points):
+        assert average_precision(data, recall_points) == ap_bruteforce_envelope(
+            data, recall_points
+        )
+
+
+@st.composite
+def scenes(draw):
+    """Tracks of two classes side by side, with hits, duplicates and clutter."""
+    tracks, dets = [], []
+    for tid in range(1, draw(st.integers(1, 4)) + 1):
+        class_id = draw(st.integers(0, 1))
+        height = draw(st.sampled_from([20, 50]))  # 20 fails "moderate": a don't-care
+        box = (200 * tid, 100, 200 * tid + 60, 100 + height)
+        start = draw(st.integers(0, 4))
+        frames = list(range(start, start + draw(st.integers(1, 5))))
+        tracks.append(track(tid, frames, class_id=class_id, box=box))
+        for f in frames:
+            for _ in range(draw(st.integers(0, 2))):
+                dets.append(det(*box, score=draw(SCORES), class_id=class_id, frame=f))
+    for _ in range(draw(st.integers(0, 6))):
+        x = 2000 + 100 * draw(st.integers(0, 3))
+        dets.append(det(x, 300, x + 40, 340, score=draw(SCORES),
+                        class_id=draw(st.integers(0, 1)), frame=draw(st.integers(0, 8))))
+    return tracks, dets
+
+
+class TestEvaluateClassesOracle:
+    @PROPERTY
+    @given(scenes(), st.sampled_from(["all", "moderate"]))
+    def test_curve_and_base_point_equal_rescans(self, scene, difficulty_name):
+        tracks, dets = scene
+        difficulty = DIFFICULTY_PRESETS[difficulty_name]
+        report = evaluate_classes(tracks, dets, EvalConfig(match_iou={0: 0.5, 1: 0.5}),
+                                  difficulty)
+        for class_id, c in report.classes.items():
+            data = label_class_detections(tracks, dets, class_id, 0.5, difficulty)
+            scores = sorted({l.score for l in data.labels})
+            assert c.curve == [
+                (t, *precision_recall_at(data, t), delay_from_labels(data, t)[0])
+                for t in scores
+            ]
+            base_t = scores[0] if scores else 0.0
+            assert (c.base_precision, c.base_recall) == precision_recall_at(data, base_t)
+            assert c.base_delay == delay_from_labels(data, base_t)[0]
