@@ -32,7 +32,6 @@ from .geometry import (
     RegionMask,
     dilate,
     iou,
-    mask_coverage,
     mask_overlap_fraction,
     nms,
     union_area,
@@ -79,7 +78,6 @@ __all__ = [
     "iou",
     "dilate",
     "union_area",
-    "mask_coverage",
     "mask_overlap_fraction",
     "nms",
     "Tracker",

@@ -19,7 +19,7 @@ from .config import Settings, load_settings
 # refine_cost and parse_mask_dump are unused here since cost-report reads
 # work.txt; they stay importable from this module because perfbench/tracing.py
 # hooks them on it (ROADMAP item 1).
-from .costmodel import refine_cost  # noqa: F401
+from .costmodel import WorkReport, refine_cost  # noqa: F401
 from .errors import DataError, EvaluationRefused
 from .ingest import (
     ClassMap,
@@ -33,10 +33,9 @@ from .ingest import (
 )
 from .metrics import DifficultyReport, evaluate_classes
 from .runio import (
-    WorkRecord,
     _fmt_opt,
     parse_mask_dump,  # noqa: F401
-    parse_work_records,
+    parse_work_total,
     read_manifest,
     write_manifest,
     write_mask_dump,
@@ -313,7 +312,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _run_totals(run: Path) -> tuple[str, int, WorkRecord]:
+def _run_totals(run: Path) -> tuple[str, int, WorkReport]:
     """Mode, frame count and work.txt totals of one run; "/" sources become None."""
     manifest_path = run / "manifest.json"
     manifest = read_manifest(manifest_path)
@@ -321,11 +320,11 @@ def _run_totals(run: Path) -> tuple[str, int, WorkRecord]:
     frame_count = manifest.get("sequence", {}).get("frame_count")
     if mode is None or frame_count is None:
         raise DataError("not a run manifest (no pipeline mode or frame count)", str(manifest_path))
-    _, total = parse_work_records(run / "work.txt")
+    total = parse_work_total(run / "work.txt")
     total = dataclasses.replace(
         total,
-        from_tracker_ops=total.from_tracker_ops if mode == "catdet" else None,
-        from_proposal_ops=total.from_proposal_ops if mode != "single" else None,
+        refine_from_tracker_ops=total.refine_from_tracker_ops if mode == "catdet" else None,
+        refine_from_proposal_ops=total.refine_from_proposal_ops if mode != "single" else None,
     )
     return mode, frame_count, total
 
@@ -340,15 +339,15 @@ def cmd_cost_report(args) -> int:
     for name, mode, _, t in rows:
         print(
             f"{name:<24} {mode:<9} {t.total_ops:>8.1f} {t.proposal_ops:>9.1f} "
-            f"{t.refine_ops:>8.1f} {_fmt_opt(t.from_tracker_ops, '.1f'):>9} "
-            f"{_fmt_opt(t.from_proposal_ops, '.1f'):>10}"
+            f"{t.refine_ops:>8.1f} {_fmt_opt(t.refine_from_tracker_ops, '.1f'):>9} "
+            f"{_fmt_opt(t.refine_from_proposal_ops, '.1f'):>10}"
         )
     for name, mode, frame_count, t in rows:
         print(
             f"record run={name} mode={mode} frames={frame_count} total_ops={t.total_ops} "
             f"proposal_ops={t.proposal_ops} refine_ops={t.refine_ops} "
-            f"from_tracker_ops={_fmt_opt(t.from_tracker_ops)} "
-            f"from_proposal_ops={_fmt_opt(t.from_proposal_ops)}"
+            f"from_tracker_ops={_fmt_opt(t.refine_from_tracker_ops)} "
+            f"from_proposal_ops={_fmt_opt(t.refine_from_proposal_ops)}"
         )
     return EXIT_OK
 

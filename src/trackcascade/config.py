@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from pathlib import Path
 from typing import Any
 
 from .cascade import PipelineConfig
 from .costmodel import CostModelConfig
 from .errors import ConfigError
+from .ingest import read_text
 from .metrics import DIFFICULTY_PRESETS, DifficultyFilter, EvalConfig
 from .tracker import TrackerConfig
 
@@ -56,6 +58,8 @@ _DEFAULT_DONTCARE = {"van": "car", "person_sitting": "pedestrian"}
 
 # eval.match_iou / eval.dontcare are accepted as section aliases
 _SECTION_ALIASES = {"eval.match_iou": "match_iou", "eval.dontcare": "dontcare"}
+# Sections whose values are checked when another section's config is built
+_CHECKED_WITH = {"match_iou": "eval", "dontcare": "eval"}
 
 
 def _convert(kind: str, raw: Any, where: str) -> Any:
@@ -63,8 +67,13 @@ def _convert(kind: str, raw: Any, where: str) -> Any:
         return raw
     text = raw.strip()
     try:
-        if kind == "float":
-            return float(text)
+        if kind == "optfloat" and text.lower() in ("none", ""):
+            return None
+        if kind in ("float", "optfloat"):
+            value = float(text)
+            if math.isnan(value):
+                raise ValueError(text)
+            return value
         if kind == "int":
             return int(text)
         if kind == "bool":
@@ -75,8 +84,6 @@ def _convert(kind: str, raw: Any, where: str) -> Any:
             raise ValueError(text)
         if kind == "strlist":
             return [t.strip().lower() for t in text.split(",") if t.strip()]
-        if kind == "optfloat":
-            return None if text.lower() in ("none", "") else float(text)
         if kind == "recall":
             return None if text.lower() in ("all", "all-points") else int(text)
         return text
@@ -87,8 +94,10 @@ def _convert(kind: str, raw: Any, where: str) -> Any:
 class Settings:
     """Resolved configuration snapshot plus typed accessors."""
 
-    def __init__(self, values: dict[str, dict[str, Any]]):
+    def __init__(self, values: dict[str, dict[str, Any]], files: dict[str, str] | None = None):
         self.values = values
+        # section -> the config file, when only that file set values in it
+        self.files = files or {}
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         return {s: dict(kv) for s, kv in sorted(self.values.items())}
@@ -98,11 +107,12 @@ class Settings:
         return list(self.values["pipeline"]["classes"])
 
     def pipeline_config(self) -> PipelineConfig:
-        return _build(
+        return self._build(
             PipelineConfig,
+            "pipeline",
             self.values["pipeline"],
-            tracker=_build(TrackerConfig, self.values["tracker"]),
-            cost=_build(CostModelConfig, self.values["cost"]),
+            tracker=self._build(TrackerConfig, "tracker", self.values["tracker"]),
+            cost=self._build(CostModelConfig, "cost", self.values["cost"]),
         )
 
     def match_iou_by_name(self) -> dict[str, float]:
@@ -116,7 +126,7 @@ class Settings:
         for name in self.values["eval"]["difficulties"]:
             custom = self.values.get("difficulty", {}).get(name)
             if custom is not None:
-                out.append(_build(DifficultyFilter, custom, name=name))
+                out.append(self._build(DifficultyFilter, f"difficulty.{name}", custom, name=name))
             elif name in DIFFICULTY_PRESETS:
                 out.append(DIFFICULTY_PRESETS[name])
             else:
@@ -136,18 +146,17 @@ class Settings:
             if alias in class_ids and target in class_ids:
                 tid = class_ids[target]
                 dontcare[tid] = dontcare.get(tid, frozenset()) | {class_ids[alias]}
-        return _build(
-            EvalConfig, self.values["eval"], match_iou=match_iou, dontcare_classes=dontcare
+        return self._build(
+            EvalConfig, "eval", self.values["eval"], match_iou=match_iou, dontcare_classes=dontcare
         )
 
-
-def _build(cls, values: dict[str, Any], **nested):
-    """Instantiate a config dataclass from its keys' values plus nested arguments."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    try:
-        return cls(**{k: v for k, v in values.items() if k in names}, **nested)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    def _build(self, cls, section: str, values: dict[str, Any], **nested):
+        """Instantiate a config dataclass from its keys' values plus nested arguments."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        try:
+            return cls(**{k: v for k, v in values.items() if k in names}, **nested)
+        except ValueError as exc:
+            raise ConfigError(f"bad [{section}] value: {exc}", self.files.get(section)) from None
 
 
 def _defaults() -> dict[str, dict[str, Any]]:
@@ -190,22 +199,28 @@ def load_settings(
 ) -> Settings:
     """Defaults, then file values, then `section.key=value` overrides."""
     values = _defaults()
+    files: dict[str, str] = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        text = read_text(path, "config", ConfigError)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}", str(path)) from None
+            parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"bad config syntax: {exc}", str(path)) from None
-        for section in parser.sections():
-            for key, raw in parser[section].items():
-                _apply(values, _SECTION_ALIASES.get(section, section), key, raw)
+        try:
+            for section in parser.sections():
+                target = _SECTION_ALIASES.get(section, section)
+                for key, raw in parser[section].items():
+                    _apply(values, target, key, raw)
+                files[_CHECKED_WITH.get(target, target)] = str(path)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), str(path)) from None
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         section, key = dotted.rsplit(".", 1)
-        _apply(values, _SECTION_ALIASES.get(section, section), key, raw)
-    return Settings(values)
+        target = _SECTION_ALIASES.get(section, section)
+        _apply(values, target, key, raw)
+        files.pop(_CHECKED_WITH.get(target, target), None)
+    return Settings(values, files)

@@ -8,10 +8,11 @@ with 300 proposals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .geometry import BoundingBox, RegionMask, mask_coverage
+from .geometry import BoundingBox, RegionMask
 
 # Reference full-frame op counts (Gops) for stock proposal-net choices.
 PROPOSAL_MODEL_OPS = {
@@ -45,15 +46,12 @@ class CostModelConfig:
     b: float | None = None  # seconds per launch
 
     def __post_init__(self):
-        for name in (
-            "proposal_fullframe_ops",
-            "refine_feature_fullframe_ops",
-            "refine_per_proposal_ops",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.baseline_proposal_count < 0:
-            raise ValueError("baseline_proposal_count must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
+        if (self.alpha is None) != (self.b is None):
+            raise ValueError("alpha and b must be set together")
 
     @property
     def has_timing(self) -> bool:
@@ -105,7 +103,7 @@ def refine_cost(mask: RegionMask, n_proposals: int, config: CostModelConfig) -> 
     if n_proposals < 0:
         raise ValueError("n_proposals must be >= 0")
     return (
-        config.refine_feature_fullframe_ops * mask_coverage(mask)
+        config.refine_feature_fullframe_ops * mask.coverage
         + config.refine_per_proposal_ops * n_proposals
     )
 

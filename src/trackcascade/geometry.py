@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -123,8 +124,10 @@ class RegionMask:
     def full_frame(cls, frame_w: float, frame_h: float) -> "RegionMask":
         return cls(frame_w, frame_h, (BoundingBox(0.0, 0.0, frame_w, frame_h),))
 
+    @cached_property
     def coverage(self) -> float:
-        return mask_coverage(self)
+        """Fraction of the frame the region union covers, in [0, 1]; computed once."""
+        return union_area(self.regions) / (self.frame_w * self.frame_h)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -180,11 +183,6 @@ def union_area(boxes: Sequence[BoundingBox]) -> float:
             covered += cur_hi - cur_lo
         total += covered * slab_w
     return total
-
-
-def mask_coverage(mask: RegionMask) -> float:
-    """Fraction of the frame covered by the mask's region union, in [0, 1]."""
-    return union_area(mask.regions) / (mask.frame_w * mask.frame_h)
 
 
 def mask_overlap_fraction(box: BoundingBox, mask: RegionMask) -> float:

@@ -78,8 +78,8 @@ class SequenceMeta:
     def __post_init__(self):
         if self.frame_count < 1:
             raise ValueError("frame_count must be >= 1")
-        if self.frame_w <= 0 or self.frame_h <= 0:
-            raise ValueError("frame dimensions must be positive")
+        if not (0.0 < self.frame_w < math.inf and 0.0 < self.frame_h < math.inf):
+            raise ValueError("frame dimensions must be finite and positive")
 
 
 class DetectionStore:
@@ -98,16 +98,43 @@ class DetectionStore:
         self._by_frame.setdefault(det.frame_index, []).append(det)
 
 
+def read_text(path: str | Path, what: str, error: type[DataError] = DataError) -> str:
+    """A file's text as text-mode reading gives it (universal newlines).
+
+    An unreadable file, or one that is not UTF-8, is an `error` naming the
+    file (and the line of the first bad byte).
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}", str(path)) from None
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{what} is not UTF-8 text ({exc.reason})", str(path), line) from None
+
+
 def _data_lines(path: Path) -> Iterable[tuple[int, list[str]]]:
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read file: {exc}") from None
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line.split()
+        except UnicodeDecodeError:
+            read_text(path, "file")  # raises the error located by line
+            raise
+
+
+def _reject_unknown_keys(section: configparser.SectionProxy, known: Iterable[str]) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
 
 
 def _parse_float(token: str, what: str, path: Path, lineno: int) -> float:
@@ -245,10 +272,13 @@ def write_tracks(labels: KittiLabels, class_map: ClassMap, path: str | Path) -> 
 def parse_meta(path: str | Path) -> SequenceMeta:
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    text = read_text(path, "meta")
+    where = ""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=str(path))
         sec = parser["sequence"]
+        where = "[sequence] "
+        _reject_unknown_keys(sec, (f.name for f in dataclasses.fields(SequenceMeta)))
         return SequenceMeta(
             sequence_id=sec.get("sequence_id", path.parent.name),
             frame_count=sec.getint("frame_count"),
@@ -256,10 +286,8 @@ def parse_meta(path: str | Path) -> SequenceMeta:
             frame_h=sec.getfloat("frame_h"),
             frame_rate=sec.getfloat("frame_rate", fallback=SequenceMeta.frame_rate),
         )
-    except OSError as exc:
-        raise DataError(f"cannot read meta: {exc}", str(path)) from None
     except (configparser.Error, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad sequence meta: {exc}", str(path)) from None
+        raise DataError(f"bad sequence meta: {where}{exc}", str(path)) from None
 
 
 def write_meta(meta: SequenceMeta, path: str | Path) -> None:
@@ -328,17 +356,27 @@ class SyntheticScenario:
     sources: dict[str, NoiseModel] = field(default_factory=dict)
     frame_rate: float = SequenceMeta.frame_rate
 
+    def __post_init__(self):
+        # Reject what the generated sequence's meta would reject.
+        SequenceMeta(self.name, self.frame_count, self.frame_w, self.frame_h, self.frame_rate)
+
+
+# Keys of the [scenario] and [object.*] sections of a scenario file.
+_SCENARIO_KEYS = ("name", "frames", "frame_w", "frame_h", "seed", "frame_rate")
+_OBJECT_KEYS = ("class", "entry", "exit", "box", "velocity")
+
 
 def parse_scenario(path: str | Path) -> SyntheticScenario:
     """Read a scenario file; a bad value is a DataError naming its [section]."""
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    text = read_text(path, "scenario")
     section = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=str(path))
         section = "scenario"
         sec = parser[section]
+        _reject_unknown_keys(sec, _SCENARIO_KEYS)
         scenario = SyntheticScenario(
             name=sec.get("name", path.stem),
             frame_count=sec.getint("frames"),
@@ -351,6 +389,7 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
         for section in parser.sections():
             if section.startswith("object."):
                 o = parser[section]
+                _reject_unknown_keys(o, _OBJECT_KEYS)
                 coords = [float(v) for v in o.get("box").split()]
                 vel = [float(v) for v in o.get("velocity", fallback="0 0").split()]
                 while len(vel) < 3:
@@ -372,15 +411,11 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
             elif section.startswith("source."):
                 s = parser[section]
                 fields = dataclasses.fields(NoiseModel)
-                unknown = sorted(set(s) - {f.name for f in fields})
-                if unknown:
-                    raise ValueError(f"unknown key {unknown[0]!r}")
+                _reject_unknown_keys(s, (f.name for f in fields))
                 scenario.sources[section.split(".", 1)[1]] = NoiseModel(
                     **{f.name: s.getfloat(f.name, fallback=f.default) for f in fields}
                 )
         return scenario
-    except OSError as exc:
-        raise DataError(f"cannot read scenario: {exc}", str(path)) from None
     except (configparser.Error, KeyError, TypeError, ValueError, AttributeError) as exc:
         where = "" if section is None else f"[{section}] "
         raise DataError(f"bad scenario: {where}{exc}", str(path)) from None

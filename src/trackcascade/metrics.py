@@ -119,6 +119,8 @@ class EvalConfig:
                 raise ValueError(f"match IoU for class {cid} must be in (0, 1]")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
+        if self.ap_recall_points is not None and self.ap_recall_points < 2:
+            raise ValueError("ap_recall_points must be >= 2 or all")
 
 
 @dataclass(frozen=True)

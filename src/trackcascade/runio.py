@@ -7,7 +7,6 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -16,7 +15,7 @@ from .cascade import FrameResult
 from .costmodel import WorkReport
 from .errors import DataError
 from .geometry import BoundingBox
-from .ingest import SequenceMeta, _data_lines, _parse_float, _parse_int
+from .ingest import SequenceMeta, _data_lines, _parse_float, _parse_int, read_text
 
 MASK_KINDS = ("tracker", "proposal", "refine", "mask")
 
@@ -39,7 +38,7 @@ def write_work_records(results: Iterable[FrameResult], total: WorkReport, path: 
             fh.write(
                 f"{r.frame_index} {w.proposal_ops} {w.refine_ops} {w.total_ops} "
                 f"{_fmt_opt(w.refine_from_tracker_ops)} {_fmt_opt(w.refine_from_proposal_ops)} "
-                f"{r.mask.coverage()} {len(r.tracker_boxes)} "
+                f"{r.mask.coverage} {len(r.tracker_boxes)} "
                 f"{len(r.proposal_boxes)} {len(r.refine_proposals)} "
                 f"{w.merged_region_count} {_fmt_opt(w.estimated_time)}\n"
             )
@@ -50,21 +49,14 @@ def write_work_records(results: Iterable[FrameResult], total: WorkReport, path: 
         )
 
 
-@dataclass
-class WorkRecord:
-    frame_index: int | None  # None for the totals row
-    proposal_ops: float
-    refine_ops: float
-    total_ops: float
-    from_tracker_ops: float | None
-    from_proposal_ops: float | None
-    estimated_time: float | None
+def parse_work_total(path: str | Path) -> WorkReport:
+    """The totals row of a work.txt, after checking every row.
 
-
-def parse_work_records(path: str | Path) -> tuple[list[WorkRecord], WorkRecord]:
+    A row needs 12 fields, an integer frame, finite ops or "/", and a
+    total_ops exactly equal to proposal_ops + refine_ops.
+    """
     path = Path(path)
-    rows: list[WorkRecord] = []
-    total: WorkRecord | None = None
+    total: WorkReport | None = None
 
     def opt_float(token: str, lineno: int) -> float | None:
         return None if token == "/" else _parse_float(token, "ops", path, lineno)
@@ -72,23 +64,26 @@ def parse_work_records(path: str | Path) -> tuple[list[WorkRecord], WorkRecord]:
     for lineno, fields in _data_lines(path):
         if len(fields) != 12:
             raise DataError(f"expected 12 fields, got {len(fields)}", str(path), lineno)
-        frame = None if fields[0] == "total" else _parse_int(fields[0], "frame", path, lineno)
-        record = WorkRecord(
-            frame,
-            _parse_float(fields[1], "ops", path, lineno),
-            _parse_float(fields[2], "ops", path, lineno),
-            _parse_float(fields[3], "ops", path, lineno),
-            opt_float(fields[4], lineno),
-            opt_float(fields[5], lineno),
-            opt_float(fields[11], lineno),
-        )
-        if frame is None:
-            total = record
-        else:
-            rows.append(record)
+        is_total = fields[0] == "total"
+        if not is_total:
+            _parse_int(fields[0], "frame", path, lineno)
+        proposal = _parse_float(fields[1], "ops", path, lineno)
+        refine = _parse_float(fields[2], "ops", path, lineno)
+        if _parse_float(fields[3], "ops", path, lineno) != proposal + refine:
+            raise DataError(
+                f"total_ops {fields[3]} is not proposal_ops + refine_ops ({proposal + refine})",
+                str(path),
+                lineno,
+            )
+        from_tracker = opt_float(fields[4], lineno)
+        from_proposal = opt_float(fields[5], lineno)
+        estimated = opt_float(fields[11], lineno)
+        if is_total:
+            merged = _parse_int(fields[10], "merged region count", path, lineno)
+            total = WorkReport(proposal, refine, from_tracker, from_proposal, estimated, merged)
     if total is None:
         raise DataError("missing totals row", str(path))
-    return rows, total
+    return total
 
 
 def _box_order(box: BoundingBox) -> tuple:
@@ -174,10 +169,8 @@ def write_manifest(
 
 
 def read_manifest(path: str | Path) -> dict:
+    text = read_text(path, "manifest")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read manifest: {exc}", str(path)) from None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"bad manifest: {exc}", str(path)) from None

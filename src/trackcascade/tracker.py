@@ -39,6 +39,10 @@ class TrackerConfig:
             raise ValueError("iou_threshold_beta must be in [0, 1)")
         if self.confidence_cap < 0 or self.match_gain < 1 or self.miss_cost < 1:
             raise ValueError("confidence constants must be positive")
+        if not 0.0 <= self.boundary_chop_fraction <= 1.0:
+            raise ValueError("boundary_chop_fraction must be in [0, 1]")
+        if not self.min_width >= 0.0:
+            raise ValueError("min_width must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -138,12 +142,11 @@ def associate(
         return [], [tid for tid, _ in predictions], list(range(len(detections)))
 
     det_order = _canonical_det_order(detections)
+    # A relevant pair costs -IoU < 0 (IoU > beta >= 0); every other pair costs 0.
     cost = np.zeros((len(predictions), len(detections)))
-    overlaps = np.zeros_like(cost)
     for ti, (_, box) in enumerate(predictions):
         for ci, di in enumerate(det_order):
             v = iou(box, detections[di].box)
-            overlaps[ti, ci] = v
             if v > beta:
                 cost[ti, ci] = -v
 
@@ -152,7 +155,7 @@ def associate(
     matched_tracks: set[int] = set()
     matched_dets: set[int] = set()
     for r, c in zip(rows, cols):
-        if overlaps[r, c] > beta:
+        if cost[r, c] < 0:
             matches.append((predictions[r][0], det_order[c]))
             matched_tracks.add(r)
             matched_dets.add(c)

@@ -1,11 +1,29 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from trackcascade import ClassMap, SequenceMeta, nms, parse_detections
+from trackcascade import (
+    ClassMap,
+    CostModelConfig,
+    DataError,
+    FileBackedSource,
+    Pipeline,
+    PipelineConfig,
+    SequenceMeta,
+    geometry,
+    nms,
+    parse_detections,
+    parse_meta,
+)
 from trackcascade.cli import main
-from trackcascade.runio import MASK_KINDS, parse_mask_dump, parse_work_records
+from trackcascade.runio import (
+    MASK_KINDS,
+    parse_mask_dump,
+    parse_work_total,
+    write_work_records,
+)
 
 from conftest import DATA, make_store, write_sequence
 
@@ -187,6 +205,26 @@ class TestRun:
             "--out", str(tmp_path / "out"),
         ) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("frame_rat = 3", "[sequence] unknown key 'frame_rat'"),
+            ("frame_w = nan", "[sequence] frame dimensions must be finite and positive"),
+            ("frame_h = inf", "[sequence] frame dimensions must be finite and positive"),
+        ],
+    )
+    def test_bad_meta_is_data_error(self, seq_dir, tmp_path, capsys, line, message):
+        meta = seq_dir / "meta.cfg"
+        key = line.split(" = ")[0]
+        kept = [l for l in meta.read_text().splitlines() if not l.startswith(f"{key} =")]
+        meta.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(meta) in err and message in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_fig4_numbers_printed_exactly(self, capsys):
@@ -253,6 +291,18 @@ class TestEval:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_ap_recall_points_below_two_is_data_error(self, tmp_path, capsys, points):
+        out = tmp_path / "ev"
+        code = run_cli(
+            "eval", "--gt", str(DATA / "fig4_labels.txt"), "--det", str(DATA / "fig4_detections.txt"),
+            "--set", f"eval.ap_recall_points={points}", "--out", str(out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "[eval] value: ap_recall_points must be >= 2 or all" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_missing_gt_is_data_error(self, tmp_path):
         assert run_cli("eval", "--gt", str(tmp_path / "nope.txt"),
@@ -323,12 +373,184 @@ class TestUsageErrors:
         assert "unknown key tracker.input_score_threshold" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["pipeline.margin=nan"], "bad value 'nan' for pipeline.margin"),
+            (["pipeline.t_thresh=nan"], "bad value 'nan' for pipeline.t_thresh"),
+            (["cost.refine_feature_fullframe_ops=nan"],
+             "bad value 'nan' for cost.refine_feature_fullframe_ops"),
+            (["cost.refine_feature_fullframe_ops=inf"],
+             "[cost] value: refine_feature_fullframe_ops must be finite and >= 0"),
+            (["cost.alpha=0.001"], "[cost] value: alpha and b must be set together"),
+            (["cost.b=0.01"], "[cost] value: alpha and b must be set together"),
+            (["cost.alpha=-1", "cost.b=0"], "[cost] value: alpha must be finite and >= 0"),
+            (["tracker.boundary_chop_fraction=-1"],
+             "[tracker] value: boundary_chop_fraction must be in [0, 1]"),
+            (["tracker.boundary_chop_fraction=1.5"],
+             "[tracker] value: boundary_chop_fraction must be in [0, 1]"),
+            (["tracker.min_width=-1"], "[tracker] value: min_width must be >= 0"),
+        ],
+    )
+    def test_out_of_range_config_is_data_error(self, seq_dir, tmp_path, capsys, overrides, message):
+        out = tmp_path / "o"
+        args = ["run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out)]
+        for item in overrides:
+            args += ["--set", item]
+        assert run_cli(*args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_in_config_file_names_the_file(self, seq_dir, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("[pipeline]\nmargin = nan\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--sequence", str(seq_dir), "--config", str(config),
+                       "--out", str(out)) == 2
+        assert f"{config}: bad value 'nan' for pipeline.margin" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_t_thresh_disables_tracker(self, seq_dir, tmp_path):
+        trees = []
+        for mode, extra in (("cascaded", []), ("catdet", ["--set", "pipeline.t_thresh=inf"])):
+            out = tmp_path / mode
+            assert run_cli("run", "--sequence", str(seq_dir), "--mode", mode,
+                           "--out", str(out), *extra) == 0
+            tree = read_tree(out)
+            tree.pop("manifest.json")
+            trees.append(tree)
+        assert trees[0] == trees[1]
+
+
+class TestWorkFile:
+    """work.txt is written from each frame's WorkReport and read back into one."""
+
+    @staticmethod
+    def run_library(seq_dir, cmap, config):
+        meta = parse_meta(seq_dir / "meta.cfg")
+        refine = FileBackedSource(parse_detections(seq_dir / "refine.txt", cmap))
+        proposal = FileBackedSource(parse_detections(seq_dir / "proposal.txt", cmap))
+        pipeline = Pipeline(config, meta, refine, proposal, known_classes=set(cmap.configured))
+        return pipeline.run_sequence()
+
+    def test_writing_computes_no_union_area(self, seq_dir, tmp_path, cmap, monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
+                       "--out", str(out)) == 0
+        result = self.run_library(seq_dir, cmap, PipelineConfig(mode="catdet"))
+
+        def refuse(boxes):
+            raise AssertionError("union_area called while writing work.txt")
+
+        monkeypatch.setattr(geometry, "union_area", refuse)
+        write_work_records(result.frames, result.total, tmp_path / "work.txt")
+        assert (tmp_path / "work.txt").read_bytes() == (out / "work.txt").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["single", "cascaded", "catdet", "timed"])
+    def test_total_round_trips(self, seq_dir, tmp_path, cmap, mode):
+        if mode == "timed":
+            config = PipelineConfig(mode="catdet", cost=CostModelConfig(alpha=1e-3, b=5e-3))
+        else:
+            config = PipelineConfig(mode=mode)
+        result = self.run_library(seq_dir, cmap, config)
+        path = tmp_path / "work.txt"
+        write_work_records(result.frames, result.total, path)
+        total = parse_work_total(path)
+        for f in dataclasses.fields(total):
+            assert getattr(total, f.name) == getattr(result.total, f.name), f.name
+        assert (total.estimated_time is None) == (mode != "timed")
+
+    @pytest.mark.parametrize("row", ["frame", "total"])
+    def test_edited_total_is_data_error(self, seq_dir, tmp_path, capsys, row):
+        out = tmp_path / "out"
+        run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))
+        work = out / "work.txt"
+        lines = work.read_text().splitlines()
+        index = len(lines) - 1 if row == "total" else 2
+        fields = lines[index].split()
+        fields[3] = repr(float(fields[3]) + 1.0)
+        lines[index] = " ".join(fields)
+        work.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("cost-report", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"{work}:{index + 1}: total_ops {fields[3]} is not proposal_ops + refine_ops" in (
+            captured.err
+        )
+        assert captured.out == ""
+
+
+class TestNotUtf8:
+    """Bytes that are not UTF-8 give a DataError naming the file (and line), never a traceback."""
+
+    BAD = "caf\N{LATIN SMALL LETTER E WITH ACUTE}".encode("latin-1")
+
+    def spoil(self, path: Path, line: int) -> None:
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.insert(line - 1, b"# " + self.BAD + b"\n")
+        path.write_bytes(b"".join(lines))
+
+    def test_detections(self, seq_dir, tmp_path, capsys):
+        path = seq_dir / "refine.txt"
+        self.spoil(path, 3)
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq_dir), "--mode", "single",
+                       "--out", str(out)) == 2
+        assert f"{path}:3: file is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kitti_labels(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes((DATA / "fig4_labels.txt").read_bytes())
+        self.spoil(labels, 2)
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--gt", str(labels), "--det", str(DATA / "fig4_detections.txt"),
+                       "--out", str(out)) == 2
+        assert f"{labels}:2: file is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, line", [("work.txt", 4), ("manifest.json", 2)])
+    def test_run_outputs(self, seq_dir, tmp_path, capsys, name, line):
+        out = tmp_path / "out"
+        run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))
+        path = out / name
+        if name == "manifest.json":  # JSON has no comments: spoil a string instead
+            path.write_bytes(path.read_bytes().replace(b'"run"', b'"' + self.BAD + b'"', 1))
+            line = next(i for i, l in enumerate(path.read_bytes().splitlines(), 1) if self.BAD in l)
+        else:
+            self.spoil(path, line)
+        capsys.readouterr()
+        assert run_cli("cost-report", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"{path}:{line}: " in captured.err and "is not UTF-8 text" in captured.err
+        assert captured.out == ""
+
+    def test_mask_dump(self, seq_dir, tmp_path):
+        out = tmp_path / "out"
+        run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
+                "--out", str(out), "--dump-masks")
+        path = out / "masks.txt"
+        self.spoil(path, 5)
+        with pytest.raises(DataError, match="not UTF-8 text") as err:
+            parse_mask_dump(path)
+        assert (err.value.path, err.value.line) == (str(path), 5)
+
+    def test_config(self, seq_dir, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_bytes(b"[pipeline]\nmargin = 25\n# " + self.BAD + b"\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--sequence", str(seq_dir), "--config", str(config),
+                       "--out", str(out)) == 2
+        assert f"{config}:3: config is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCostReport:
     def test_matches_run_totals(self, seq_dir, tmp_path, capsys):
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
                 "--out", str(out), "--dump-masks")
-        _, total = parse_work_records(out / "work.txt")
+        total = parse_work_total(out / "work.txt")
         assert run_cli("cost-report", str(out)) == 0
         lines = capsys.readouterr().out.splitlines()
         record = next(l for l in lines if l.startswith("record "))
@@ -336,7 +558,7 @@ class TestCostReport:
         assert float(fields["total_ops"]) == pytest.approx(total.total_ops, abs=1e-9)
         assert float(fields["refine_ops"]) == pytest.approx(total.refine_ops, abs=1e-9)
         assert float(fields["from_tracker_ops"]) == pytest.approx(
-            total.from_tracker_ops, abs=1e-9
+            total.refine_from_tracker_ops, abs=1e-9
         )
 
     def test_records_are_work_totals_without_mask_dump(self, seq_dir, tmp_path, capsys):
@@ -488,3 +710,31 @@ class TestGenSynthetic:
         err = capsys.readouterr().err  # exit 2 means no exception escaped main
         assert str(scenario) in err and "[object.thin]" in err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
+        "scenario_line, object_line, message",
+        [
+            ("sede = 3", "", "[scenario] unknown key 'sede'"),
+            ("frame_rat = 3", "", "[scenario] unknown key 'frame_rat'"),
+            ("", "velocty = 5 0", "[object.a] unknown key 'velocty'"),
+            ("frame_w = nan", "", "[scenario] frame dimensions must be finite and positive"),
+            ("frame_h = inf", "", "[scenario] frame dimensions must be finite and positive"),
+        ],
+    )
+    def test_bad_scenario_is_data_error(
+        self, tmp_path, capsys, scenario_line, object_line, message
+    ):
+        scenario = tmp_path / "s.cfg"
+        scenario_lines = ["name = gen", "frames = 2", "frame_w = 500", "frame_h = 300"]
+        key = scenario_line.split(" = ")[0]
+        scenario_lines = [l for l in scenario_lines if not l.startswith(f"{key} =")]
+        scenario.write_text(
+            "[scenario]\n" + "\n".join(scenario_lines + [scenario_line]) + "\n\n"
+            "[object.a]\nclass = car\nentry = 0\nexit = 1\nbox = 50 50 150 120\n"
+            f"{object_line}\n"
+        )
+        out = tmp_path / "g"
+        assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and message in err
+        assert not out.exists()

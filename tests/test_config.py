@@ -141,6 +141,27 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="bad value"):
             load_settings(None, ["pipeline.margin=wide"])
 
+    @pytest.mark.parametrize(
+        "override",
+        ["pipeline.margin=nan", "pipeline.t_thresh=NaN", "cost.alpha=nan",
+         "match_iou.car=nan", "difficulty.x.min_size=nan"],
+    )
+    def test_nan_rejected(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"bad value .* for {key}"):
+            load_settings(None, [override])
+
+    def test_infinity_allowed(self):
+        s = load_settings(None, ["pipeline.t_thresh=inf"])
+        assert s.pipeline_config().t_thresh == float("inf")
+
+    def test_file_value_error_names_the_file(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[tracker]\ndecay_eta = nan\n")
+        with pytest.raises(ConfigError, match="bad value 'nan' for tracker.decay_eta") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
+
     def test_malformed_override_rejected(self):
         with pytest.raises(ConfigError, match="section.key=value"):
             load_settings(None, ["margin=30"])
@@ -164,3 +185,56 @@ class TestEvalConfigBuild:
         snap = load_settings().snapshot()
         assert snap["pipeline"]["mode"] == "catdet"
         assert isinstance(snap["match_iou"], dict)
+
+
+class TestRanges:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["cost.alpha=0.001"], "alpha and b must be set together"),
+            (["cost.b=0"], "alpha and b must be set together"),
+            (["cost.alpha=-1", "cost.b=0"], "alpha must be finite and >= 0"),
+            (["cost.alpha=0.001", "cost.b=-0.5"], "b must be finite and >= 0"),
+            (["cost.alpha=inf", "cost.b=0"], "alpha must be finite and >= 0"),
+            (["cost.proposal_fullframe_ops=inf"], "proposal_fullframe_ops must be finite"),
+            (["tracker.boundary_chop_fraction=-1"], r"boundary_chop_fraction must be in \[0, 1\]"),
+            (["tracker.boundary_chop_fraction=2"], r"boundary_chop_fraction must be in \[0, 1\]"),
+            (["tracker.min_width=-0.5"], "min_width must be >= 0"),
+        ],
+    )
+    def test_pipeline_values_rejected(self, overrides, message):
+        s = load_settings(None, overrides)
+        section = overrides[0].split(".")[0]
+        with pytest.raises(ConfigError, match=rf"bad \[{section}\] value: {message}"):
+            s.pipeline_config()
+
+    def test_error_names_the_config_file_that_set_the_section(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[cost]\nalpha = -1\nb = 0\n\n[eval.match_iou]\ncar = 1.5\n")
+        with pytest.raises(ConfigError, match=r"bad \[cost\] value: alpha") as err:
+            load_settings(p).pipeline_config()
+        assert err.value.path == str(p)
+        with pytest.raises(ConfigError, match=r"bad \[eval\] value: match IoU") as err:
+            load_settings(p).eval_config({"car": 0})
+        assert err.value.path == str(p)
+        # With an override in the section, either source may hold the bad value.
+        with pytest.raises(ConfigError, match=r"bad \[cost\] value: alpha") as err:
+            load_settings(p, ["cost.b=0.5"]).pipeline_config()
+        assert err.value.path is None
+
+    def test_timing_pair_and_edges_accepted(self):
+        s = load_settings(None, ["cost.alpha=0", "cost.b=0", "tracker.boundary_chop_fraction=1",
+                                 "tracker.min_width=0"])
+        config = s.pipeline_config()
+        assert config.cost.has_timing
+        assert config.tracker.boundary_chop_fraction == 1.0 and config.tracker.min_width == 0.0
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_ap_recall_points_below_two_rejected(self, points):
+        s = load_settings(None, [f"eval.ap_recall_points={points}"])
+        with pytest.raises(ConfigError, match=r"bad \[eval\] value: ap_recall_points must be >= 2"):
+            s.eval_config({"car": 0, "pedestrian": 1})
+
+    def test_two_recall_points_accepted(self):
+        s = load_settings(None, ["eval.ap_recall_points=2"])
+        assert s.eval_config({"car": 0}).ap_recall_points == 2

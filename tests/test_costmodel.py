@@ -81,7 +81,7 @@ class TestAttributeCosts:
         cfg = CostModelConfig()
         a = mask(BoundingBox(0, 0, 200, 200))
         ft, fp, combined = source_costs(a, a, a, cfg, 5, 5)
-        feature = cfg.refine_feature_fullframe_ops * a.coverage()
+        feature = cfg.refine_feature_fullframe_ops * a.coverage
         assert ft == pytest.approx(feature + 5 * cfg.refine_per_proposal_ops)
         assert combined == pytest.approx(feature + 10 * cfg.refine_per_proposal_ops)
 
@@ -91,7 +91,7 @@ class TestAttributeCosts:
         b = mask(BoundingBox(70, 0, 170, 100))  # 30% of a overlapped
         union = mask(*a.regions, *b.regions)
         ft, fp, combined = source_costs(a, b, union, cfg, 0, 0)
-        cov_a, cov_b = a.coverage(), b.coverage()
+        cov_a, cov_b = a.coverage, b.coverage
         cov_ab = 100 * 30 / (FRAME_W * FRAME_H)
         assert combined == pytest.approx(
             cfg.refine_feature_fullframe_ops * (cov_a + cov_b - cov_ab)

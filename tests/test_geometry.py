@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from trackcascade import geometry
 from trackcascade import (
     BoundingBox,
     Detection,
     RegionMask,
     dilate,
     iou,
-    mask_coverage,
     mask_overlap_fraction,
     nms,
     union_area,
@@ -106,19 +106,29 @@ def raster_union_area(boxes, w, h):
 class TestMaskCoverage:
     def test_disjoint_regions(self):
         mask = RegionMask(100, 100, (box(0, 0, 10, 10), box(50, 50, 60, 60)))
-        assert mask_coverage(mask) == pytest.approx(0.02)
+        assert mask.coverage == pytest.approx(0.02)
 
     def test_duplicate_regions_counted_once(self):
         mask = RegionMask(100, 100, (box(0, 0, 10, 10), box(0, 0, 10, 10)))
-        assert mask_coverage(mask) == pytest.approx(0.01)
+        assert mask.coverage == pytest.approx(0.01)
 
     def test_full_cover_from_two_overlapping(self):
         mask = RegionMask(100, 100, (box(0, 0, 60, 100), box(40, 0, 100, 100)))
-        assert mask_coverage(mask) == pytest.approx(1.0)
+        assert mask.coverage == pytest.approx(1.0)
         assert raster_union_area(mask.regions, 100, 100) == 10_000
 
     def test_empty_mask(self):
-        assert mask_coverage(RegionMask(100, 100, ())) == 0.0
+        assert RegionMask(100, 100, ()).coverage == 0.0
+
+    def test_computed_once(self, monkeypatch):
+        mask = RegionMask(100, 100, (box(0, 0, 10, 10), box(50, 50, 60, 60)))
+        first = mask.coverage
+
+        def refuse(boxes):
+            raise AssertionError("coverage recomputed")
+
+        monkeypatch.setattr(geometry, "union_area", refuse)
+        assert mask.coverage == first == pytest.approx(0.02)
 
     def test_against_raster_oracle(self):
         rng = np.random.default_rng(2)
