@@ -117,10 +117,6 @@ def estimate_time(work: float, config: CostModelConfig) -> float:
     return config.alpha * work + config.b
 
 
-def _region_work(region: BoundingBox, frame_area: float, config: CostModelConfig) -> float:
-    return config.refine_feature_fullframe_ops * (region.area / frame_area)
-
-
 def greedy_merge(
     regions: Sequence[BoundingBox],
     config: CostModelConfig,
@@ -131,28 +127,48 @@ def greedy_merge(
 
     Each region costs one launch (`b`) plus time proportional to its feature
     work; a pair is replaced by its bounding hull whenever the hull's
-    estimated time undercuts the pair's total, largest saving first. The
-    result is a fixed point: re-merging changes nothing.
+    estimated time undercuts the pair's total, largest saving first, ties to
+    the earliest pair. The result is a fixed point: re-merging changes nothing.
+
+    Every pair's saving is kept, and a merge recomputes only the pairs that
+    hold the merged region (Müllner's "generic" agglomerative clustering,
+    arXiv 1109.2378). A `BoundingBox` is built only for each accepted hull;
+    unmerged regions are returned as the same objects.
     """
     if not config.has_timing:
         raise ValueError("greedy_merge requires timing constants alpha and b")
+    alpha, b, feature = config.alpha, config.b, config.refine_feature_fullframe_ops
     frame_area = frame_w * frame_h
-    boxes = list(regions)
-    times = [estimate_time(_region_work(r, frame_area, config), config) for r in boxes]
 
-    while len(boxes) > 1:
-        best = None  # (saving, i, j, hull, hull_time)
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                hull = boxes[i].hull(boxes[j])
-                hull_time = estimate_time(_region_work(hull, frame_area, config), config)
-                saving = times[i] + times[j] - hull_time
-                if saving > 0 and (best is None or saving > best[0]):
-                    best = (saving, i, j, hull, hull_time)
-        if best is None:
+    def launch_time(x1, y1, x2, y2):
+        return alpha * (feature * (((x2 - x1) * (y2 - y1)) / frame_area)) + b
+
+    def hull(i, j):
+        (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = corners[i], corners[j]
+        return min(ax1, bx1), min(ay1, by1), max(ax2, bx2), max(ay2, by2)
+
+    def saving(i, j):
+        return times[i] + times[j] - launch_time(*hull(i, j))
+
+    # Keyed by index in `regions`; dict order keeps the survivors in input
+    # order, and keeps the pairs (i, j), i < j, in the loop order that breaks
+    # ties between equal savings.
+    out = dict(enumerate(regions))
+    corners = {k: (r.x1, r.y1, r.x2, r.y2) for k, r in out.items()}
+    times = {k: launch_time(*c) for k, c in corners.items()}
+    savings = {(i, j): saving(i, j) for i in corners for j in corners if i < j}
+
+    while savings:
+        i, j = max(savings, key=savings.get)
+        if not savings[i, j] > 0:
             break
-        _, i, j, hull, hull_time = best
-        boxes[i] = hull
-        times[i] = hull_time
-        del boxes[j], times[j]
-    return boxes
+        corners[i] = merged = hull(i, j)
+        times[i] = launch_time(*merged)
+        out[i] = BoundingBox(*merged)
+        del corners[j], times[j], out[j]
+        for k in corners:
+            del savings[(k, j) if k < j else (j, k)]
+            if k != i:
+                pair = (k, i) if k < i else (i, k)
+                savings[pair] = saving(*pair)
+    return list(out.values())

@@ -17,7 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class SequenceMeta:
             raise ValueError("frame_count must be >= 1")
         if not (0.0 < self.frame_w < math.inf and 0.0 < self.frame_h < math.inf):
             raise ValueError("frame dimensions must be finite and positive")
+        if not 0.0 < self.frame_rate < math.inf:
+            raise ValueError("frame_rate must be finite and > 0")
 
 
 class DetectionStore:
@@ -129,6 +131,15 @@ def _data_lines(path: Path) -> Iterable[tuple[int, list[str]]]:
         except UnicodeDecodeError:
             read_text(path, "file")  # raises the error located by line
             raise
+
+
+def _reject_unknown_sections(
+    parser: configparser.ConfigParser, known: Callable[[str], bool]
+) -> None:
+    """Raise on the first section, a non-empty [DEFAULT] included, that `known` refuses."""
+    for name in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
+        if not known(name):
+            raise ValueError(f"unknown section [{name}]")
 
 
 def _reject_unknown_keys(section: configparser.SectionProxy, known: Iterable[str]) -> None:
@@ -276,6 +287,7 @@ def parse_meta(path: str | Path) -> SequenceMeta:
     where = ""
     try:
         parser.read_string(text, source=str(path))
+        _reject_unknown_sections(parser, lambda name: name == "sequence")
         sec = parser["sequence"]
         where = "[sequence] "
         _reject_unknown_keys(sec, (f.name for f in dataclasses.fields(SequenceMeta)))
@@ -374,6 +386,9 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
     section = None
     try:
         parser.read_string(text, source=str(path))
+        _reject_unknown_sections(
+            parser, lambda name: name == "scenario" or name.startswith(("object.", "source."))
+        )
         section = "scenario"
         sec = parser[section]
         _reject_unknown_keys(sec, _SCENARIO_KEYS)

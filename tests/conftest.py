@@ -8,6 +8,7 @@ from trackcascade import (
     Detection,
     DetectionStore,
     SequenceMeta,
+    estimate_time,
     refine_cost,
     write_detections,
     write_meta,
@@ -59,3 +60,34 @@ def source_costs(tracker_mask, proposal_mask, union_mask, config, n_tracker, n_p
         refine_cost(proposal_mask, n_proposal, config),
         refine_cost(union_mask, n_tracker + n_proposal, config),
     )
+
+
+def reference_greedy_merge(regions, config, frame_w, frame_h):
+    """Brute-force `greedy_merge`: rescan every pair after each merge, O(R^3).
+
+    Of the pairs with a positive saving it merges the largest, and of equal
+    savings the first in (i, j) loop order over the current list.
+    """
+    frame_area = frame_w * frame_h
+
+    def region_time(region):
+        return estimate_time(config.refine_feature_fullframe_ops * (region.area / frame_area), config)
+
+    boxes = list(regions)
+    times = [region_time(r) for r in boxes]
+    while len(boxes) > 1:
+        best = None  # (saving, i, j, hull, hull_time)
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
+                hull = boxes[i].hull(boxes[j])
+                hull_time = region_time(hull)
+                saving = times[i] + times[j] - hull_time
+                if saving > 0 and (best is None or saving > best[0]):
+                    best = (saving, i, j, hull, hull_time)
+        if best is None:
+            break
+        _, i, j, hull, hull_time = best
+        boxes[i] = hull
+        times[i] = hull_time
+        del boxes[j], times[j]
+    return boxes

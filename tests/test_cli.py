@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -107,6 +108,28 @@ class TestRun:
             ]
         assert any(per["mask"] for per in frames.values())
 
+    def test_merge_heavy_timed_run_is_pinned(self, tmp_path):
+        # A launch cost b far above alpha * work merges every frame's refine
+        # mask down to one region, so greedy_merge runs on every frame.
+        seq = tmp_path / "seq"
+        assert run_cli("gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg"),
+                       "--out", str(seq)) == 0
+        out = tmp_path / "out"
+        assert run_cli(
+            "run", "--sequence", str(seq), "--mode", "catdet", "--out", str(out),
+            "--set", "cost.alpha=0.001", "--set", "cost.b=0.05", "--set", "pipeline.c_thresh=0.05",
+        ) == 0
+        rows = [l.split() for l in (out / "work.txt").read_text().splitlines() if l[0].isdigit()]
+        assert len(rows) == 50 and all(row[10] == "1" for row in rows)
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("work.txt", "detections.txt")
+        }
+        assert digests == {
+            "work.txt": "02a94acaf2d40a32e4f7d5602f1303c55feb6b0d0ad574a035b02f83392ec3b9",
+            "detections.txt": "ee8bf265c6a089dbfa5091d9ce580a944c9395e10766dc2d32162c7635de4d19",
+        }
+
     def test_manifest_contents(self, seq_dir, tmp_path):
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))
@@ -211,6 +234,11 @@ class TestRun:
             ("frame_rat = 3", "[sequence] unknown key 'frame_rat'"),
             ("frame_w = nan", "[sequence] frame dimensions must be finite and positive"),
             ("frame_h = inf", "[sequence] frame dimensions must be finite and positive"),
+            ("frame_rate = nan", "[sequence] frame_rate must be finite and > 0"),
+            ("frame_rate = 0", "[sequence] frame_rate must be finite and > 0"),
+            ("frame_rate = -10", "[sequence] frame_rate must be finite and > 0"),
+            ("[extra]\nkey = 1", "unknown section [extra]"),
+            ("[DEFAULT]\nframe_rate = 5", "unknown section [DEFAULT]"),
         ],
     )
     def test_bad_meta_is_data_error(self, seq_dir, tmp_path, capsys, line, message):
@@ -719,6 +747,9 @@ class TestGenSynthetic:
             ("", "velocty = 5 0", "[object.a] unknown key 'velocty'"),
             ("frame_w = nan", "", "[scenario] frame dimensions must be finite and positive"),
             ("frame_h = inf", "", "[scenario] frame dimensions must be finite and positive"),
+            ("frame_rate = nan", "", "[scenario] frame_rate must be finite and > 0"),
+            ("frame_rate = 0", "", "[scenario] frame_rate must be finite and > 0"),
+            ("frame_rate = -10", "", "[scenario] frame_rate must be finite and > 0"),
         ],
     )
     def test_bad_scenario_is_data_error(
@@ -737,4 +768,23 @@ class TestGenSynthetic:
         assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert str(scenario) in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[object.c]", "[objet.c]"),
+            ("[source.refine]", "[sources.refine]"),
+            ("[source.refine]", "[extra]\nkey = 1\n\n[source.refine]"),
+        ],
+    )
+    def test_unknown_section_is_data_error(self, tmp_path, capsys, old, new):
+        scenario = tmp_path / "s.cfg"
+        text = (DATA / "benchmark_scenario.cfg").read_text()
+        scenario.write_text(text.replace(old, new))
+        out = tmp_path / "g"
+        assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        section = new.split("]")[0] + "]"
+        assert str(scenario) in err and f"unknown section {section}" in err
         assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackcascade import (
     BoundingBox,
@@ -12,7 +14,7 @@ from trackcascade import (
     total_work,
 )
 
-from conftest import source_costs
+from conftest import reference_greedy_merge, source_costs
 
 FRAME_W, FRAME_H = 1242.0, 375.0
 
@@ -178,6 +180,37 @@ class TestGreedyMerge:
     def test_requires_timing(self):
         with pytest.raises(ValueError):
             greedy_merge([BoundingBox(0, 0, 1, 1)], CostModelConfig(), 10, 10)
+
+
+@st.composite
+def lattice_box(draw):
+    """A 50-pixel square on a 100-pixel lattice: equal gaps make savings tie."""
+    x1, y1 = draw(st.integers(0, 11)) * 100, draw(st.integers(0, 3)) * 100
+    return BoundingBox(x1, y1, x1 + 50, y1 + 50)
+
+
+@st.composite
+def free_box(draw):
+    x1 = draw(st.floats(0, FRAME_W - 1))
+    y1 = draw(st.floats(0, FRAME_H - 1))
+    return BoundingBox(x1, y1, draw(st.floats(x1, FRAME_W)), draw(st.floats(y1, FRAME_H)))
+
+
+class TestGreedyMergeOracle:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(lattice_box(), max_size=16),
+            st.lists(st.one_of(lattice_box(), free_box()), max_size=16),
+        ),
+        st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+        st.sampled_from([0.0, 0.001, 0.005, 0.01, 0.05]),
+    )
+    def test_equals_pairwise_rescan(self, regions, alpha, b):
+        cfg = CostModelConfig(alpha=alpha, b=b)
+        assert greedy_merge(regions, cfg, FRAME_W, FRAME_H) == reference_greedy_merge(
+            regions, cfg, FRAME_W, FRAME_H
+        )
 
 
 class TestWorkReport:
