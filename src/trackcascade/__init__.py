@@ -30,7 +30,6 @@ from .geometry import (
     BoundingBox,
     Detection,
     RegionMask,
-    dilate,
     iou,
     mask_overlap_fraction,
     nms,
@@ -76,7 +75,6 @@ __all__ = [
     "Detection",
     "RegionMask",
     "iou",
-    "dilate",
     "union_area",
     "mask_overlap_fraction",
     "nms",

@@ -146,7 +146,8 @@ class Pipeline:
         self.known_classes = known_classes
         self._tracker: Tracker | None = None
         if config.mode == "catdet":
-            self._tracker = Tracker(config.tracker, meta.frame_w, meta.frame_h, known_classes)
+            # run_frame drops unknown classes before anything reaches the tracker.
+            self._tracker = Tracker(config.tracker, meta.frame_w, meta.frame_h)
         self._pending_predictions: list[Detection] = []
         self._next_frame: int | None = None
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 evaluation refused.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import shutil
@@ -23,6 +24,7 @@ from .costmodel import WorkReport, refine_cost  # noqa: F401
 from .errors import DataError, EvaluationRefused
 from .ingest import (
     ClassMap,
+    SequenceMeta,
     generate_synthetic,
     parse_detections,
     parse_kitti_tracking_labels,
@@ -54,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
 
 
 def _build_parser() -> _Parser:
@@ -98,39 +110,30 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic sequence")
     gen.add_argument("--scenario", required=True, help="scenario file")
-    gen.add_argument("--seed", type=int, help="override the scenario seed")
+    gen.add_argument("--seed", type=_seed, help="override the scenario seed (an integer >= 0)")
     gen.add_argument("--out", required=True, help="output sequence directory")
     gen.add_argument("--force", action="store_true")
     return parser
 
 
+@contextlib.contextmanager
 def _atomic_dir(out: Path, force: bool):
-    """Context manager: stage outputs in a temp dir, publish on success."""
-
-    class _Staging:
-        def __enter__(self):
-            out.parent.mkdir(parents=True, exist_ok=True)
-            self.tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
-            return self.tmp
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None:
-                shutil.rmtree(self.tmp, ignore_errors=True)
-                return False
-            if out.exists():
-                if not force:
-                    shutil.rmtree(self.tmp, ignore_errors=True)
-                    raise DataError(f"output directory exists: {out} (use --force)")
-                shutil.rmtree(out)
-            os.replace(self.tmp, out)
-            return False
-
-    return _Staging()
+    """Stage outputs in a temp dir and publish it as `out` on success."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        yield tmp
+        if out.exists():
+            if not force:
+                raise DataError(f"output directory exists: {out} (use --force)")
+            shutil.rmtree(out)
+        os.replace(tmp, out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _run_one_sequence(settings: Settings, seq_dir: Path):
+def _run_one_sequence(settings: Settings, seq_dir: Path, meta: SequenceMeta):
     """Execute one sequence; returns everything the writer needs."""
-    meta = parse_meta(seq_dir / "meta.cfg")
     class_map = ClassMap(settings.classes)
     refine_path = seq_dir / "refine.txt"
     proposal_path = seq_dir / "proposal.txt"
@@ -146,13 +149,13 @@ def _run_one_sequence(settings: Settings, seq_dir: Path):
 
     pipeline = Pipeline(config, meta, refine, proposal, known_classes=set(class_map.configured))
     result: SequenceResult = pipeline.run_sequence()
-    return meta, class_map, inputs, result
+    return class_map, inputs, result
 
 
 def _write_run_outputs(
     settings: Settings,
     out: Path,
-    meta,
+    meta: SequenceMeta,
     class_map: ClassMap,
     inputs,
     result: SequenceResult,
@@ -185,10 +188,11 @@ def cmd_run(args) -> int:
     settings = load_settings(args.config, args.overrides + mode_override)
     sequences = [Path(s) for s in args.sequence]
     out_root = Path(args.out)
+    metas = [parse_meta(seq / "meta.cfg") for seq in sequences]
     if len(sequences) == 1:
         outs = [out_root]
     else:
-        ids = [parse_meta(seq / "meta.cfg").sequence_id for seq in sequences]
+        ids = [meta.sequence_id for meta in metas]
         for i, sequence_id in enumerate(ids):
             if sequence_id in ids[:i]:
                 raise DataError(
@@ -200,8 +204,8 @@ def cmd_run(args) -> int:
 
     # Every sequence runs before any is written, so a bad input in any of
     # them leaves no output behind.
-    executed = [_run_one_sequence(settings, seq) for seq in sequences]
-    for out, (meta, class_map, inputs, result) in zip(outs, executed):
+    executed = [_run_one_sequence(settings, seq, meta) for seq, meta in zip(sequences, metas)]
+    for out, meta, (class_map, inputs, result) in zip(outs, metas, executed):
         _write_run_outputs(
             settings, out, meta, class_map, inputs, result, args.dump_masks, args.force
         )

@@ -131,7 +131,8 @@ class Settings:
                 out.append(DIFFICULTY_PRESETS[name])
             else:
                 raise ConfigError(
-                    f"unknown difficulty {name!r}; presets: {sorted(DIFFICULTY_PRESETS)}"
+                    f"unknown difficulty {name!r}; presets: {sorted(DIFFICULTY_PRESETS)}",
+                    self.files.get("eval"),
                 )
         return out
 

@@ -118,7 +118,12 @@ class RegionMask:
         frame_h: float,
         margin: float = 0.0,
     ) -> "RegionMask":
-        return cls(frame_w, frame_h, tuple(dilate(b, margin, frame_w, frame_h) for b in boxes))
+        if margin < 0:
+            raise ValueError("margin must be >= 0")
+        grown = tuple(
+            BoundingBox(b.x1 - margin, b.y1 - margin, b.x2 + margin, b.y2 + margin) for b in boxes
+        )
+        return cls(frame_w, frame_h, grown)
 
     @classmethod
     def full_frame(cls, frame_w: float, frame_h: float) -> "RegionMask":
@@ -142,14 +147,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = iw * ih
     return inter / (area_a + area_b - inter)
-
-
-def dilate(box: BoundingBox, margin: float, frame_w: float, frame_h: float) -> BoundingBox:
-    """Grow a box by `margin` pixels on every side, then clip to the frame."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    grown = BoundingBox(box.x1 - margin, box.y1 - margin, box.x2 + margin, box.y2 + margin)
-    return grown.clip(frame_w, frame_h)
 
 
 def union_area(boxes: Sequence[BoundingBox]) -> float:
@@ -197,9 +194,9 @@ def mask_overlap_fraction(box: BoundingBox, mask: RegionMask) -> float:
     return union_area(pieces) / box.area
 
 
-def _nms_key(d: Detection) -> tuple:
-    # Score ties broken by lower x1, lower y1, smaller area, then class id,
-    # so that the kept set and its order are permutation invariant.
+def score_order(d: Detection) -> tuple:
+    # Score ties broken by lower x1, lower y1, smaller area, then class id, so
+    # that NMS, matching and the writer do not depend on the input order.
     return (-d.score, d.box.x1, d.box.y1, d.box.area, d.class_id)
 
 
@@ -215,7 +212,7 @@ def nms(
     `class_agnostic`) is <= `iou_threshold`. Output is in visit order.
     """
     kept: list[Detection] = []
-    for d in sorted(detections, key=_nms_key):
+    for d in sorted(detections, key=score_order):
         rivals = kept if class_agnostic else [k for k in kept if k.class_id == d.class_id]
         if all(iou(d.box, k.box) <= iou_threshold for k in rivals):
             kept.append(d)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .geometry import BoundingBox, Detection
+from .geometry import BoundingBox, Detection, score_order
 from .metrics import GroundTruthTrack, GtEntry
 
 DONTCARE = "dontcare"
@@ -118,19 +118,11 @@ def read_text(path: str | Path, what: str, error: type[DataError] = DataError) -
 
 
 def _data_lines(path: Path) -> Iterable[tuple[int, list[str]]]:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read file: {exc}") from None
-    with fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    yield lineno, line.split()
-        except UnicodeDecodeError:
-            read_text(path, "file")  # raises the error located by line
-            raise
+    # Text mode splits lines on "\n" only; str.splitlines() would renumber them.
+    for lineno, raw in enumerate(read_text(path, "file").split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
 
 
 def _reject_unknown_sections(
@@ -175,21 +167,16 @@ def parse_detections(
         if len(fields) != 7:
             raise DataError(f"expected 7 fields, got {len(fields)}", str(path), lineno)
         frame = _parse_int(fields[0], "frame index", path, lineno)
-        if frame < 0:
-            raise DataError(f"negative frame index {frame}", str(path), lineno)
         if frame_count is not None and frame >= frame_count:
             raise DataError(
                 f"frame {frame} is past the sequence's {frame_count} frames", str(path), lineno
             )
         score = _parse_float(fields[2], "score", path, lineno)
-        if not 0.0 <= score <= 1.0:
-            raise DataError(f"score {score} outside [0, 1]", str(path), lineno)
-        x1, y1, x2, y2 = (
-            _parse_float(t, "coordinate", path, lineno) for t in fields[3:7]
-        )
-        if x2 < x1 or y2 < y1:
-            raise DataError(f"inverted box ({x1}, {y1}, {x2}, {y2})", str(path), lineno)
-        det = Detection(BoundingBox(x1, y1, x2, y2), class_map.id_of(fields[1]), score, frame)
+        corners = [_parse_float(t, "coordinate", path, lineno) for t in fields[3:7]]
+        try:
+            det = Detection(BoundingBox(*corners), class_map.id_of(fields[1]), score, frame)
+        except ValueError as exc:
+            raise DataError(str(exc), str(path), lineno) from None
         by_frame.setdefault(frame, []).append(det)
     return DetectionStore(by_frame)
 
@@ -197,11 +184,8 @@ def parse_detections(
 def write_detections(
     detections: Iterable[Detection], class_map: ClassMap, path: str | Path
 ) -> None:
-    """Write detections sorted by frame, descending score, then box geometry."""
-    ordered = sorted(
-        detections,
-        key=lambda d: (d.frame_index, -d.score, d.box.x1, d.box.y1, d.box.area, d.class_id),
-    )
+    """Write detections sorted by frame, then in `score_order`."""
+    ordered = sorted(detections, key=lambda d: (d.frame_index, *score_order(d)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# frame class score x1 y1 x2 y2\n")
         for d in ordered:
@@ -238,12 +222,13 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
         class_id = class_map.id_of(fields[2])
         truncated = _parse_float(fields[3], "truncation", path, lineno)
         occluded = _parse_int(fields[4], "occlusion", path, lineno)
-        x1, y1, x2, y2 = (_parse_float(t, "coordinate", path, lineno) for t in fields[6:10])
-        if x2 < x1 or y2 < y1:
-            raise DataError(f"inverted box ({x1}, {y1}, {x2}, {y2})", str(path), lineno)
-        box = BoundingBox(x1, y1, x2, y2)
+        corners = [_parse_float(t, "coordinate", path, lineno) for t in fields[6:10]]
+        try:
+            entry = GtEntry(frame, BoundingBox(*corners), truncated, occluded)
+        except ValueError as exc:
+            raise DataError(str(exc), str(path), lineno) from None
         if class_id == DONTCARE_ID:
-            dontcare.setdefault(frame, []).append(box)
+            dontcare.setdefault(frame, []).append(entry.box)
             continue
         prior = entries.setdefault(track_id, [])
         if prior and frame <= prior[-1].frame_index:
@@ -252,7 +237,7 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
                 str(path),
                 lineno,
             )
-        prior.append(GtEntry(frame, box, truncated, occluded))
+        prior.append(entry)
         track_class[track_id] = class_id
 
     tracks = [
@@ -321,7 +306,21 @@ class ObjectScript:
     entry_frame: int
     exit_frame: int  # inclusive
     box: BoundingBox
-    velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)  # dx, dy, dwidth per frame
+    velocity: tuple[float, ...] = (0.0, 0.0, 0.0)  # dx, dy[, dwidth] per frame
+
+    def __post_init__(self):
+        words = (self.class_name or "").split()
+        if len(words) != 1 or "#" in words[0]:  # it is one field of the label file
+            raise ValueError("class must be one word without '#'")
+        if not 0 <= self.entry_frame <= self.exit_frame:
+            raise ValueError("need 0 <= entry <= exit")
+        b = self.box
+        if not all(map(math.isfinite, (b.x1, b.y1, b.x2, b.y2))) or b.width <= 0:
+            # box_at scales the height by height / width.
+            raise ValueError("box corners must be finite, with width > 0")
+        if len(self.velocity) not in (2, 3) or not all(map(math.isfinite, self.velocity)):
+            raise ValueError("velocity must be 2 or 3 finite numbers")
+        object.__setattr__(self, "velocity", (*map(float, self.velocity), 0.0)[:3])
 
     def box_at(self, frame: int) -> BoundingBox:
         age = frame - self.entry_frame
@@ -332,6 +331,9 @@ class ObjectScript:
             cx + self.velocity[0] * age, cy + self.velocity[1] * age, max(width, 0.0),
             max(height, 0.0),
         )
+
+
+MAX_FP_PER_FRAME = 1000.0
 
 
 @dataclass(frozen=True)
@@ -352,6 +354,8 @@ class NoiseModel:
                 raise ValueError(f"{f.name} must be finite")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ValueError("miss_prob must be in [0, 1]")
+        if self.fp_per_frame > MAX_FP_PER_FRAME:  # each one is drawn, boxed and written
+            raise ValueError(f"fp_per_frame must be <= {MAX_FP_PER_FRAME}")
         for name in ("fp_per_frame", "jitter", "score_sigma", "fp_score_sigma"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
@@ -371,6 +375,8 @@ class SyntheticScenario:
     def __post_init__(self):
         # Reject what the generated sequence's meta would reject.
         SequenceMeta(self.name, self.frame_count, self.frame_w, self.frame_h, self.frame_rate)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # Keys of the [scenario] and [object.*] sections of a scenario file.
@@ -405,22 +411,14 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
             if section.startswith("object."):
                 o = parser[section]
                 _reject_unknown_keys(o, _OBJECT_KEYS)
-                coords = [float(v) for v in o.get("box").split()]
-                vel = [float(v) for v in o.get("velocity", fallback="0 0").split()]
-                while len(vel) < 3:
-                    vel.append(0.0)
-                box = BoundingBox(*coords)
-                if box.width <= 0:
-                    # box_at scales the height by height / width.
-                    raise ValueError("box width must be > 0")
                 scenario.objects.append(
                     ObjectScript(
                         name=section.split(".", 1)[1],
                         class_name=o.get("class"),
                         entry_frame=o.getint("entry"),
                         exit_frame=o.getint("exit"),
-                        box=box,
-                        velocity=tuple(vel[:3]),
+                        box=BoundingBox(*(float(v) for v in o.get("box").split())),
+                        velocity=tuple(float(v) for v in o.get("velocity", fallback="0 0").split()),
                     )
                 )
             elif section.startswith("source."):

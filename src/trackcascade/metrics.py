@@ -8,10 +8,11 @@ threshold. One score-descending pass per class (`ClassEvalData.sweep`)
 records them, and the precision/recall/delay curves, the interpolated AP and
 the precision-matched delay threshold are all read from it.
 
-Delay for a ground-truth track is the frame distance from its entry frame to
-the first frame in which a detection claims it; a track that is never
-detected contributes its full evaluated length. Tracks with no frame
-qualifying under the active difficulty filter are excluded.
+Delay for a ground-truth track is the frame distance from its first
+qualifying frame to the first frame in which a detection claims it; a track
+that is never detected contributes the span from its first to its last
+qualifying frame, both counted. Tracks with no frame qualifying under the
+active difficulty filter are excluded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import accumulate, groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationRefused
-from .geometry import BoundingBox, Detection, iou
+from .geometry import BoundingBox, Detection, iou, score_order
 
 _RECALL_EPS = 1e-9
 
@@ -40,6 +41,8 @@ class GtEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "truncated", float(self.truncated))
+        if self.frame_index < 0:
+            raise ValueError(f"negative frame index {self.frame_index}")
 
 
 @dataclass
@@ -146,10 +149,6 @@ class FrameMatch:
     ignored: list[Detection]  # matched only don't-care ground truth
 
 
-def _det_order(dets: Sequence[Detection]) -> list[Detection]:
-    return sorted(dets, key=lambda d: (-d.score, d.box.x1, d.box.y1, d.box.area))
-
-
 def match_frame(
     gts: Sequence[FrameGt],
     dets: Sequence[Detection],
@@ -169,7 +168,7 @@ def match_frame(
     claimed: set[int] = set()
     claimed_ignored: set[int] = set()
     result = FrameMatch([], [], [], [])
-    for d in _det_order(dets):
+    for d in sorted(dets, key=score_order):
         best = None
         for idx, g in enumerate(qualifying):
             if idx in claimed:
@@ -215,7 +214,7 @@ class DetLabel:
 class TrackDelayInfo:
     track_id: int
     entry_frame: int  # first qualifying frame under the active filter
-    length: int  # number of qualifying frames
+    length: int  # frames from the first to the last qualifying one, both counted
 
 
 class SweepRow(NamedTuple):
@@ -279,31 +278,6 @@ class ClassEvalData:
         return row.delay_total / len(self.tracks) if self.tracks else None
 
 
-def _frame_gts_for_class(
-    tracks: Sequence[GroundTruthTrack],
-    class_id: int,
-    difficulty: DifficultyFilter,
-    dontcare_for_class: frozenset[int],
-    dontcare_regions: Mapping[int, Sequence[BoundingBox]],
-) -> dict[int, list[FrameGt]]:
-    by_frame: dict[int, list[FrameGt]] = {}
-    for t in tracks:
-        if t.class_id == class_id:
-            for e in t.frames:
-                by_frame.setdefault(e.frame_index, []).append(
-                    FrameGt(t.track_id, e.box, qualifying=difficulty.qualifies(e))
-                )
-        elif t.class_id in dontcare_for_class:
-            for e in t.frames:
-                by_frame.setdefault(e.frame_index, []).append(
-                    FrameGt(t.track_id, e.box, qualifying=False)
-                )
-    for frame, boxes in dontcare_regions.items():
-        for b in boxes:
-            by_frame.setdefault(frame, []).append(FrameGt(-1, b, qualifying=False, region=True))
-    return by_frame
-
-
 def label_class_detections(
     tracks: Sequence[GroundTruthTrack],
     detections: Iterable[Detection],
@@ -319,9 +293,28 @@ def label_class_detections(
     When `labeled_frames` is given (sparse annotation), detections on other
     frames are discarded before matching.
     """
-    by_frame = _frame_gts_for_class(
-        tracks, class_id, difficulty, dontcare_for_class, dontcare_regions or {}
-    )
+    # Each entry is qualified once; a frame lists tracks in input order, then regions.
+    by_frame: dict[int, list[FrameGt]] = {}
+    n_pos = 0
+    track_infos: list[TrackDelayInfo] = []
+    for t in tracks:
+        own = t.class_id == class_id  # an aliased class's entries are all don't-cares
+        if not own and t.class_id not in dontcare_for_class:
+            continue
+        qualifying = []
+        for e in t.frames:
+            q = own and difficulty.qualifies(e)
+            if q:
+                qualifying.append(e.frame_index)
+            by_frame.setdefault(e.frame_index, []).append(FrameGt(t.track_id, e.box, q))
+        n_pos += len(qualifying)
+        if qualifying:
+            span = qualifying[-1] - qualifying[0] + 1
+            track_infos.append(TrackDelayInfo(t.track_id, qualifying[0], span))
+    for frame, boxes in (dontcare_regions or {}).items():
+        for b in boxes:
+            by_frame.setdefault(frame, []).append(FrameGt(-1, b, qualifying=False, region=True))
+
     dets_by_frame: dict[int, list[Detection]] = {}
     for d in detections:
         if d.class_id != class_id:
@@ -338,16 +331,6 @@ def label_class_detections(
         for det in match.fp:
             labels.append(DetLabel(det.score, False, None, frame))
     labels.sort(key=lambda l: (-l.score, l.frame_index))
-
-    n_pos = 0
-    track_infos: list[TrackDelayInfo] = []
-    for t in tracks:
-        if t.class_id != class_id:
-            continue
-        qualifying = [e.frame_index for e in t.frames if difficulty.qualifies(e)]
-        n_pos += len(qualifying)
-        if qualifying:
-            track_infos.append(TrackDelayInfo(t.track_id, qualifying[0], len(qualifying)))
     return ClassEvalData(class_id, iou_threshold, labels, n_pos, track_infos)
 
 
@@ -387,8 +370,8 @@ def delay_from_labels(data: ClassEvalData, threshold: float) -> tuple[float | No
     """Mean entry delay over counted tracks at a score threshold.
 
     Returns (mean delay, never-detected count); mean is None when the class
-    has no counted tracks. A never-detected track contributes its full
-    evaluated length.
+    has no counted tracks. A never-detected track contributes its
+    `TrackDelayInfo.length`.
     """
     if not data.tracks:
         return None, 0

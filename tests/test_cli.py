@@ -320,6 +320,14 @@ class TestEval:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_unknown_difficulty_in_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("[eval]\ndifficulties = moderate, medium\n")
+        code = run_cli("eval", "--gt", str(DATA / "fig4_labels.txt"),
+                       "--det", str(DATA / "fig4_detections.txt"), "--config", str(config))
+        assert code == 2
+        assert f"{config}: unknown difficulty 'medium'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_ap_recall_points_below_two_is_data_error(self, tmp_path, capsys, points):
         out = tmp_path / "ev"
@@ -335,6 +343,15 @@ class TestEval:
     def test_missing_gt_is_data_error(self, tmp_path):
         assert run_cli("eval", "--gt", str(tmp_path / "nope.txt"),
                        "--det", str(DATA / "fig4_detections.txt")) == 2
+
+    def test_negative_label_frame_is_data_error(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        lines = (DATA / "fig4_labels.txt").read_text().splitlines(keepends=True)
+        lines.append("-3 1 Car 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n")
+        labels.write_text("".join(lines))
+        assert run_cli("eval", "--gt", str(labels),
+                       "--det", str(DATA / "fig4_detections.txt")) == 2
+        assert f"{labels}:{len(lines)}: negative frame index -3" in capsys.readouterr().err
 
     def test_run_then_eval_round_trip(self, seq_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -688,6 +705,15 @@ class TestGenSynthetic:
             outs.append((out / "proposal.txt").read_bytes())
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_option_is_usage_error(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as err:
+            run_cli("gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg"),
+                    "--seed", seed, "--out", str(tmp_path / "g"))
+        assert err.value.code == 1
+        assert f"--seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
 
     def test_rejects_config_options(self, tmp_path):
         scenario = tmp_path / "s.cfg"
@@ -712,6 +738,7 @@ class TestGenSynthetic:
             ("fp_score_sigma = -0.1", "fp_score_sigma must be >= 0"),
             ("fp_per_frame = inf", "fp_per_frame must be finite"),
             ("score_mean = nan", "score_mean must be finite"),
+            ("fp_per_frame = 1e308", "fp_per_frame must be <= 1000.0"),
         ],
     )
     def test_bad_noise_value_is_data_error(self, tmp_path, capsys, line, message):
@@ -750,6 +777,15 @@ class TestGenSynthetic:
             ("frame_rate = nan", "", "[scenario] frame_rate must be finite and > 0"),
             ("frame_rate = 0", "", "[scenario] frame_rate must be finite and > 0"),
             ("frame_rate = -10", "", "[scenario] frame_rate must be finite and > 0"),
+            ("seed = -1", "", "[scenario] seed must be >= 0"),
+            ("", "class =", "[object.a] class must be one word without '#'"),
+            ("", "class = big car", "[object.a] class must be one word without '#'"),
+            ("", "box = 60 120 inf 220", "[object.a] box corners must be finite, with width > 0"),
+            ("", "velocity = nan 0", "[object.a] velocity must be 2 or 3 finite numbers"),
+            ("", "velocity = 1 2 3 4", "[object.a] velocity must be 2 or 3 finite numbers"),
+            ("", "velocity = 1", "[object.a] velocity must be 2 or 3 finite numbers"),
+            ("", "entry = 30", "[object.a] need 0 <= entry <= exit"),
+            ("", "entry = -3", "[object.a] need 0 <= entry <= exit"),
         ],
     )
     def test_bad_scenario_is_data_error(
@@ -759,10 +795,12 @@ class TestGenSynthetic:
         scenario_lines = ["name = gen", "frames = 2", "frame_w = 500", "frame_h = 300"]
         key = scenario_line.split(" = ")[0]
         scenario_lines = [l for l in scenario_lines if not l.startswith(f"{key} =")]
+        object_lines = ["class = car", "entry = 0", "exit = 1", "box = 50 50 150 120"]
+        key = object_line.split("=")[0].strip()
+        object_lines = [l for l in object_lines if not l.startswith(f"{key} =")]
         scenario.write_text(
             "[scenario]\n" + "\n".join(scenario_lines + [scenario_line]) + "\n\n"
-            "[object.a]\nclass = car\nentry = 0\nexit = 1\nbox = 50 50 150 120\n"
-            f"{object_line}\n"
+            "[object.a]\n" + "\n".join(object_lines + [object_line]) + "\n"
         )
         out = tmp_path / "g"
         assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 2

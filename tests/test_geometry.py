@@ -6,7 +6,6 @@ from trackcascade import (
     BoundingBox,
     Detection,
     RegionMask,
-    dilate,
     iou,
     mask_overlap_fraction,
     nms,
@@ -16,6 +15,12 @@ from trackcascade import (
 
 def box(x1, y1, x2, y2):
     return BoundingBox(x1, y1, x2, y2)
+
+
+def dilate(b, margin, frame_w, frame_h):
+    """`b` grown by `margin` and clipped, as the one region of a mask."""
+    (region,) = RegionMask.from_boxes([b], frame_w, frame_h, margin).regions
+    return region
 
 
 def rand_box(rng, lo=0.0, hi=100.0, min_side=1.0, max_side=40.0):

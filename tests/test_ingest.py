@@ -141,6 +141,16 @@ class TestKittiLabels:
         with pytest.raises(DataError, match="l.txt:1"):
             parse_kitti_tracking_labels(p, cmap)
 
+    @pytest.mark.parametrize("name", ["Car", "DontCare"])
+    def test_negative_frame_rejected(self, tmp_path, cmap, name):
+        p = tmp_path / "l.txt"
+        p.write_text(
+            "0 1 Car 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+            f"-1 2 {name} 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+        )
+        with pytest.raises(DataError, match="l.txt:2: negative frame index -1"):
+            parse_kitti_tracking_labels(p, cmap)
+
     def test_non_monotone_frames_rejected(self, tmp_path, cmap):
         p = tmp_path / "l.txt"
         p.write_text(

@@ -263,6 +263,18 @@ class TestDelay:
         tracks = [track(1, [0, 1, 2, 3, 4])]
         assert class_delay(tracks, [], 0.0, 0.5) == 5.0
 
+    def test_never_detected_counts_span_of_qualifying_frames(self):
+        # Under moderate only frames 0 and 10 qualify; frames 1-9 are 10 px tall.
+        entries = [GtEntry(f, BoundingBox(100, 100, 200, 200 if f in (0, 10) else 110))
+                   for f in range(11)]
+        tracks = [GroundTruthTrack(1, 0, entries)]
+        moderate = DIFFICULTY_PRESETS["moderate"]
+        assert class_delay(tracks, [], 0.0, 0.5, moderate) == 11.0
+        hit = [det(100, 100, 200, 200, frame=10)]
+        assert class_delay(tracks, hit, 0.0, 0.5, moderate) == 10.0
+        data = label_class_detections(tracks, hit, 0, 0.5, moderate)
+        assert data.delay(data.row_at(0.0)) == 10.0 and data.delay(data.sweep[0]) == 11.0
+
     def test_threshold_zero_is_minimum(self):
         rng = np.random.default_rng(33)
         tracks = [track(1, list(range(6)))]
