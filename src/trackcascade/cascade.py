@@ -75,7 +75,26 @@ class FileBackedSource(DetectorSource):
         dets = self.store.get(frame_index)
         if mask is None:
             return dets
-        return [d for d in dets if mask_overlap_fraction(d.box, mask) >= MASK_MIN_OVERLAP]
+        regions = [(r.x1, r.y1, r.x2, r.y2) for r in mask.regions]
+        kept = []
+        for d in dets:
+            box = d.box
+            x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+            if (x2 - x1) * (y2 - y1) <= 0:
+                continue  # no share of a zero-area box lies inside anything
+            # A box inside one region is wholly covered, one that meets no
+            # region not at all; only the rest need the union's area.
+            meets = False
+            for rx1, ry1, rx2, ry2 in regions:
+                if rx1 <= x1 and ry1 <= y1 and x2 <= rx2 and y2 <= ry2:
+                    kept.append(d)
+                    break
+                if x1 < rx2 and rx1 < x2 and y1 < ry2 and ry1 < y2:
+                    meets = True
+            else:
+                if meets and mask_overlap_fraction(box, mask) >= MASK_MIN_OVERLAP:
+                    kept.append(d)
+        return kept
 
 
 @dataclass(frozen=True)

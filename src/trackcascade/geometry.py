@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -20,10 +21,13 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
-            raise ValueError(f"invalid box corners: ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if not (type(x1) is type(y1) is type(x2) is type(y2) is float):  # else float() is a no-op
+            x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+            for name, value in (("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2)):
+                object.__setattr__(self, name, value)
+        if not (x1 <= x2 and y1 <= y2):
+            raise ValueError(f"invalid box corners: ({x1}, {y1}, {x2}, {y2})")
 
     @property
     def width(self) -> float:
@@ -35,7 +39,7 @@ class BoundingBox:
 
     @property
     def area(self) -> float:
-        return self.width * self.height
+        return (self.x2 - self.x1) * (self.y2 - self.y1)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -103,12 +107,16 @@ class RegionMask:
     regions: tuple[BoundingBox, ...]
 
     def __post_init__(self):
-        if self.frame_w <= 0 or self.frame_h <= 0:
+        w, h = self.frame_w, self.frame_h
+        if w <= 0 or h <= 0:
             raise ValueError("frame dimensions must be positive")
-        clipped = tuple(
-            c for c in (r.clip(self.frame_w, self.frame_h) for r in self.regions) if c.area > 0
-        )
-        object.__setattr__(self, "regions", clipped)
+        kept = []
+        for r in self.regions:
+            if not (0.0 <= r.x1 and 0.0 <= r.y1 and r.x2 <= w and r.y2 <= h):
+                r = r.clip(w, h)
+            if r.area > 0:
+                kept.append(r)
+        object.__setattr__(self, "regions", tuple(kept))
 
     @classmethod
     def from_boxes(
@@ -118,12 +126,20 @@ class RegionMask:
         frame_h: float,
         margin: float = 0.0,
     ) -> "RegionMask":
+        """Regions are the boxes grown by `margin` on every side, then clipped."""
         if margin < 0:
             raise ValueError("margin must be >= 0")
-        grown = tuple(
-            BoundingBox(b.x1 - margin, b.y1 - margin, b.x2 + margin, b.y2 + margin) for b in boxes
+        # The same arithmetic as BoundingBox(...grown...).clip(frame_w, frame_h).
+        regions = tuple(
+            BoundingBox(
+                min(max(b.x1 - margin, 0.0), frame_w),
+                min(max(b.y1 - margin, 0.0), frame_h),
+                min(max(b.x2 + margin, 0.0), frame_w),
+                min(max(b.y2 + margin, 0.0), frame_h),
+            )
+            for b in boxes
         )
-        return cls(frame_w, frame_h, grown)
+        return cls(frame_w, frame_h, regions)
 
     @classmethod
     def full_frame(cls, frame_w: float, frame_h: float) -> "RegionMask":
@@ -137,12 +153,14 @@ class RegionMask:
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union in [0, 1]; a zero-area box has IoU 0 with everything."""
-    area_a = a.area
-    area_b = b.area
+    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
     if area_a <= 0.0 or area_b <= 0.0:
         return 0.0
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    iw = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+    ih = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
@@ -153,32 +171,37 @@ def union_area(boxes: Sequence[BoundingBox]) -> float:
     """Exact area of the union of boxes, counting overlapped regions once.
 
     Coordinate sweep over x-slabs with merged y-intervals; resolution
-    independent, no rasterisation.
+    independent, no rasterisation. The boxes spanning a slab are kept sorted
+    by (y1, y2) as the sweep enters and leaves them.
     """
-    rects = [b for b in boxes if b.area > 0]
+    rects = sorted((b.x1, b.y1, b.y2, b.x2) for b in boxes if b.area > 0)
     if not rects:
         return 0.0
-    xs = sorted({b.x1 for b in rects} | {b.x2 for b in rects})
+    ends = {r[3] for r in rects}
+    xs = sorted({r[0] for r in rects} | ends)
+    active: list[tuple[float, float, float]] = []  # (y1, y2, x2) of the boxes spanning the slab
+    n, i = len(rects), 0
     total = 0.0
     for x_lo, x_hi in zip(xs, xs[1:]):
-        slab_w = x_hi - x_lo
-        if slab_w <= 0:
-            continue
         # A box spans the whole slab or none of it: slab edges come from box edges.
-        intervals = sorted((b.y1, b.y2) for b in rects if b.x1 <= x_lo and b.x2 >= x_hi)
+        if x_lo in ends:
+            active = [a for a in active if a[2] > x_lo]
+        while i < n and rects[i][0] <= x_lo:
+            insort(active, rects[i][1:])
+            i += 1
+        if not active:
+            continue
         covered = 0.0
-        cur_lo = cur_hi = None
-        for y1, y2 in intervals:
-            if cur_hi is None:
-                cur_lo, cur_hi = y1, y2
-            elif y1 <= cur_hi:
-                cur_hi = max(cur_hi, y2)
+        cur_lo, cur_hi, _ = active[0]
+        for y1, y2, _ in active:
+            if y1 <= cur_hi:
+                if y2 > cur_hi:
+                    cur_hi = y2
             else:
                 covered += cur_hi - cur_lo
                 cur_lo, cur_hi = y1, y2
-        if cur_hi is not None:
-            covered += cur_hi - cur_lo
-        total += covered * slab_w
+        covered += cur_hi - cur_lo
+        total += covered * (x_hi - x_lo)
     return total
 
 
@@ -212,8 +235,14 @@ def nms(
     `class_agnostic`) is <= `iou_threshold`. Output is in visit order.
     """
     kept: list[Detection] = []
+    by_class: dict[int | None, list[BoundingBox]] = {}  # kept boxes, per class unless class-agnostic
     for d in sorted(detections, key=score_order):
-        rivals = kept if class_agnostic else [k for k in kept if k.class_id == d.class_id]
-        if all(iou(d.box, k.box) <= iou_threshold for k in rivals):
+        rivals = by_class.setdefault(None if class_agnostic else d.class_id, [])
+        box = d.box
+        for k in rivals:
+            if not iou(box, k) <= iou_threshold:
+                break
+        else:
             kept.append(d)
+            rivals.append(box)
     return kept

@@ -134,10 +134,15 @@ def _reject_unknown_sections(
             raise ValueError(f"unknown section [{name}]")
 
 
-def _reject_unknown_keys(section: configparser.SectionProxy, known: Iterable[str]) -> None:
+def _check_keys(
+    section: configparser.SectionProxy, known: Iterable[str], required: Iterable[str] = ()
+) -> None:
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
 
 
 def _parse_float(token: str, what: str, path: Path, lineno: int) -> float:
@@ -275,7 +280,11 @@ def parse_meta(path: str | Path) -> SequenceMeta:
         _reject_unknown_sections(parser, lambda name: name == "sequence")
         sec = parser["sequence"]
         where = "[sequence] "
-        _reject_unknown_keys(sec, (f.name for f in dataclasses.fields(SequenceMeta)))
+        _check_keys(
+            sec,
+            (f.name for f in dataclasses.fields(SequenceMeta)),
+            ("frame_count", "frame_w", "frame_h"),
+        )
         return SequenceMeta(
             sequence_id=sec.get("sequence_id", path.parent.name),
             frame_count=sec.getint("frame_count"),
@@ -379,9 +388,12 @@ class SyntheticScenario:
             raise ValueError("seed must be >= 0")
 
 
-# Keys of the [scenario] and [object.*] sections of a scenario file.
+# Keys of the [scenario] and [object.*] sections of a scenario file, and
+# those of them without a default.
 _SCENARIO_KEYS = ("name", "frames", "frame_w", "frame_h", "seed", "frame_rate")
+_SCENARIO_REQUIRED = ("frames", "frame_w", "frame_h")
 _OBJECT_KEYS = ("class", "entry", "exit", "box", "velocity")
+_OBJECT_REQUIRED = ("class", "entry", "exit", "box")
 
 
 def parse_scenario(path: str | Path) -> SyntheticScenario:
@@ -397,7 +409,7 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
         )
         section = "scenario"
         sec = parser[section]
-        _reject_unknown_keys(sec, _SCENARIO_KEYS)
+        _check_keys(sec, _SCENARIO_KEYS, _SCENARIO_REQUIRED)
         scenario = SyntheticScenario(
             name=sec.get("name", path.stem),
             frame_count=sec.getint("frames"),
@@ -410,7 +422,7 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
         for section in parser.sections():
             if section.startswith("object."):
                 o = parser[section]
-                _reject_unknown_keys(o, _OBJECT_KEYS)
+                _check_keys(o, _OBJECT_KEYS, _OBJECT_REQUIRED)
                 scenario.objects.append(
                     ObjectScript(
                         name=section.split(".", 1)[1],
@@ -424,7 +436,7 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
             elif section.startswith("source."):
                 s = parser[section]
                 fields = dataclasses.fields(NoiseModel)
-                _reject_unknown_keys(s, (f.name for f in fields))
+                _check_keys(s, (f.name for f in fields))
                 scenario.sources[section.split(".", 1)[1]] = NoiseModel(
                     **{f.name: s.getfloat(f.name, fallback=f.default) for f in fields}
                 )

@@ -117,8 +117,12 @@ def parse_mask_dump(path: str | Path) -> dict[int, dict[str, list[BoundingBox]]]
         if kind not in MASK_KINDS:
             raise DataError(f"unknown mask kind {kind!r}", str(path), lineno)
         x1, y1, x2, y2 = (_parse_float(t, "coordinate", path, lineno) for t in fields[2:6])
+        try:
+            box = BoundingBox(x1, y1, x2, y2)
+        except ValueError as exc:
+            raise DataError(str(exc), str(path), lineno) from None
         per = frames.setdefault(frame, {k: [] for k in MASK_KINDS})
-        per[kind].append(BoundingBox(x1, y1, x2, y2))
+        per[kind].append(box)
     return frames
 
 

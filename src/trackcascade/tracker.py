@@ -181,6 +181,7 @@ class Tracker:
         self.frame_h = frame_h
         self.known_classes = known_classes
         self._tracks: list[TrackState] = []
+        self._predicted: dict[int, BoundingBox] = {}  # track id -> predict(track), set by _emit
         self._next_id = 1
 
     @property
@@ -189,6 +190,7 @@ class Tracker:
 
     def reset(self) -> None:
         self._tracks = []
+        self._predicted = {}
         self._next_id = 1
 
     def step(self, frame_index: int, detections: Sequence[Detection]) -> list[Detection]:
@@ -220,7 +222,7 @@ class Tracker:
         for class_id in class_ids:
             tracks_c = [t for t in self._tracks if t.class_id == class_id]
             dets_c = by_class.get(class_id, [])
-            preds = [(t.track_id, predict(t)) for t in tracks_c]
+            preds = [(t.track_id, self._predicted[t.track_id]) for t in tracks_c]
             matches, lost, emerging = associate(preds, dets_c, cfg.iou_threshold_beta)
             by_id = {t.track_id: t for t in tracks_c}
 
@@ -260,8 +262,9 @@ class Tracker:
 
     def _emit(self, frame_index: int) -> list[Detection]:
         out: list[Detection] = []
+        self._predicted = {t.track_id: predict(t) for t in self._tracks}
         for t in self._tracks:
-            box = predict(t)
+            box = self._predicted[t.track_id]
             if box.width < self.config.min_width or box.area <= 0:
                 continue
             clipped = box.clip(self.frame_w, self.frame_h)

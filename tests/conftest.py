@@ -9,10 +9,13 @@ from trackcascade import (
     DetectionStore,
     SequenceMeta,
     estimate_time,
+    mask_overlap_fraction,
     refine_cost,
     write_detections,
     write_meta,
 )
+from trackcascade.cascade import MASK_MIN_OVERLAP
+from trackcascade.geometry import score_order
 
 DATA = Path(__file__).parent / "data"
 
@@ -91,3 +94,74 @@ def reference_greedy_merge(regions, config, frame_w, frame_h):
         times[i] = hull_time
         del boxes[j], times[j]
     return boxes
+
+
+def reference_union_area(boxes):
+    """Slab-rescan `union_area`: every x-slab rescans every box for the ones spanning it."""
+    rects = [b for b in boxes if b.area > 0]
+    if not rects:
+        return 0.0
+    xs = sorted({b.x1 for b in rects} | {b.x2 for b in rects})
+    total = 0.0
+    for x_lo, x_hi in zip(xs, xs[1:]):
+        slab_w = x_hi - x_lo
+        if slab_w <= 0:
+            continue
+        intervals = sorted((b.y1, b.y2) for b in rects if b.x1 <= x_lo and b.x2 >= x_hi)
+        covered = 0.0
+        cur_lo = cur_hi = None
+        for y1, y2 in intervals:
+            if cur_hi is None:
+                cur_lo, cur_hi = y1, y2
+            elif y1 <= cur_hi:
+                cur_hi = max(cur_hi, y2)
+            else:
+                covered += cur_hi - cur_lo
+                cur_lo, cur_hi = y1, y2
+        if cur_hi is not None:
+            covered += cur_hi - cur_lo
+        total += covered * slab_w
+    return total
+
+
+def reference_clip_regions(regions, frame_w, frame_h):
+    """`RegionMask` regions by clipping every region and dropping the zero-area ones."""
+    return tuple(c for c in (r.clip(frame_w, frame_h) for r in regions) if c.area > 0)
+
+
+def reference_from_boxes(boxes, frame_w, frame_h, margin):
+    """`RegionMask.from_boxes` regions with three boxes per region: grown, clipped, kept."""
+    grown = [BoundingBox(b.x1 - margin, b.y1 - margin, b.x2 + margin, b.y2 + margin) for b in boxes]
+    return reference_clip_regions(grown, frame_w, frame_h)
+
+
+def reference_detect(source, frame_index, mask):
+    """`FileBackedSource.detect` with the overlap fraction taken for every detection."""
+    return [
+        d
+        for d in source.store.get(frame_index)
+        if mask_overlap_fraction(d.box, mask) >= MASK_MIN_OVERLAP
+    ]
+
+
+def reference_iou(a, b):
+    """`iou` through the `area` property and builtin min/max."""
+    area_a, area_b = a.area, b.area
+    if area_a <= 0.0 or area_b <= 0.0:
+        return 0.0
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (area_a + area_b - inter)
+
+
+def reference_nms(dets, threshold, class_agnostic):
+    """NMS rebuilding each candidate's rival list from everything kept so far."""
+    kept = []
+    for d in sorted(dets, key=score_order):
+        rivals = kept if class_agnostic else [k for k in kept if k.class_id == d.class_id]
+        if all(reference_iou(d.box, k.box) <= threshold for k in rivals):
+            kept.append(d)
+    return kept

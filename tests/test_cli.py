@@ -92,6 +92,13 @@ class TestRun:
             outs.append(read_tree(out))
         assert outs[0] == outs[1]
 
+    def test_mask_dump_inverted_corners_is_data_error(self, tmp_path):
+        path = tmp_path / "masks.txt"
+        path.write_text("0 mask 0 0 5 10\n0 mask 10 0 5 10\n")
+        with pytest.raises(DataError, match="invalid box corners") as err:
+            parse_mask_dump(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+
     def test_mask_dump_round_trip(self, seq_dir, tmp_path):
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
@@ -128,6 +135,27 @@ class TestRun:
         assert digests == {
             "work.txt": "02a94acaf2d40a32e4f7d5602f1303c55feb6b0d0ad574a035b02f83392ec3b9",
             "detections.txt": "ee8bf265c6a089dbfa5091d9ce580a944c9395e10766dc2d32162c7635de4d19",
+        }
+
+    def test_cascade_outputs_are_pinned(self, tmp_path):
+        # Masks, work and detections of the cascade modes, to the bit.
+        seq = tmp_path / "seq"
+        assert run_cli("gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg"),
+                       "--out", str(seq)) == 0
+        digests = {}
+        for mode in ("cascaded", "catdet"):
+            out = tmp_path / mode
+            assert run_cli("run", "--sequence", str(seq), "--mode", mode, "--out", str(out),
+                           "--dump-masks") == 0
+            for name in ("masks.txt", "work.txt", "detections.txt"):
+                digests[f"{mode}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digests == {
+            "cascaded/masks.txt": "892cad1c35e787b845a7a7eb52a42afd792161202ca5220461821a77e08be006",
+            "cascaded/work.txt": "00ef201ed55c8b82aa51c8450c7800cd34910cf8bfb863c0be7b59fb8d470e75",
+            "cascaded/detections.txt": "44c5d3ac14f702f024f226e3a310a09e5a0796e8087b857c05462b5a9ffe25a9",
+            "catdet/masks.txt": "0c17873edea3994cd1b2e85c2cf26b0cf95fc12fc742ee9c19a8c6fdef02b1c5",
+            "catdet/work.txt": "1b9e05fe74bd6c7731c84acecb7bf7863520f874200e38445ad9c6f6f48638b4",
+            "catdet/detections.txt": "ee8bf265c6a089dbfa5091d9ce580a944c9395e10766dc2d32162c7635de4d19",
         }
 
     def test_manifest_contents(self, seq_dir, tmp_path):
@@ -239,13 +267,17 @@ class TestRun:
             ("frame_rate = -10", "[sequence] frame_rate must be finite and > 0"),
             ("[extra]\nkey = 1", "unknown section [extra]"),
             ("[DEFAULT]\nframe_rate = 5", "unknown section [DEFAULT]"),
+            ("frame_count", "[sequence] missing key 'frame_count'"),
+            ("frame_w", "[sequence] missing key 'frame_w'"),
+            ("frame_h", "[sequence] missing key 'frame_h'"),
         ],
     )
     def test_bad_meta_is_data_error(self, seq_dir, tmp_path, capsys, line, message):
+        # A line is set in place of its key's line; a bare key is left out.
         meta = seq_dir / "meta.cfg"
         key = line.split(" = ")[0]
         kept = [l for l in meta.read_text().splitlines() if not l.startswith(f"{key} =")]
-        meta.write_text("\n".join(kept + [line]) + "\n")
+        meta.write_text("\n".join(kept + [line] * ("=" in line)) + "\n")
         out = tmp_path / "out"
         assert run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
                        "--out", str(out)) == 2
@@ -786,11 +818,19 @@ class TestGenSynthetic:
             ("", "velocity = 1", "[object.a] velocity must be 2 or 3 finite numbers"),
             ("", "entry = 30", "[object.a] need 0 <= entry <= exit"),
             ("", "entry = -3", "[object.a] need 0 <= entry <= exit"),
+            ("frames", "", "[scenario] missing key 'frames'"),
+            ("frame_w", "", "[scenario] missing key 'frame_w'"),
+            ("frame_h", "", "[scenario] missing key 'frame_h'"),
+            ("", "class", "[object.a] missing key 'class'"),
+            ("", "entry", "[object.a] missing key 'entry'"),
+            ("", "exit", "[object.a] missing key 'exit'"),
+            ("", "box", "[object.a] missing key 'box'"),
         ],
     )
     def test_bad_scenario_is_data_error(
         self, tmp_path, capsys, scenario_line, object_line, message
     ):
+        # A line is set in place of its key's line; a bare key is left out.
         scenario = tmp_path / "s.cfg"
         scenario_lines = ["name = gen", "frames = 2", "frame_w = 500", "frame_h = 300"]
         key = scenario_line.split(" = ")[0]
@@ -798,9 +838,11 @@ class TestGenSynthetic:
         object_lines = ["class = car", "entry = 0", "exit = 1", "box = 50 50 150 120"]
         key = object_line.split("=")[0].strip()
         object_lines = [l for l in object_lines if not l.startswith(f"{key} =")]
+        scenario_lines += [scenario_line] * ("=" in scenario_line)
+        object_lines += [object_line] * ("=" in object_line)
         scenario.write_text(
-            "[scenario]\n" + "\n".join(scenario_lines + [scenario_line]) + "\n\n"
-            "[object.a]\n" + "\n".join(object_lines + [object_line]) + "\n"
+            "[scenario]\n" + "\n".join(scenario_lines) + "\n\n"
+            "[object.a]\n" + "\n".join(object_lines) + "\n"
         )
         out = tmp_path / "g"
         assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 2
