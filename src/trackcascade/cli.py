@@ -217,13 +217,11 @@ def _print_difficulty_report(report: DifficultyReport, class_map: ClassMap) -> N
     print(f"{'class':<14} {'AP':>8} {'gt_boxes':>9} {'tracks':>7} {'dets':>7}")
     for class_id in sorted(report.classes):
         c = report.classes[class_id]
-        ap = "/" if c.ap is None else f"{c.ap:.4f}"
         print(
-            f"{class_map.name_of(class_id):<14} {ap:>8} {c.n_pos:>9} "
+            f"{class_map.name_of(class_id):<14} {_fmt_opt(c.ap, '.4f'):>8} {c.n_pos:>9} "
             f"{c.n_tracks:>7} {c.n_detections:>7}"
         )
-    map_text = "/" if report.mean_ap is None else f"{report.mean_ap:.4f}"
-    print(f"mAP {map_text}")
+    print(f"mAP {_fmt_opt(report.mean_ap, '.4f')}")
     if report.delay is not None:
         d = report.delay
         print(f"mD@{d.beta:.2f} {d.mean_delay:.2f} frames at t_beta {d.threshold}")
@@ -283,9 +281,8 @@ def cmd_eval(args) -> int:
     beta = eval_config.beta
     print(f"{'difficulty':<12} {'mAP':>8} {f'mD@{beta:.2f}':>9}")
     for report in reports:
-        map_text = "/" if report.mean_ap is None else f"{report.mean_ap:.4f}"
-        md_text = "/" if report.delay is None else f"{report.delay.mean_delay:.2f}"
-        print(f"{report.difficulty:<12} {map_text:>8} {md_text:>9}")
+        md_text = _fmt_opt(report.delay and report.delay.mean_delay, ".2f")
+        print(f"{report.difficulty:<12} {_fmt_opt(report.mean_ap, '.4f'):>8} {md_text:>9}")
 
     if args.out:
         out = Path(args.out)
@@ -373,7 +370,7 @@ def cmd_gen_synthetic(args) -> int:
             outputs,
         )
     print(
-        f"{scenario.name}: {scenario.frame_count} frames, "
+        f"{scenario.meta.sequence_id}: {scenario.meta.frame_count} frames, "
         f"{len(data.labels.tracks)} tracks -> {out}"
     )
     return EXIT_OK

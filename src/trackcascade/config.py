@@ -9,7 +9,6 @@ run manifests record.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Any
 from .cascade import PipelineConfig
 from .costmodel import CostModelConfig
 from .errors import ConfigError
-from .ingest import read_text
+from .ingest import read_ini
 from .metrics import DIFFICULTY_PRESETS, DifficultyFilter, EvalConfig
 from .tracker import TrackerConfig
 
@@ -202,12 +201,8 @@ def load_settings(
     values = _defaults()
     files: dict[str, str] = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        text = read_text(path, "config", ConfigError)
-        try:
-            parser.read_string(text, source=str(path))
-        except configparser.Error as exc:
-            raise ConfigError(f"bad config syntax: {exc}", str(path)) from None
+        # Section names are judged by _apply, for the file and --set alike.
+        parser = read_ini(path, "config", lambda name: True, ConfigError)
         try:
             for section in parser.sections():
                 target = _SECTION_ALIASES.get(section, section)

@@ -125,13 +125,23 @@ def _data_lines(path: Path) -> Iterable[tuple[int, list[str]]]:
             yield lineno, line.split()
 
 
-def _reject_unknown_sections(
-    parser: configparser.ConfigParser, known: Callable[[str], bool]
-) -> None:
-    """Raise on the first section, a non-empty [DEFAULT] included, that `known` refuses."""
+def read_ini(
+    path: str | Path, what: str, known: Callable[[str], bool], error: type[DataError] = DataError
+) -> configparser.ConfigParser:
+    """An INI file whose values are literal text (no `%` interpolation).
+
+    A syntax error, a non-empty [DEFAULT] section, or a section that `known`
+    refuses is an `error` naming the file.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        parser.read_string(read_text(path, what, error), source=str(path))
+    except configparser.Error as exc:
+        raise error(f"bad {what} syntax: {exc}", str(path)) from None
     for name in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
-        if not known(name):
-            raise ValueError(f"unknown section [{name}]")
+        if name == "DEFAULT" or not known(name):
+            raise error(f"bad {what}: unknown section [{name}]", str(path))
+    return parser
 
 
 def _check_keys(
@@ -272,12 +282,9 @@ def write_tracks(labels: KittiLabels, class_map: ClassMap, path: str | Path) -> 
 
 def parse_meta(path: str | Path) -> SequenceMeta:
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    text = read_text(path, "meta")
+    parser = read_ini(path, "sequence meta", lambda name: name == "sequence")
     where = ""
     try:
-        parser.read_string(text, source=str(path))
-        _reject_unknown_sections(parser, lambda name: name == "sequence")
         sec = parser["sequence"]
         where = "[sequence] "
         _check_keys(
@@ -292,7 +299,7 @@ def parse_meta(path: str | Path) -> SequenceMeta:
             frame_h=sec.getfloat("frame_h"),
             frame_rate=sec.getfloat("frame_rate", fallback=SequenceMeta.frame_rate),
         )
-    except (configparser.Error, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad sequence meta: {where}{exc}", str(path)) from None
 
 
@@ -372,18 +379,12 @@ class NoiseModel:
 
 @dataclass
 class SyntheticScenario:
-    name: str
-    frame_count: int
-    frame_w: float
-    frame_h: float
+    meta: SequenceMeta  # of the generated sequence
     seed: int
     objects: list[ObjectScript]
     sources: dict[str, NoiseModel] = field(default_factory=dict)
-    frame_rate: float = SequenceMeta.frame_rate
 
     def __post_init__(self):
-        # Reject what the generated sequence's meta would reject.
-        SequenceMeta(self.name, self.frame_count, self.frame_w, self.frame_h, self.frame_rate)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -399,25 +400,23 @@ _OBJECT_REQUIRED = ("class", "entry", "exit", "box")
 def parse_scenario(path: str | Path) -> SyntheticScenario:
     """Read a scenario file; a bad value is a DataError naming its [section]."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    text = read_text(path, "scenario")
-    section = None
+    parser = read_ini(
+        path, "scenario", lambda name: name == "scenario" or name.startswith(("object.", "source."))
+    )
+    section = "scenario"
     try:
-        parser.read_string(text, source=str(path))
-        _reject_unknown_sections(
-            parser, lambda name: name == "scenario" or name.startswith(("object.", "source."))
-        )
-        section = "scenario"
         sec = parser[section]
         _check_keys(sec, _SCENARIO_KEYS, _SCENARIO_REQUIRED)
         scenario = SyntheticScenario(
-            name=sec.get("name", path.stem),
-            frame_count=sec.getint("frames"),
-            frame_w=sec.getfloat("frame_w"),
-            frame_h=sec.getfloat("frame_h"),
+            meta=SequenceMeta(
+                sequence_id=sec.get("name", path.stem),
+                frame_count=sec.getint("frames"),
+                frame_w=sec.getfloat("frame_w"),
+                frame_h=sec.getfloat("frame_h"),
+                frame_rate=sec.getfloat("frame_rate", fallback=SequenceMeta.frame_rate),
+            ),
             seed=sec.getint("seed", fallback=0),
             objects=[],
-            frame_rate=sec.getfloat("frame_rate", fallback=SyntheticScenario.frame_rate),
         )
         for section in parser.sections():
             if section.startswith("object."):
@@ -441,9 +440,8 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
                     **{f.name: s.getfloat(f.name, fallback=f.default) for f in fields}
                 )
         return scenario
-    except (configparser.Error, KeyError, TypeError, ValueError, AttributeError) as exc:
-        where = "" if section is None else f"[{section}] "
-        raise DataError(f"bad scenario: {where}{exc}", str(path)) from None
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"bad scenario: [{section}] {exc}", str(path)) from None
 
 
 @dataclass
@@ -461,6 +459,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     (frames ascending, objects in script order, sources in name order), so a
     given scenario is reproducible bit for bit.
     """
+    meta = scenario.meta
     rng = np.random.default_rng(scenario.seed)
     class_names = sorted({o.class_name.strip().lower() for o in scenario.objects})
     class_map = ClassMap(class_names)
@@ -470,9 +469,9 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     for tid, obj in enumerate(scenario.objects, start=1):
         class_id = class_map.id_of(obj.class_name)
         entries = []
-        for frame in range(obj.entry_frame, min(obj.exit_frame, scenario.frame_count - 1) + 1):
+        for frame in range(obj.entry_frame, min(obj.exit_frame, meta.frame_count - 1) + 1):
             scripted = obj.box_at(frame)
-            clipped = scripted.clip(scenario.frame_w, scenario.frame_h)
+            clipped = scripted.clip(meta.frame_w, meta.frame_h)
             if clipped.area <= 0 or scripted.area <= 0:
                 continue
             entries.append(GtEntry(frame, clipped, truncated=1.0 - clipped.area / scripted.area))
@@ -481,7 +480,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
             tracks.append(GroundTruthTrack(tid, class_id, entries))
 
     stores: dict[str, DetectionStore] = {name: DetectionStore() for name in sorted(scenario.sources)}
-    for frame in range(scenario.frame_count):
+    for frame in range(meta.frame_count):
         for source_name in sorted(scenario.sources):
             noise = scenario.sources[source_name]
             store = stores[source_name]
@@ -492,16 +491,16 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
                 corners = corners + rng.normal(0.0, noise.jitter, size=4)
                 x1, x2 = sorted((corners[0], corners[2]))
                 y1, y2 = sorted((corners[1], corners[3]))
-                box = BoundingBox(x1, y1, x2, y2).clip(scenario.frame_w, scenario.frame_h)
+                box = BoundingBox(x1, y1, x2, y2).clip(meta.frame_w, meta.frame_h)
                 score = float(np.clip(rng.normal(noise.score_mean, noise.score_sigma), 0.01, 0.999))
                 if box.area > 0:
                     store.add(Detection(box, class_id, score, frame))
             for _ in range(int(rng.poisson(noise.fp_per_frame))):
                 w = rng.uniform(20.0, 120.0)
                 h = w * rng.uniform(0.5, 2.0)
-                cx = rng.uniform(0.0, scenario.frame_w)
-                cy = rng.uniform(0.0, scenario.frame_h)
-                box = BoundingBox.from_center(cx, cy, w, h).clip(scenario.frame_w, scenario.frame_h)
+                cx = rng.uniform(0.0, meta.frame_w)
+                cy = rng.uniform(0.0, meta.frame_h)
+                box = BoundingBox.from_center(cx, cy, w, h).clip(meta.frame_w, meta.frame_h)
                 score = float(
                     np.clip(rng.normal(noise.fp_score_mean, noise.fp_score_sigma), 0.01, 0.999)
                 )
@@ -509,13 +508,6 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
                 if box.area > 0:
                     store.add(Detection(box, class_id, score, frame))
 
-    meta = SequenceMeta(
-        sequence_id=scenario.name,
-        frame_count=scenario.frame_count,
-        frame_w=scenario.frame_w,
-        frame_h=scenario.frame_h,
-        frame_rate=scenario.frame_rate,
-    )
     labels = KittiLabels(tracks=tracks, dontcare_by_frame={})
     return SyntheticData(meta, labels, stores, class_map)
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, Detection, iou
+from .geometry import BoundingBox, Detection, iou, score_order
 
 Vec3 = tuple[float, float, float]
 
@@ -169,17 +169,10 @@ def associate(
 class Tracker:
     """Tracks one video sequence; single-threaded, never shared mutably."""
 
-    def __init__(
-        self,
-        config: TrackerConfig,
-        frame_w: float,
-        frame_h: float,
-        known_classes: set[int] | None = None,
-    ):
+    def __init__(self, config: TrackerConfig, frame_w: float, frame_h: float):
         self.config = config
         self.frame_w = frame_w
         self.frame_h = frame_h
-        self.known_classes = known_classes
         self._tracks: list[TrackState] = []
         self._predicted: dict[int, BoundingBox] = {}  # track id -> predict(track), set by _emit
         self._next_id = 1
@@ -206,12 +199,6 @@ class Tracker:
         not detections.
         """
         cfg = self.config
-        for d in detections:
-            if self.known_classes is not None and d.class_id not in self.known_classes:
-                raise ValueError(
-                    f"unknown class id {d.class_id} in frame {frame_index}; "
-                    f"known classes: {sorted(self.known_classes)}"
-                )
         usable = [d for d in detections if d.box.width > 0 and d.box.height > 0]
         by_class: dict[int, list[Detection]] = {}
         for d in usable:
@@ -273,5 +260,5 @@ class Tracker:
             if clipped.area <= 0:
                 continue
             out.append(Detection(clipped, t.class_id, 1.0, frame_index))
-        out.sort(key=lambda d: (d.box.x1, d.box.y1, d.box.area, d.class_id))
+        out.sort(key=score_order)  # every score is 1.0: by x1, y1, area, class
         return out

@@ -487,6 +487,25 @@ class TestUsageErrors:
         assert f"{config}: bad value 'nan' for pipeline.margin" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[DEFAULT]\nmargin = 5\n", "bad config: unknown section [DEFAULT]"),
+            ("[DEFAULT]\nmargin = 5\n\n[pipeline]\nc_thresh = 0.3\n",
+             "bad config: unknown section [DEFAULT]"),
+            # Values are literal: '%' is not interpolation syntax.
+            ("[pipeline]\nmode = %x\n", "bad [pipeline] value: mode must be one of"),
+        ],
+    )
+    def test_bad_config_file_is_data_error(self, seq_dir, tmp_path, capsys, text, message):
+        config = tmp_path / "c.cfg"
+        config.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("run", "--sequence", str(seq_dir), "--config", str(config),
+                       "--out", str(out)) == 2
+        assert f"{config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_t_thresh_disables_tracker(self, seq_dir, tmp_path):
         trees = []
         for mode, extra in (("cascaded", []), ("catdet", ["--set", "pipeline.t_thresh=inf"])):
@@ -736,6 +755,20 @@ class TestGenSynthetic:
                     "--out", str(out))
             outs.append((out / "proposal.txt").read_bytes())
         assert outs[0] != outs[1]
+
+    def test_percent_in_name_round_trips(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = run 50%\nframes = 3\nframe_w = 500\nframe_h = 300\n\n"
+            "[object.a]\nclass = car\nentry = 0\nexit = 2\nbox = 50 50 150 120\n\n"
+            "[source.proposal]\n\n[source.refine]\n"
+        )
+        seq = tmp_path / "g"
+        assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(seq)) == 0
+        assert "sequence_id = run 50%\n" in (seq / "meta.cfg").read_text()
+        assert run_cli("run", "--sequence", str(seq), "--mode", "catdet",
+                       "--out", str(tmp_path / "r")) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("run 50%: 3 frames")
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_bad_seed_option_is_usage_error(self, tmp_path, capsys, seed):

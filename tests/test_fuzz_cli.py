@@ -2,10 +2,11 @@
 
 Each test starts from a tiny valid file, applies one to three mutations
 (fields dropped, duplicated or added; values replaced by non-numeric,
-non-finite, negative or huge ones; lines dropped or duplicated; an unknown
-section or key; a non-UTF-8 byte; an empty file) and runs the CLI command
-that reads it. The command must exit 0, or exit 1 or 2 with a message naming
-the file. Examples are derandomised, so every run checks the same cases.
+non-finite, negative, huge or '%'; lines dropped or duplicated; an unknown
+section or key; a [DEFAULT] section; a non-UTF-8 byte; an empty file) and
+runs the CLI command that reads it. The command must exit 0, or exit 1 or 2
+with a message naming the file. Examples are derandomised, so every run
+checks the same cases.
 """
 
 import tempfile
@@ -103,7 +104,7 @@ max_occlusion = 1
 
 # Integers stay small: a huge frame count or recall-point count asks for a
 # correspondingly huge (valid) job. "1e308" is huge for floats and not an int.
-VALUES = ["x", "nan", "inf", "-inf", "-1", "0", "-1e308", "1e308", "1e-308"]
+VALUES = ["x", "nan", "inf", "-inf", "-1", "0", "-1e308", "1e308", "1e-308", "%"]
 
 
 @st.composite
@@ -114,7 +115,8 @@ def mutated(draw, text: str) -> bytes:
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(
             ["drop_field", "dup_field", "extra_field", "value", "value", "value",
-             "drop_line", "dup_line", "unknown_section", "unknown_key", "not_utf8", "empty"]
+             "drop_line", "dup_line", "unknown_section", "default_section", "unknown_key",
+             "not_utf8", "empty"]
         ))
         if op == "empty":
             return b""
@@ -142,6 +144,8 @@ def mutated(draw, text: str) -> bytes:
             lines.insert(i, list(line))
         elif op == "unknown_key":
             lines.insert(i + 1, ["bogus", "=", "1"])
+        elif op == "default_section":  # the lines up to the next section header join it
+            lines[i:i] = [["[DEFAULT]"], ["bogus", "=", "1"]]
         else:
             bad_byte_at = draw(spot)
     data = "".join(" ".join(line) + "\n" for line in lines).encode("utf-8")

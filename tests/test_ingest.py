@@ -223,7 +223,7 @@ class TestSynthetic:
         p = tmp_path / "s.cfg"
         p.write_text(SCENARIO_TEXT)
         s = parse_scenario(p)
-        assert s.frame_count == 10 and len(s.objects) == 1
+        assert s.meta.frame_count == 10 and len(s.objects) == 1
         assert s.sources["proposal"].miss_prob == 0.3
 
     def test_zero_noise_refine_equals_ground_truth(self, tmp_path):
@@ -240,10 +240,7 @@ class TestSynthetic:
 
     def test_full_miss_probability_empties_source(self):
         scenario = SyntheticScenario(
-            name="x",
-            frame_count=5,
-            frame_w=100,
-            frame_h=100,
+            meta=SequenceMeta("x", 5, 100, 100),
             seed=1,
             objects=[ObjectScript("a", "car", 0, 4, BoundingBox(10, 10, 40, 40))],
             sources={"proposal": NoiseModel(miss_prob=1.0), "refine": NoiseModel()},
@@ -267,10 +264,7 @@ class TestSynthetic:
 
     def test_object_leaving_frame_truncates(self):
         scenario = SyntheticScenario(
-            name="x",
-            frame_count=8,
-            frame_w=100,
-            frame_h=100,
+            meta=SequenceMeta("x", 8, 100, 100),
             seed=1,
             objects=[ObjectScript("a", "car", 0, 7, BoundingBox(60, 10, 90, 40), (10, 0, 0))],
             sources={},

@@ -222,11 +222,6 @@ class TestStep:
             tracker.step(frame, [det(0, 0, 50, 50, frame=frame)])
             assert len(tracker.tracks) == 1
 
-    def test_unknown_class_rejected(self):
-        tracker = Tracker(TrackerConfig(), FRAME_W, FRAME_H, known_classes={0})
-        with pytest.raises(ValueError, match="unknown class"):
-            tracker.step(0, [det(0, 0, 50, 50, class_id=7)])
-
     def test_per_class_isolation(self):
         tracker = simple_tracker()
         tracker.step(0, [det(0, 0, 50, 50, class_id=0), det(0, 0, 50, 50, class_id=1)])
