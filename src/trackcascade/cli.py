@@ -160,27 +160,16 @@ def _write_run_outputs(
     inputs,
     result: SequenceResult,
     dump_masks: bool,
-    force: bool,
 ) -> None:
-    with _atomic_dir(out, force) as tmp:
-        final = [d for r in result.frames for d in r.final_detections]
-        write_detections(final, class_map, tmp / "detections.txt")
-        write_work_records(result.frames, result.total, tmp / "work.txt")
-        outputs = ["detections.txt", "work.txt", "manifest.json"]
-        if dump_masks:
-            write_mask_dump(result.frames, tmp / "masks.txt")
-            outputs.append("masks.txt")
-        write_manifest(
-            tmp / "manifest.json", "run", settings.snapshot(), inputs, outputs, meta=meta
-        )
-    if class_map.flagged:
-        print(f"note: dropped detections of unconfigured classes: {sorted(class_map.flagged)}")
-    t = result.total
-    print(
-        f"{meta.sequence_id}: {len(result.frames)} frames, "
-        f"total {t.total_ops:.1f} Gops (proposal {t.proposal_ops:.1f}, "
-        f"refinement {t.refine_ops:.1f}) -> {out}"
-    )
+    """Write one sequence's outputs into the existing directory `out`."""
+    final = [d for r in result.frames for d in r.final_detections]
+    write_detections(final, class_map, out / "detections.txt")
+    write_work_records(result.frames, result.total, out / "work.txt")
+    outputs = ["detections.txt", "work.txt", "manifest.json"]
+    if dump_masks:
+        write_mask_dump(result.frames, out / "masks.txt")
+        outputs.append("masks.txt")
+    write_manifest(out / "manifest.json", "run", settings.snapshot(), inputs, outputs, meta=meta)
 
 
 def cmd_run(args) -> int:
@@ -189,25 +178,36 @@ def cmd_run(args) -> int:
     sequences = [Path(s) for s in args.sequence]
     out_root = Path(args.out)
     metas = [parse_meta(seq / "meta.cfg") for seq in sequences]
-    if len(sequences) == 1:
-        outs = [out_root]
-    else:
-        ids = [meta.sequence_id for meta in metas]
-        for i, sequence_id in enumerate(ids):
-            if sequence_id in ids[:i]:
-                raise DataError(
-                    f"duplicate sequence id {sequence_id!r}: each sequence of a run "
-                    "needs its own output directory",
-                    str(sequences[i] / "meta.cfg"),
-                )
-        outs = [out_root / sequence_id for sequence_id in ids]
+    single = len(sequences) == 1
+    ids = [meta.sequence_id for meta in metas]
+    for i, sequence_id in enumerate([] if single else ids):  # each names a directory in --out
+        if sequence_id in ids[:i]:
+            problem = f"duplicate sequence id {sequence_id!r}"
+        elif sequence_id in ("", ".", "..") or any(ch in sequence_id for ch in "/\\\0"):
+            problem = f"sequence id {sequence_id!r} is not a plain directory name"
+        else:
+            continue
+        raise DataError(
+            f"{problem}: each sequence of a run needs its own output directory",
+            str(sequences[i] / "meta.cfg"),
+        )
 
-    # Every sequence runs before any is written, so a bad input in any of
-    # them leaves no output behind.
+    # All sequences run before --out is staged and then published as a whole.
     executed = [_run_one_sequence(settings, seq, meta) for seq, meta in zip(sequences, metas)]
-    for out, meta, (class_map, inputs, result) in zip(outs, metas, executed):
-        _write_run_outputs(
-            settings, out, meta, class_map, inputs, result, args.dump_masks, args.force
+    with _atomic_dir(out_root, args.force) as tmp:
+        for meta, outcome in zip(metas, executed):
+            out = tmp if single else tmp / meta.sequence_id
+            out.mkdir(exist_ok=True)
+            _write_run_outputs(settings, out, meta, *outcome, args.dump_masks)
+    for meta, (class_map, _, result) in zip(metas, executed):
+        out = out_root if single else out_root / meta.sequence_id
+        if class_map.flagged:
+            print(f"note: dropped detections of unconfigured classes: {sorted(class_map.flagged)}")
+        t = result.total
+        print(
+            f"{meta.sequence_id}: {len(result.frames)} frames, "
+            f"total {t.total_ops:.1f} Gops (proposal {t.proposal_ops:.1f}, "
+            f"refinement {t.refine_ops:.1f}) -> {out}"
         )
     return EXIT_OK
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .errors import DataError
 from .geometry import BoundingBox, Detection, score_order
 from .metrics import GroundTruthTrack, GtEntry
@@ -459,6 +457,8 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     (frames ascending, objects in script order, sources in name order), so a
     given scenario is reproducible bit for bit.
     """
+    import numpy as np  # only the generator needs it; keeps it out of every other command
+
     meta = scenario.meta
     rng = np.random.default_rng(scenario.seed)
     class_names = sorted({o.class_name.strip().lower() for o in scenario.objects})

@@ -7,12 +7,10 @@ predicted next-frame box as a proposal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
+from ._lsap import linear_sum_assignment
 from .geometry import BoundingBox, Detection, iou, score_order
 
 Vec3 = tuple[float, float, float]
@@ -64,9 +62,11 @@ class TrackState:
             raise ValueError("confidence and misses must be >= 0")
 
 
-def _center_width(box: BoundingBox) -> Vec3:
-    cx, cy = box.center
-    return (cx, cy, box.width)
+def _observation(box: BoundingBox) -> tuple[Vec3, float]:
+    """A box as a track position (center x, center y, width) and aspect."""
+    x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+    width = x2 - x1
+    return ((x1 + x2) / 2.0, (y1 + y2) / 2.0, width), (y2 - y1) / width
 
 
 def predict(state: TrackState) -> BoundingBox:
@@ -90,25 +90,17 @@ def update_motion(
     gains `match_gain` up to the cap and the miss counter resets.
     """
     eta = config.decay_eta
-    motion = tuple(
-        eta * m + (1.0 - eta) * (new - old)
-        for m, new, old in zip(state.motion, matched_position, state.position)
-    )
-    return replace(
-        state,
+    obs = 1.0 - eta
+    (mx, my, mw), (px, py, pw) = state.motion, state.position
+    nx, ny, nw = matched_position
+    return TrackState(
         position=matched_position,
-        motion=motion,
+        motion=(eta * mx + obs * (nx - px), eta * my + obs * (ny - py), eta * mw + obs * (nw - pw)),
         aspect=matched_aspect,
         confidence=min(state.confidence + config.match_gain, config.confidence_cap),
-        misses=0,
+        class_id=state.class_id,
+        track_id=state.track_id,
     )
-
-
-def _coast(state: TrackState) -> TrackState:
-    # Unmatched track: advance the position by the frozen motion so that
-    # re-association happens at the extrapolated location.
-    x, y, s = (p + m for p, m in zip(state.position, state.motion))
-    return replace(state, position=(x, y, max(s, _MIN_TRACK_WIDTH)))
 
 
 def _canonical_det_order(detections: Sequence[Detection]) -> list[int]:
@@ -141,26 +133,33 @@ def associate(
     if not predictions or not detections:
         return [], [tid for tid, _ in predictions], list(range(len(detections)))
 
+    beta = max(beta, 0.0)  # an IoU of 0 is never relevant
     det_order = _canonical_det_order(detections)
-    # A relevant pair costs -IoU < 0 (IoU > beta >= 0); every other pair costs 0.
-    cost = np.zeros((len(predictions), len(detections)))
+    det_boxes = [detections[di].box for di in det_order]
+    relevant: list[tuple[int, int, float]] = []  # (track row, detection column, IoU > beta)
     for ti, (_, box) in enumerate(predictions):
-        for ci, di in enumerate(det_order):
-            v = iou(box, detections[di].box)
+        x1, x2 = box.x1, box.x2
+        for ci, det_box in enumerate(det_boxes):
+            if det_box.x1 >= x2 or det_box.x2 <= x1:
+                continue  # apart along x: IoU 0 (NaN for infinite boxes), never relevant
+            v = iou(box, det_box)
             if v > beta:
-                cost[ti, ci] = -v
+                relevant.append((ti, ci, v))
 
-    rows, cols = linear_sum_assignment(cost)
-    matches: list[tuple[int, int]] = []
-    matched_tracks: set[int] = set()
-    matched_dets: set[int] = set()
-    for r, c in zip(rows, cols):
-        if cost[r, c] < 0:
-            matches.append((predictions[r][0], det_order[c]))
-            matched_tracks.add(r)
-            matched_dets.add(c)
-
-    matches.sort()
+    if len({r for r, _, _ in relevant}) == len(relevant) == len({c for _, c, _ in relevant}):
+        # No track and no detection has two relevant partners: every optimal
+        # assignment holds exactly the relevant pairs, so skip the solver.
+        pairs = [(r, c) for r, c, _ in relevant]
+    else:
+        # A relevant pair costs -IoU < 0; every other pair costs 0.
+        cost = [[0.0] * len(det_boxes) for _ in predictions]
+        for r, c, v in relevant:
+            cost[r][c] = -v
+        rows, cols = linear_sum_assignment(cost)
+        pairs = [(r, c) for r, c in zip(rows, cols) if cost[r][c] < 0]
+    matched_tracks = {r for r, _ in pairs}
+    matched_dets = {c for _, c in pairs}
+    matches = sorted((predictions[r][0], det_order[c]) for r, c in pairs)
     lost = sorted(predictions[r][0] for r in range(len(predictions)) if r not in matched_tracks)
     emerging = [det_order[c] for c in range(len(detections)) if c not in matched_dets]
     return matches, lost, emerging
@@ -214,28 +213,34 @@ class Tracker:
             by_id = {t.track_id: t for t in tracks_c}
 
             for track_id, det_index in matches:
-                det = dets_c[det_index]
-                survivors.append(
-                    update_motion(
-                        by_id[track_id],
-                        _center_width(det.box),
-                        det.box.height / det.box.width,
-                        cfg,
-                    )
-                )
+                position, aspect = _observation(dets_c[det_index].box)
+                survivors.append(update_motion(by_id[track_id], position, aspect, cfg))
             for track_id in lost:
                 t = by_id[track_id]
                 confidence = t.confidence - cfg.miss_cost
                 if confidence < 0:
                     continue  # discarded
-                survivors.append(replace(_coast(t), confidence=confidence, misses=t.misses + 1))
-            for det_index in emerging:
-                det = dets_c[det_index]
+                # Coast: advance by the frozen motion so that re-association
+                # happens at the extrapolated location.
+                (px, py, pw), (mx, my, mw) = t.position, t.motion
                 survivors.append(
                     TrackState(
-                        position=_center_width(det.box),
+                        position=(px + mx, py + my, max(pw + mw, _MIN_TRACK_WIDTH)),
+                        motion=t.motion,
+                        aspect=t.aspect,
+                        confidence=confidence,
+                        class_id=class_id,
+                        track_id=track_id,
+                        misses=t.misses + 1,
+                    )
+                )
+            for det_index in emerging:
+                position, aspect = _observation(dets_c[det_index].box)
+                survivors.append(
+                    TrackState(
+                        position=position,
                         motion=(0.0, 0.0, 0.0),
-                        aspect=det.box.height / det.box.width,
+                        aspect=aspect,
                         confidence=min(cfg.match_gain, cfg.confidence_cap),
                         class_id=class_id,
                         track_id=self._next_id,
@@ -248,17 +253,22 @@ class Tracker:
         return self._emit(frame_index + 1)
 
     def _emit(self, frame_index: int) -> list[Detection]:
+        cfg = self.config
+        frame_w, frame_h = self.frame_w, self.frame_h
         out: list[Detection] = []
-        self._predicted = {t.track_id: predict(t) for t in self._tracks}
+        self._predicted = predicted = {}
         for t in self._tracks:
-            box = self._predicted[t.track_id]
-            if box.width < self.config.min_width or box.area <= 0:
+            box = predicted[t.track_id] = predict(t)
+            x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+            area = (x2 - x1) * (y2 - y1)
+            if x2 - x1 < cfg.min_width or area <= 0:
                 continue
-            clipped = box.clip(self.frame_w, self.frame_h)
-            if 1.0 - clipped.area / box.area > self.config.boundary_chop_fraction:
-                continue
-            if clipped.area <= 0:
-                continue
-            out.append(Detection(clipped, t.class_id, 1.0, frame_index))
+            # A box inside the frame clips to itself and loses nothing to the chop.
+            if not (0.0 <= x1 and 0.0 <= y1 and x2 <= frame_w and y2 <= frame_h):
+                clipped = box.clip(frame_w, frame_h)
+                if 1.0 - clipped.area / area > cfg.boundary_chop_fraction or clipped.area <= 0:
+                    continue
+                box = clipped
+            out.append(Detection(box, t.class_id, 1.0, frame_index))
         out.sort(key=score_order)  # every score is 1.0: by x1, y1, area, class
         return out

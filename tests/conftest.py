@@ -1,6 +1,8 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from trackcascade import (
     BoundingBox,
@@ -15,7 +17,8 @@ from trackcascade import (
     write_meta,
 )
 from trackcascade.cascade import MASK_MIN_OVERLAP
-from trackcascade.geometry import score_order
+from trackcascade.geometry import iou, score_order
+from trackcascade.tracker import _canonical_det_order, predict
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,3 +168,49 @@ def reference_nms(dets, threshold, class_agnostic):
         if all(reference_iou(d.box, k.box) <= threshold for k in rivals):
             kept.append(d)
     return kept
+
+
+def reference_associate(predictions, detections, beta):
+    """`associate` on a numpy cost matrix through scipy's solver, for every input."""
+    if not predictions or not detections:
+        return [], [tid for tid, _ in predictions], list(range(len(detections)))
+
+    det_order = _canonical_det_order(detections)
+    cost = np.zeros((len(predictions), len(detections)))
+    for ti, (_, box) in enumerate(predictions):
+        for ci, di in enumerate(det_order):
+            v = iou(box, detections[di].box)
+            if v > beta:
+                cost[ti, ci] = -v
+
+    rows, cols = linear_sum_assignment(cost)
+    matches = []
+    matched_tracks = set()
+    matched_dets = set()
+    for r, c in zip(rows, cols):
+        if cost[r, c] < 0:
+            matches.append((predictions[r][0], det_order[c]))
+            matched_tracks.add(r)
+            matched_dets.add(c)
+
+    matches.sort()
+    lost = sorted(predictions[r][0] for r in range(len(predictions)) if r not in matched_tracks)
+    emerging = [det_order[c] for c in range(len(detections)) if c not in matched_dets]
+    return matches, lost, emerging
+
+
+def reference_emit(tracks, config, frame_w, frame_h, frame_index):
+    """`Tracker` emission clipping every prediction and reading areas off the boxes."""
+    out = []
+    for t in tracks:
+        box = predict(t)
+        if box.width < config.min_width or box.area <= 0:
+            continue
+        clipped = box.clip(frame_w, frame_h)
+        if 1.0 - clipped.area / box.area > config.boundary_chop_fraction:
+            continue
+        if clipped.area <= 0:
+            continue
+        out.append(Detection(clipped, t.class_id, 1.0, frame_index))
+    out.sort(key=score_order)
+    return out

@@ -1,18 +1,25 @@
-"""The per-frame box algebra's fast paths against the straightforward code they replace.
+"""The per-frame fast paths against the straightforward code they replace.
 
 Every property requires exact equality with the oracle in conftest.py: the
 same float bits (compared through `repr`, which `work.txt` prints) and the
 same lists and region tuples, since the run outputs must stay byte-identical.
+The tracker's assignment solver must return exactly scipy's pairs.
 Boxes sit on a coarse lattice, so shared edges, duplicates, zero-area boxes,
 boxes hanging outside the frame and overlaps of exactly one half are common.
 Examples are derandomised, so every run checks the same cases.
 """
 
+import dataclasses
 from unittest import mock
 
+import numpy as np
+import pytest
+import scipy.optimize
 from conftest import (
+    reference_associate,
     reference_clip_regions,
     reference_detect,
+    reference_emit,
     reference_from_boxes,
     reference_iou,
     reference_nms,
@@ -29,12 +36,16 @@ from trackcascade import (
     RegionMask,
     Tracker,
     TrackerConfig,
+    TrackState,
+    associate,
     cascade,
     iou,
     nms,
     predict,
     union_area,
+    update_motion,
 )
+from trackcascade._lsap import linear_sum_assignment
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FRAME_W, FRAME_H = 40.0, 30.0
@@ -172,11 +183,126 @@ class TestTrackerPredictions:
         st.sampled_from([0.0, 2.0, 10.0]),
     )
     def test_cached_prediction_is_predict_of_every_live_track(self, frames, min_width):
-        tracker = Tracker(TrackerConfig(min_width=min_width), FRAME_W, FRAME_H)
+        config = TrackerConfig(min_width=min_width)
+        tracker = Tracker(config, FRAME_W, FRAME_H)
         for _ in range(2):  # a reset tracker must start from an empty cache
             for frame, boxes in enumerate(frames):
-                tracker.step(frame, detections(boxes, frame))
+                emitted = tracker.step(frame, detections(boxes, frame))
                 want = {t.track_id: predict(t) for t in tracker.tracks}
                 assert tracker._predicted == want
+                assert repr(emitted) == repr(
+                    reference_emit(tracker.tracks, config, FRAME_W, FRAME_H, frame + 1)
+                )
             tracker.reset()
             assert tracker._predicted == {}
+
+
+def scipy_assignment(matrix, n, m):
+    rows, cols = scipy.optimize.linear_sum_assignment(np.array(matrix, dtype=float).reshape(n, m))
+    return rows.tolist(), cols.tolist()
+
+
+@st.composite
+def cost_matrices(draw, values, max_side=8):
+    """(rows, n, m): an n x m matrix as a list of rows; either side may be 0."""
+    n = draw(st.integers(0, max_side))
+    m = draw(st.integers(0, max_side))
+    return [[draw(values) for _ in range(m)] for _ in range(n)], n, m
+
+
+TIED = st.sampled_from([0.0, -0.25, -0.5, -1.0])
+# The tracker's shape: mostly 0 (not relevant), else -IoU.
+NEG_IOU = st.one_of(st.just(0.0), st.just(0.0), st.floats(0.01, 1.0).map(lambda v: -v))
+
+
+class TestAssignment:
+    @PROPERTY
+    @given(cost_matrices(TIED))
+    def test_tied_matrix_same_pairs_as_scipy(self, matrix):
+        assert linear_sum_assignment(matrix[0]) == scipy_assignment(*matrix)
+
+    @PROPERTY
+    @given(cost_matrices(NEG_IOU, max_side=15))
+    def test_sparse_iou_matrix_same_pairs_as_scipy(self, matrix):
+        assert linear_sum_assignment(matrix[0]) == scipy_assignment(*matrix)
+
+    @PROPERTY
+    @given(st.integers(1, 5), st.integers(1, 5), st.lists(st.one_of(TIED, NEG_IOU), min_size=50))
+    def test_rectangular_matrix_same_pairs_as_scipy(self, a, b, values):
+        # Wide, then tall (transposed internally); never square.
+        for n, m in ((a, a + b), (a + b, a)):
+            matrix = [values[i * m : (i + 1) * m] for i in range(n)]
+            assert linear_sum_assignment(matrix) == scipy_assignment(matrix, n, m)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_side_assigns_nothing(self, n, m):
+        matrix = [[0.0] * m for _ in range(n)]
+        assert linear_sum_assignment(matrix) == scipy_assignment(matrix, n, m) == ([], [])
+
+
+class TestAssociate:
+    @PROPERTY
+    @given(st.data(), lattice(), st.sampled_from([0.0, 0.1, 1 / 3, 0.5]))
+    def test_same_buckets_as_scipy_oracle(self, data, coord, beta):
+        track_boxes = data.draw(box_lists(max_size=8, coord=coord))
+        # Detections near some of the tracks, as when objects move a little, plus clutter.
+        near_to = data.draw(st.lists(st.sampled_from(track_boxes), max_size=6)) if track_boxes else []
+        shift = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+        near = []
+        for b in near_to:
+            dx, dy = data.draw(shift), data.draw(shift)
+            near.append(BoundingBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy))
+        det_boxes = data.draw(st.permutations(near + data.draw(box_lists(max_size=4, coord=coord))))
+        ids = data.draw(st.permutations(range(1, len(track_boxes) + 1)))
+        preds = list(zip(ids, track_boxes))
+        dets = detections(det_boxes)
+
+        solved = []
+
+        def spy(cost):
+            solved.append(cost)
+            return real(cost)
+
+        real = linear_sum_assignment
+        with mock.patch("trackcascade.tracker.linear_sum_assignment", spy):
+            got = associate(preds, dets, beta)
+        assert got == reference_associate(preds, dets, beta)
+        # The solver runs only when a track or a detection has two relevant partners.
+        relevant = [(t, d) for t, b in preds for d, det in enumerate(dets) if iou(b, det.box) > beta]
+        contested = len(relevant) > min(len({t for t, _ in relevant}), len({d for _, d in relevant}))
+        assert bool(solved) == contested
+
+
+def reference_update_motion(state, matched_position, matched_aspect, config):
+    """`update_motion` through `dataclasses.replace` and a generator over the axes."""
+    eta = config.decay_eta
+    motion = tuple(
+        eta * m + (1.0 - eta) * (new - old)
+        for m, new, old in zip(state.motion, matched_position, state.position)
+    )
+    return dataclasses.replace(
+        state,
+        position=matched_position,
+        motion=motion,
+        aspect=matched_aspect,
+        confidence=min(state.confidence + config.match_gain, config.confidence_cap),
+        misses=0,
+    )
+
+
+class TestMotion:
+    @PROPERTY
+    @given(
+        st.lists(st.floats(-50.0, 50.0), min_size=9, max_size=9),
+        st.sampled_from([0.0, 0.3, 0.7, 1.0, 1 / 3]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+    )
+    def test_update_motion_same_floats_as_replace(self, xs, eta, confidence, misses):
+        state = TrackState((xs[0], xs[1], abs(xs[2]) + 1.0), (xs[3], xs[4], xs[5]), 1.5,
+                           confidence, 1, 7, misses)
+        config = TrackerConfig(decay_eta=eta)
+        observed = (xs[6], xs[7], abs(xs[8]) + 1.0)
+        got = update_motion(state, observed, 0.8, config)
+        want = reference_update_motion(state, observed, 0.8, config)
+        assert repr(got) == repr(want)

@@ -5,8 +5,10 @@ Each test starts from a tiny valid file, applies one to three mutations
 non-finite, negative, huge or '%'; lines dropped or duplicated; an unknown
 section or key; a [DEFAULT] section; a non-UTF-8 byte; an empty file) and
 runs the CLI command that reads it. The command must exit 0, or exit 1 or 2
-with a message naming the file. Examples are derandomised, so every run
-checks the same cases.
+with a message naming the file. A run of two sequences, whose ids name
+directories in --out, must also write nothing outside --out and leave --out
+as it was when it fails. Examples are derandomised, so every run checks the
+same cases.
 """
 
 import tempfile
@@ -155,9 +157,9 @@ def mutated(draw, text: str) -> bytes:
     return data
 
 
-def _sequence(root: Path, name: str = "", data: bytes = b"") -> Path:
+def _sequence(root: Path, name: str = "", data: bytes = b"", dirname: str = "seq") -> Path:
     """A valid sequence directory whose file `name`, if given, holds `data`."""
-    seq = root / "seq"
+    seq = root / dirname
     seq.mkdir()
     texts = {"meta.cfg": META, "proposal.txt": DETECTIONS, "refine.txt": DETECTIONS,
              "labels.txt": LABELS}
@@ -167,7 +169,7 @@ def _sequence(root: Path, name: str = "", data: bytes = b"") -> Path:
     return seq
 
 
-def _check(argv: list[str], spoiled: Path) -> None:
+def _check(argv: list[str], spoiled: Path) -> int:
     """Run the CLI; a failure must be exit 1 or 2 and name the spoiled file."""
     err = StringIO()
     try:
@@ -178,6 +180,7 @@ def _check(argv: list[str], spoiled: Path) -> None:
     assert code in (0, 1, 2), (code, err.getvalue())
     if code:
         assert str(spoiled) in err.getvalue(), err.getvalue()
+    return code
 
 
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -225,3 +228,56 @@ def test_config(config):
         _check(["run", "--sequence", str(seq), "--config", str(path), "--out", f"{tmp}/o"], path)
         _check(["eval", "--gt", str(seq / "labels.txt"), "--det", str(seq / "refine.txt"),
                 "--config", str(path)], path)
+
+
+def _files(root: Path) -> set[Path]:
+    return set(root.rglob("*"))
+
+
+def _check_two_sequence_run(root: Path, second_meta: bytes, force: bool) -> int:
+    """Run two sequences, the second with `second_meta`; only --out may change.
+
+    --out exists beforehand when `force` is set, and after a failed run it
+    must be left as it was (absent, or the old content).
+    """
+    first = _sequence(root, dirname="first")
+    second = _sequence(root, "meta.cfg", second_meta, dirname="second")
+    out = root / "runs" / "out"
+    if force:
+        out.mkdir(parents=True)
+        (out / "old.txt").write_text("old")
+    before = _files(root)
+    code = _check(["run", "--sequence", str(first), "--sequence", str(second), "--mode", "single",
+                   "--out", str(out), *(["--force"] if force else [])], second / "meta.cfg")
+    outside = {p for p in _files(root) - before if p != out and out not in p.parents}
+    assert not outside, sorted(outside)
+    if code:
+        assert _files(root) == before
+    return code
+
+
+# Each is an exit 2 as the id of a sequence in a run of two.
+BAD_IDS = ["", ".", "..", "../../escaped", "a/b", "..\\escaped", "a\\b", "a\x00b"]
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("sequence_id", BAD_IDS)
+def test_run_rejects_id_that_is_no_directory_name(sequence_id, force):
+    meta = META.replace("sequence_id = fz", f"sequence_id = {sequence_id}")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _check_two_sequence_run(Path(tmp), meta.encode(), force) == 2
+
+
+@pytest.mark.parametrize("sequence_id", BAD_IDS)
+def test_single_sequence_run_accepts_any_id(sequence_id):
+    meta = META.replace("sequence_id = fz", f"sequence_id = {sequence_id}")
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = _sequence(Path(tmp), "meta.cfg", meta.encode())
+        assert _check(["run", "--sequence", str(seq), "--out", f"{tmp}/o"], seq / "meta.cfg") == 0
+
+
+@FUZZ
+@given(meta=mutated(META.replace("sequence_id = fz", "sequence_id = other")), force=st.booleans())
+def test_two_sequence_run_writes_only_out(meta, force):
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_two_sequence_run(Path(tmp), meta, force)
