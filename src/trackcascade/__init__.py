@@ -10,7 +10,6 @@ generator.
 __version__ = "0.1.0"
 
 from .cascade import (
-    DetectorSource,
     FileBackedSource,
     FrameResult,
     Pipeline,
@@ -84,7 +83,6 @@ __all__ = [
     "associate",
     "predict",
     "update_motion",
-    "DetectorSource",
     "FileBackedSource",
     "Pipeline",
     "PipelineConfig",

@@ -13,7 +13,6 @@ detections.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,33 +26,15 @@ MODES = ("single", "cascaded", "catdet")
 MASK_MIN_OVERLAP = 0.5  # share of a detection's area that must lie inside the mask
 
 
-class DetectorSource(ABC):
-    """A pluggable detection oracle.
-
-    Given an optional region mask, a source must return only detections whose
-    boxes intersect the mask; the optional proposal list tells a real
-    two-stage detector what to classify.
-    """
-
-    name: str = "source"
-
-    @abstractmethod
-    def detect(
-        self,
-        frame_index: int,
-        mask: RegionMask | None = None,
-        proposals: Sequence[Detection] | None = None,
-    ) -> list[Detection]:
-        raise NotImplementedError
-
-
-class FileBackedSource(DetectorSource):
+class FileBackedSource:
     """Replays stored full-frame detections, simulating masked execution.
 
     A stored detection survives masking iff at least MASK_MIN_OVERLAP of
     its own area lies inside the mask union (a real network needs the object
     mostly inside the computed-feature region). Frames outside
     [0, frame_count) raise MissingFrameError when a frame count is known.
+    Pipeline calls only `detect(frame_index, mask=None)`, so any object with
+    that method can stand in for a real detector.
     """
 
     def __init__(
@@ -66,7 +47,7 @@ class FileBackedSource(DetectorSource):
         self.name = name
         self.frame_count = frame_count
 
-    def detect(self, frame_index, mask=None, proposals=None) -> list[Detection]:
+    def detect(self, frame_index: int, mask: RegionMask | None = None) -> list[Detection]:
         if frame_index < 0 or (self.frame_count is not None and frame_index >= self.frame_count):
             raise MissingFrameError(
                 f"source {self.name!r} cannot serve frame {frame_index} "
@@ -152,8 +133,8 @@ class Pipeline:
         self,
         config: PipelineConfig,
         meta: SequenceMeta,
-        refine_source: DetectorSource,
-        proposal_source: DetectorSource | None = None,
+        refine_source: FileBackedSource,
+        proposal_source: FileBackedSource | None = None,
         known_classes: set[int] | None = None,
     ):
         if config.mode != "single" and proposal_source is None:
@@ -205,9 +186,7 @@ class Pipeline:
         refine_proposals = nms(tracker_boxes + proposal_boxes, cfg.proposal_dedup_iou)
         mask = RegionMask.from_boxes((d.box for d in refine_proposals), w, h, cfg.margin)
 
-        refined = self._known(
-            self.refine_source.detect(frame_index, mask=mask, proposals=refine_proposals)
-        )
+        refined = self._known(self.refine_source.detect(frame_index, mask=mask))
         final = nms(refined, cfg.nms_iou, cfg.class_agnostic_nms)
 
         # In cascaded mode the tracker mask is empty, so its attribution is a

@@ -21,7 +21,7 @@ from .config import Settings, load_settings
 # work.txt; they stay importable from this module because perfbench/tracing.py
 # hooks them on it (ROADMAP item 1).
 from .costmodel import WorkReport, refine_cost  # noqa: F401
-from .errors import DataError, EvaluationRefused
+from .errors import DataError
 from .ingest import (
     ClassMap,
     SequenceMeta,
@@ -119,7 +119,12 @@ def _build_parser() -> _Parser:
 @contextlib.contextmanager
 def _atomic_dir(out: Path, force: bool):
     """Stage outputs in a temp dir and publish it as `out` on success."""
-    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise DataError(f"--out is a file, not a directory: {out}")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise DataError(f"--out lies under a file: {out}") from None
     tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
         yield tmp
@@ -178,13 +183,13 @@ def cmd_run(args) -> int:
     sequences = [Path(s) for s in args.sequence]
     out_root = Path(args.out)
     metas = [parse_meta(seq / "meta.cfg") for seq in sequences]
-    single = len(sequences) == 1
-    ids = [meta.sequence_id for meta in metas]
-    for i, sequence_id in enumerate([] if single else ids):  # each names a directory in --out
-        if sequence_id in ids[:i]:
-            problem = f"duplicate sequence id {sequence_id!r}"
-        elif sequence_id in ("", ".", "..") or any(ch in sequence_id for ch in "/\\\0"):
-            problem = f"sequence id {sequence_id!r} is not a plain directory name"
+    # A lone sequence writes into --out itself, each of several into its own subdirectory.
+    subdirs = [""] if len(sequences) == 1 else [meta.sequence_id for meta in metas]
+    for i, subdir in enumerate(subdirs if len(subdirs) > 1 else []):
+        if subdir in subdirs[:i]:
+            problem = f"duplicate sequence id {subdir!r}"
+        elif subdir in ("", ".", "..") or any(ch in subdir for ch in "/\\\0"):
+            problem = f"sequence id {subdir!r} is not a plain directory name"
         else:
             continue
         raise DataError(
@@ -195,19 +200,17 @@ def cmd_run(args) -> int:
     # All sequences run before --out is staged and then published as a whole.
     executed = [_run_one_sequence(settings, seq, meta) for seq, meta in zip(sequences, metas)]
     with _atomic_dir(out_root, args.force) as tmp:
-        for meta, outcome in zip(metas, executed):
-            out = tmp if single else tmp / meta.sequence_id
-            out.mkdir(exist_ok=True)
-            _write_run_outputs(settings, out, meta, *outcome, args.dump_masks)
-    for meta, (class_map, _, result) in zip(metas, executed):
-        out = out_root if single else out_root / meta.sequence_id
+        for subdir, meta, outcome in zip(subdirs, metas, executed):
+            (tmp / subdir).mkdir(exist_ok=True)
+            _write_run_outputs(settings, tmp / subdir, meta, *outcome, args.dump_masks)
+    for subdir, meta, (class_map, _, result) in zip(subdirs, metas, executed):
         if class_map.flagged:
             print(f"note: dropped detections of unconfigured classes: {sorted(class_map.flagged)}")
         t = result.total
         print(
             f"{meta.sequence_id}: {len(result.frames)} frames, "
             f"total {t.total_ops:.1f} Gops (proposal {t.proposal_ops:.1f}, "
-            f"refinement {t.refine_ops:.1f}) -> {out}"
+            f"refinement {t.refine_ops:.1f}) -> {out_root / subdir}"
         )
     return EXIT_OK
 
@@ -273,7 +276,6 @@ def cmd_eval(args) -> int:
             eval_config,
             difficulty,
             labels.dontcare_by_frame,
-            with_delay=not sparse,
         )
         reports.append(report)
         _print_difficulty_report(report, class_map)
@@ -315,12 +317,28 @@ def cmd_eval(args) -> int:
 
 def _run_totals(run: Path) -> tuple[str, int, WorkReport]:
     """Mode, frame count and work.txt totals of one run; "/" sources become None."""
-    manifest_path = run / "manifest.json"
-    manifest = read_manifest(manifest_path)
-    mode = manifest.get("config", {}).get("pipeline", {}).get("mode")
-    frame_count = manifest.get("sequence", {}).get("frame_count")
+    where = str(run / "manifest.json")
+    manifest = read_manifest(where)
+
+    def lookup(*keys: str):
+        value = manifest
+        for depth, key in enumerate(keys):
+            if not isinstance(value, dict):
+                what = ".".join(keys[:depth]) or "top level"
+                raise DataError(f"not a run manifest ({what} is not an object)", where)
+            value = value.get(key)
+            if value is None:
+                break
+        return value
+
+    mode = lookup("config", "pipeline", "mode")
+    frame_count = lookup("sequence", "frame_count")
     if mode is None or frame_count is None:
-        raise DataError("not a run manifest (no pipeline mode or frame count)", str(manifest_path))
+        raise DataError("not a run manifest (no pipeline mode or frame count)", where)
+    if mode not in MODES:
+        raise DataError(f"unknown pipeline mode {mode!r}", where)
+    if type(frame_count) is not int or frame_count < 1:  # a bool is not a frame count
+        raise DataError(f"frame count must be an integer >= 1, got {frame_count!r}", where)
     total = parse_work_total(run / "work.txt")
     total = dataclasses.replace(
         total,
@@ -389,9 +407,6 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except EvaluationRefused as exc:
-        print(f"evaluation refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -67,15 +67,6 @@ class BoundingBox:
             return None
         return BoundingBox(x1, y1, x2, y2)
 
-    def hull(self, other: "BoundingBox") -> "BoundingBox":
-        """Smallest box containing both."""
-        return BoundingBox(
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
-            max(self.x2, other.x2),
-            max(self.y2, other.y2),
-        )
-
 
 @dataclass(frozen=True)
 class Detection:

@@ -232,7 +232,6 @@ class ClassEvalData:
     """Everything needed to derive curves, AP and delays for one class."""
 
     class_id: int
-    iou_threshold: float
     labels: list[DetLabel]  # sorted by descending score
     n_pos: int
     tracks: list[TrackDelayInfo]  # distinct track ids
@@ -331,7 +330,7 @@ def label_class_detections(
         for det in match.fp:
             labels.append(DetLabel(det.score, False, None, frame))
     labels.sort(key=lambda l: (-l.score, l.frame_index))
-    return ClassEvalData(class_id, iou_threshold, labels, n_pos, track_infos)
+    return ClassEvalData(class_id, labels, n_pos, track_infos)
 
 
 def average_precision(data: ClassEvalData, recall_points: int | None = 11) -> float | None:
@@ -420,7 +419,6 @@ def find_t_beta(per_class: Sequence[ClassEvalData], beta: float) -> float:
 
 @dataclass
 class ClassDelay:
-    threshold: float
     mean_delay: float
     counted_tracks: int
     never_detected: int
@@ -454,15 +452,13 @@ def mean_delay(per_class: Sequence[ClassEvalData], beta: float) -> DelayReport:
     report: dict[int, ClassDelay] = {}
     for data in counted:
         row = data.row_at(t)
-        report[data.class_id] = ClassDelay(t, data.delay(row), len(data.tracks), row.never)
+        report[data.class_id] = ClassDelay(data.delay(row), len(data.tracks), row.never)
     md = sum(c.mean_delay for c in report.values()) / len(report)
     return DelayReport(beta, t, report, md)
 
 
 @dataclass
 class ClassReport:
-    class_id: int
-    iou_threshold: float
     ap: float | None
     n_pos: int
     n_tracks: int
@@ -488,22 +484,17 @@ def evaluate_classes(
     config: EvalConfig,
     difficulty: DifficultyFilter,
     dontcare_regions: Mapping[int, Sequence[BoundingBox]] | None = None,
-    with_delay: bool = True,
 ) -> DifficultyReport:
     """Full per-difficulty evaluation: AP per class, mAP, and the delay report.
 
     With sparse annotations only frames carrying any annotation are
-    evaluated, and asking for delay raises EvaluationRefused.
+    evaluated, and delay is unmeasurable: the report's delays are all None.
     """
+    sparse = config.sparse_annotations
     labeled_frames: set[int] | None = None
-    if config.sparse_annotations:
+    if sparse:
         labeled_frames = {e.frame_index for t in tracks for e in t.frames}
         labeled_frames.update(dontcare_regions or {})
-        if with_delay:
-            raise EvaluationRefused(
-                "sparse annotation makes detection delay unmeasurable; "
-                "evaluate mAP only on the labeled frames"
-            )
 
     per_class: dict[int, ClassEvalData] = {}
     for class_id in sorted(config.match_iou):
@@ -521,15 +512,13 @@ def evaluate_classes(
     reports: dict[int, ClassReport] = {}
     for class_id, data in per_class.items():
         ap = average_precision(data, config.ap_recall_points)
-        delay = data.delay if with_delay else lambda row: None
+        delay = (lambda row: None) if sparse else data.delay
         curve = [
             (row.score, data.precision(row), data.recall(row), delay(row))
             for row in reversed(data.sweep[1:])
         ]
         base = data.sweep[-1]  # every label counted
         reports[class_id] = ClassReport(
-            class_id,
-            data.iou_threshold,
             ap,
             data.n_pos,
             len(data.tracks),
@@ -545,7 +534,7 @@ def evaluate_classes(
 
     delay_report = None
     delay_error = None
-    if with_delay:
+    if not sparse:
         try:
             delay_report = mean_delay(list(per_class.values()), config.beta)
         except (ValueError, EvaluationRefused) as exc:

@@ -68,6 +68,11 @@ def source_costs(tracker_mask, proposal_mask, union_mask, config, n_tracker, n_p
     )
 
 
+def hull(a, b):
+    """Smallest box containing both."""
+    return BoundingBox(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
+
+
 def reference_greedy_merge(regions, config, frame_w, frame_h):
     """Brute-force `greedy_merge`: rescan every pair after each merge, O(R^3).
 
@@ -85,15 +90,15 @@ def reference_greedy_merge(regions, config, frame_w, frame_h):
         best = None  # (saving, i, j, hull, hull_time)
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
-                hull = boxes[i].hull(boxes[j])
-                hull_time = region_time(hull)
+                merged = hull(boxes[i], boxes[j])
+                hull_time = region_time(merged)
                 saving = times[i] + times[j] - hull_time
                 if saving > 0 and (best is None or saving > best[0]):
-                    best = (saving, i, j, hull, hull_time)
+                    best = (saving, i, j, merged, hull_time)
         if best is None:
             break
-        _, i, j, hull, hull_time = best
-        boxes[i] = hull
+        _, i, j, merged, hull_time = best
+        boxes[i] = merged
         times[i] = hull_time
         del boxes[j], times[j]
     return boxes

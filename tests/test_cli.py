@@ -17,6 +17,7 @@ from trackcascade import (
     nms,
     parse_detections,
     parse_meta,
+    write_detections,
 )
 from trackcascade.cli import main
 from trackcascade.runio import (
@@ -27,6 +28,8 @@ from trackcascade.runio import (
 )
 
 from conftest import DATA, make_store, write_sequence
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 pytestmark = pytest.mark.usefixtures("fixed_epoch")
 
@@ -701,6 +704,36 @@ class TestCostReport:
             run_cli("cost-report", "--set", "cost.b=1", str(out))
         assert err.value.code == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: [1, 2],
+            lambda m: {**m, "config": "x"},
+            lambda m: {**m, "config": {**m["config"], "pipeline": 3}},
+            lambda m: {**m, "sequence": [4]},
+            lambda m: {**m, "config": {**m["config"], "pipeline": {"mode": ["catdet"]}}},
+            lambda m: {**m, "config": {**m["config"], "pipeline": {"mode": "turbo"}}},
+            lambda m: {**m, "sequence": {**m["sequence"], "frame_count": "4"}},
+            lambda m: {**m, "sequence": {**m["sequence"], "frame_count": 4.0}},
+            lambda m: {**m, "sequence": {**m["sequence"], "frame_count": 0}},
+            lambda m: {**m, "sequence": {**m["sequence"], "frame_count": True}},
+        ],
+        ids=["top_level", "config", "pipeline", "sequence", "mode_list", "mode_unknown",
+             "frames_text", "frames_float", "frames_zero", "frames_bool"],
+    )
+    def test_bad_manifest_is_data_error(self, seq_dir, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out)) == 0
+        manifest = out / "manifest.json"
+        spoiled = json.dumps(edit(json.loads(manifest.read_text())))
+        manifest.unlink()
+        manifest.write_text(spoiled)
+        capsys.readouterr()
+        assert run_cli("cost-report", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"error: {manifest}: " in captured.err
+        assert captured.out == ""
+
     def test_single_mode_report(self, seq_dir, tmp_path, capsys):
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "single",
@@ -714,6 +747,53 @@ class TestCostReport:
         assert fields["from_tracker_ops"] == "/" and fields["from_proposal_ops"] == "/"
         table = next(l for l in lines if l.startswith("out") and " single " in l)
         assert " / " in table
+
+
+def _command_argv(command: str, seq_dir: Path, out: Path) -> list[str]:
+    """A valid call of `command` that writes into `out`."""
+    if command == "run":
+        return ["run", "--sequence", str(seq_dir), "--mode", "single", "--out", str(out)]
+    if command == "eval":
+        return ["eval", "--gt", str(DATA / "fig4_labels.txt"),
+                "--det", str(DATA / "fig4_detections.txt"), "--out", str(out)]
+    return ["gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg"), "--out", str(out)]
+
+
+class TestBadOut:
+    """An --out that is a file, or lies under one, is a data error; nothing is written."""
+
+    @pytest.mark.parametrize("command", ["run", "eval", "gen-synthetic"])
+    @pytest.mark.parametrize(
+        "where, force",
+        [("afile", True), ("afile/sub", False), ("afile/sub", True), ("afile/x/sub", True)],
+    )
+    def test_file_in_out_path(self, seq_dir, tmp_path, capsys, command, where, force):
+        root = tmp_path / "outs"
+        root.mkdir()
+        (root / "afile").write_text("keep")
+        out = root / where
+        argv = _command_argv(command, seq_dir, out) + (["--force"] if force else [])
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out) in err
+        assert [p.name for p in root.iterdir()] == ["afile"]
+        assert (root / "afile").read_text() == "keep"
+
+
+class TestReadme:
+    def test_library_block_matches_catdet_run(self, tmp_path, monkeypatch, capsys):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        scenario = DATA / "benchmark_scenario.cfg"
+        assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", "seq") == 0
+        assert run_cli("run", "--sequence", "seq", "--mode", "catdet", "--out", "run") == 0
+        namespace = {}
+        exec(block, namespace)
+        final = [d for r in namespace["result"].frames for d in r.final_detections]
+        write_detections(final, namespace["class_map"], tmp_path / "library.txt")
+        want = (tmp_path / "run" / "detections.txt").read_bytes()
+        assert (tmp_path / "library.txt").read_bytes() == want
 
 
 class TestGenSynthetic:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from conftest import (
+    hull,
     reference_associate,
     reference_clip_regions,
     reference_detect,
@@ -149,7 +150,7 @@ class TestMaskedDetect:
         straddling = [
             d.box
             for d in dets
-            if not any(d.box.hull(r) == r for r in mask.regions)
+            if not any(hull(d.box, r) == r for r in mask.regions)
             and any(d.box.intersect(r) is not None for r in mask.regions)
         ]
         assert corners(measured) == corners(straddling)

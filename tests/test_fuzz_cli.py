@@ -4,7 +4,8 @@ Each test starts from a tiny valid file, applies one to three mutations
 (fields dropped, duplicated or added; values replaced by non-numeric,
 non-finite, negative, huge or '%'; lines dropped or duplicated; an unknown
 section or key; a [DEFAULT] section; a non-UTF-8 byte; an empty file) and
-runs the CLI command that reads it. The command must exit 0, or exit 1 or 2
+runs the CLI command that reads it; cost-report's inputs are the work.txt and
+manifest.json of a real run. The command must exit 0, or exit 1 or 2
 with a message naming the file. A run of two sequences, whose ids name
 directories in --out, must also write nothing outside --out and leave --out
 as it was when it fails. Examples are derandomised, so every run checks the
@@ -228,6 +229,22 @@ def test_config(config):
         _check(["run", "--sequence", str(seq), "--config", str(path), "--out", f"{tmp}/o"], path)
         _check(["eval", "--gt", str(seq / "labels.txt"), "--det", str(seq / "refine.txt"),
                 "--config", str(path)], path)
+
+
+@pytest.mark.parametrize("name", ["work.txt", "manifest.json"])
+@FUZZ
+@given(data=st.data())
+def test_cost_report_inputs(name, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = _sequence(Path(tmp))
+        run = Path(tmp) / "run"
+        with redirect_stdout(StringIO()):
+            assert main(["run", "--sequence", str(seq), "--mode", "catdet", "--out", str(run)]) == 0
+        path = run / name
+        spoiled = data.draw(mutated(path.read_text(encoding="utf-8")))
+        path.unlink()  # a new file, as in _sequence
+        path.write_bytes(spoiled)
+        _check(["cost-report", str(run)], path)
 
 
 def _files(root: Path) -> set[Path]:

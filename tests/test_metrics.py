@@ -114,9 +114,8 @@ def _greedy_tp_oracle(gts, dets, thr):
     return tp
 
 
-def data_from_labels(labels, n_pos, tracks=(), class_id=0, iou_thr=0.5):
-    return ClassEvalData(class_id, iou_thr, sorted(labels, key=lambda l: -l.score),
-                         n_pos, list(tracks))
+def data_from_labels(labels, n_pos, tracks=(), class_id=0):
+    return ClassEvalData(class_id, sorted(labels, key=lambda l: -l.score), n_pos, list(tracks))
 
 
 class TestAveragePrecision:
@@ -399,8 +398,12 @@ class TestEvaluateClasses:
     def test_sparse_refuses_delay(self):
         tracks, dets = self._fig4()
         cfg = EvalConfig(match_iou={0: 0.7}, sparse_annotations=True)
-        with pytest.raises(EvaluationRefused):
-            evaluate_classes(tracks, dets, cfg, ALL)
+        report = evaluate_classes(tracks, dets, cfg, ALL)
+        assert report.delay is None and report.delay_error is None
+        c = report.classes[0]
+        assert c.base_delay is None
+        assert c.curve and all(delay is None for _, _, _, delay in c.curve)
+        assert c.ap is not None  # AP is still reported on the labeled frames
 
     def test_sparse_ap_uses_labeled_frames_only(self):
         # annotations exist only on frames 0 and 2; an FP on frame 1 must not count
@@ -411,8 +414,8 @@ class TestEvaluateClasses:
                 det(500, 100, 600, 200, 0.95, frame=1)]
         sparse = EvalConfig(match_iou={0: 0.7}, sparse_annotations=True)
         dense = EvalConfig(match_iou={0: 0.7})
-        r_sparse = evaluate_classes(tracks, dets, sparse, ALL, with_delay=False)
-        r_dense = evaluate_classes(tracks, dets, dense, ALL, with_delay=False)
+        r_sparse = evaluate_classes(tracks, dets, sparse, ALL)
+        r_dense = evaluate_classes(tracks, dets, dense, ALL)
         assert r_sparse.classes[0].ap == 1.0
         assert r_dense.classes[0].ap < 1.0
 
@@ -433,7 +436,7 @@ class TestEvaluateClasses:
         van = track(2, [0], class_id=2, box=(400, 100, 500, 200))
         dets = [det(100, 100, 200, 200, 0.9, frame=0), det(400, 100, 500, 200, 0.8, frame=0)]
         cfg = EvalConfig(match_iou={0: 0.7}, dontcare_classes={0: frozenset({2})})
-        report = evaluate_classes([car, van], dets, cfg, ALL, with_delay=False)
+        report = evaluate_classes([car, van], dets, cfg, ALL)
         assert report.classes[0].ap == 1.0  # van det ignored, not an FP
 
 
@@ -465,7 +468,7 @@ def class_data(draw, class_id=0):
     # scores land out of frame order.
     labels.sort(key=lambda l: (-l.score, l.frame_index))
     n_pos = sum(l.is_tp for l in labels) + draw(st.integers(0, 3))
-    return ClassEvalData(class_id, 0.5, labels, n_pos, tracks)
+    return ClassEvalData(class_id, labels, n_pos, tracks)
 
 
 def class_list(min_classes=2, max_classes=3):
