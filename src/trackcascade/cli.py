@@ -19,7 +19,7 @@ from .cascade import MODES, FileBackedSource, Pipeline, SequenceResult
 from .config import Settings, load_settings
 # refine_cost and parse_mask_dump are unused here since cost-report reads
 # work.txt; they stay importable from this module because perfbench/tracing.py
-# hooks them on it (ROADMAP item 1).
+# hooks them on it (ROADMAP item 2).
 from .costmodel import WorkReport, refine_cost  # noqa: F401
 from .errors import DataError
 from .ingest import (
@@ -116,11 +116,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out(out: Path, force: bool) -> None:
+    """Refuse an --out that publishing would refuse, before any input is read."""
+    if out.exists():
+        if not out.is_dir():
+            raise DataError(f"--out is a file, not a directory: {out}")
+        if not force:
+            raise DataError(f"--out exists: {out} (use --force)")
+    elif any(parent.exists() and not parent.is_dir() for parent in out.parents):
+        raise DataError(f"--out lies under a file: {out}")
+
+
 @contextlib.contextmanager
 def _atomic_dir(out: Path, force: bool):
-    """Stage outputs in a temp dir and publish it as `out` on success."""
-    if out.exists() and not out.is_dir():
-        raise DataError(f"--out is a file, not a directory: {out}")
+    """Stage outputs in a temp dir and publish it as `out` on success.
+
+    Commands call `_check_out` before their work; `out` is checked again
+    here and on publishing, since it may have appeared in the meantime.
+    """
+    _check_out(out, force)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -130,7 +144,7 @@ def _atomic_dir(out: Path, force: bool):
         yield tmp
         if out.exists():
             if not force:
-                raise DataError(f"output directory exists: {out} (use --force)")
+                raise DataError(f"--out exists: {out} (use --force)")
             shutil.rmtree(out)
         os.replace(tmp, out)
     finally:
@@ -178,10 +192,11 @@ def _write_run_outputs(
 
 
 def cmd_run(args) -> int:
+    out_root = Path(args.out)
+    _check_out(out_root, args.force)
     mode_override = [f"pipeline.mode={args.mode}"] if args.mode else []
     settings = load_settings(args.config, args.overrides + mode_override)
     sequences = [Path(s) for s in args.sequence]
-    out_root = Path(args.out)
     metas = [parse_meta(seq / "meta.cfg") for seq in sequences]
     # A lone sequence writes into --out itself, each of several into its own subdirectory.
     subdirs = [""] if len(sequences) == 1 else [meta.sequence_id for meta in metas]
@@ -254,6 +269,8 @@ def _print_difficulty_report(report: DifficultyReport, class_map: ClassMap) -> N
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_out(Path(args.out), args.force)
     settings = load_settings(args.config, args.overrides)
     eval_class_names = sorted(settings.match_iou_by_name())
     alias_names = sorted(settings.dontcare_by_name())
@@ -339,7 +356,12 @@ def _run_totals(run: Path) -> tuple[str, int, WorkReport]:
         raise DataError(f"unknown pipeline mode {mode!r}", where)
     if type(frame_count) is not int or frame_count < 1:  # a bool is not a frame count
         raise DataError(f"frame count must be an integer >= 1, got {frame_count!r}", where)
-    total = parse_work_total(run / "work.txt")
+    work = run / "work.txt"
+    total, frame_rows = parse_work_total(work)
+    if frame_rows != frame_count:
+        raise DataError(
+            f"frame count {frame_count}, but {work} holds {frame_rows} frame rows", where
+        )
     total = dataclasses.replace(
         total,
         refine_from_tracker_ops=total.refine_from_tracker_ops if mode == "catdet" else None,
@@ -372,11 +394,12 @@ def cmd_cost_report(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    out = Path(args.out)
+    _check_out(out, args.force)
     scenario = parse_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
     data = generate_synthetic(scenario)
-    out = Path(args.out)
     with _atomic_dir(out, args.force) as tmp:
         write_sequence_dir(data, tmp)
         outputs = sorted(p.name for p in tmp.iterdir()) + ["manifest.json"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .geometry import BoundingBox, RegionMask
@@ -130,10 +131,13 @@ def greedy_merge(
     estimated time undercuts the pair's total, largest saving first, ties to
     the earliest pair. The result is a fixed point: re-merging changes nothing.
 
-    Every pair's saving is kept, and a merge recomputes only the pairs that
-    hold the merged region (Müllner's "generic" agglomerative clustering,
-    arXiv 1109.2378). A `BoundingBox` is built only for each accepted hull;
-    unmerged regions are returned as the same objects.
+    The pairs with a positive saving wait in a heap keyed (-saving, i, j), so
+    "largest saving, ties to the earliest pair" is its pop order. A merge
+    pushes only the merged region's new pairs; entries that name a region
+    merged away or changed since the push are dropped when popped (Müllner's
+    "generic" agglomerative clustering, arXiv 1109.2378). A `BoundingBox` is
+    built only for each accepted hull; unmerged regions are returned as the
+    same objects, in input order.
     """
     if not config.has_timing:
         raise ValueError("greedy_merge requires timing constants alpha and b")
@@ -147,28 +151,39 @@ def greedy_merge(
         (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = corners[i], corners[j]
         return min(ax1, bx1), min(ay1, by1), max(ax2, bx2), max(ay2, by2)
 
-    def saving(i, j):
-        return times[i] + times[j] - launch_time(*hull(i, j))
+    def saving(i, j):  # i < j
+        # times[i] + times[j] - launch_time(*hull(i, j)), written out: the
+        # calls cost more than the arithmetic. `v if v < u else u` is min(u, v).
+        (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = corners[i], corners[j]
+        x1 = bx1 if bx1 < ax1 else ax1
+        y1 = by1 if by1 < ay1 else ay1
+        x2 = bx2 if bx2 > ax2 else ax2
+        y2 = by2 if by2 > ay2 else ay2
+        hull_time = alpha * (feature * (((x2 - x1) * (y2 - y1)) / frame_area)) + b
+        return times[i] + times[j] - hull_time
 
-    # Keyed by index in `regions`; dict order keeps the survivors in input
-    # order, and keeps the pairs (i, j), i < j, in the loop order that breaks
-    # ties between equal savings.
-    out = dict(enumerate(regions))
-    corners = {k: (r.x1, r.y1, r.x2, r.y2) for k, r in out.items()}
-    times = {k: launch_time(*c) for k, c in corners.items()}
-    savings = {(i, j): saving(i, j) for i in corners for j in corners if i < j}
+    # Indexed by position in `regions`; a region merged away becomes None in
+    # `out`, and a merge bumps the version of both regions it touches.
+    out = list(regions)
+    corners = [(r.x1, r.y1, r.x2, r.y2) for r in out]
+    times = [launch_time(*c) for c in corners]
+    version = [0] * len(out)
+    heap = [(-s, i, j, 0, 0) for j in range(len(out)) for i in range(j) if (s := saving(i, j)) > 0]
+    heapify(heap)
 
-    while savings:
-        i, j = max(savings, key=savings.get)
-        if not savings[i, j] > 0:
-            break
+    while heap:
+        _, i, j, version_i, version_j = heappop(heap)
+        if version[i] != version_i or version[j] != version_j:
+            continue
         corners[i] = merged = hull(i, j)
         times[i] = launch_time(*merged)
         out[i] = BoundingBox(*merged)
-        del corners[j], times[j], out[j]
-        for k in corners:
-            del savings[(k, j) if k < j else (j, k)]
-            if k != i:
-                pair = (k, i) if k < i else (i, k)
-                savings[pair] = saving(*pair)
-    return list(out.values())
+        out[j] = None
+        version[i] += 1
+        version[j] += 1
+        for k, region in enumerate(out):
+            if region is not None and k != i:
+                p, q = (k, i) if k < i else (i, k)
+                if (s := saving(p, q)) > 0:
+                    heappush(heap, (-s, p, q, version[p], version[q]))
+    return [r for r in out if r is not None]

@@ -49,14 +49,15 @@ def write_work_records(results: Iterable[FrameResult], total: WorkReport, path: 
         )
 
 
-def parse_work_total(path: str | Path) -> WorkReport:
-    """The totals row of a work.txt, after checking every row.
+def parse_work_total(path: str | Path) -> tuple[WorkReport, int]:
+    """The totals row of a work.txt and its number of frame rows, after checking every row.
 
     A row needs 12 fields, an integer frame, finite ops or "/", and a
     total_ops exactly equal to proposal_ops + refine_ops.
     """
     path = Path(path)
     total: WorkReport | None = None
+    frame_rows = 0
 
     def opt_float(token: str, lineno: int) -> float | None:
         return None if token == "/" else _parse_float(token, "ops", path, lineno)
@@ -67,6 +68,7 @@ def parse_work_total(path: str | Path) -> WorkReport:
         is_total = fields[0] == "total"
         if not is_total:
             _parse_int(fields[0], "frame", path, lineno)
+            frame_rows += 1
         proposal = _parse_float(fields[1], "ops", path, lineno)
         refine = _parse_float(fields[2], "ops", path, lineno)
         if _parse_float(fields[3], "ops", path, lineno) != proposal + refine:
@@ -83,7 +85,7 @@ def parse_work_total(path: str | Path) -> WorkReport:
             total = WorkReport(proposal, refine, from_tracker, from_proposal, estimated, merged)
     if total is None:
         raise DataError("missing totals row", str(path))
-    return total
+    return total, frame_rows
 
 
 def _box_order(box: BoundingBox) -> tuple:

@@ -140,6 +140,30 @@ class TestRun:
             "detections.txt": "ee8bf265c6a089dbfa5091d9ce580a944c9395e10766dc2d32162c7635de4d19",
         }
 
+    def test_partial_merge_timed_run_is_pinned(self, tmp_path):
+        # The benchmark's timing constants merge most frames only part way,
+        # so the order in which greedy_merge takes pairs shows in the output.
+        seq = tmp_path / "seq"
+        assert run_cli("gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg"),
+                       "--out", str(seq)) == 0
+        out = tmp_path / "out"
+        assert run_cli(
+            "run", "--sequence", str(seq), "--mode", "catdet", "--out", str(out),
+            "--set", "cost.alpha=0.001", "--set", "cost.b=0.005",
+        ) == 0
+        rows = [l.split() for l in (out / "work.txt").read_text().splitlines() if l[0].isdigit()]
+        # n_refine_props and merged_regions
+        partial = [row for row in rows if 1 < int(row[10]) < int(row[9])]
+        assert len(rows) == 50 and len(partial) == 41
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("work.txt", "detections.txt")
+        }
+        assert digests == {
+            "work.txt": "92151a916ad596d4b94a5e9d81c223ce020448319e1ce795f9e1b30406d3b0f5",
+            "detections.txt": "ee8bf265c6a089dbfa5091d9ce580a944c9395e10766dc2d32162c7635de4d19",
+        }
+
     def test_cascade_outputs_are_pinned(self, tmp_path):
         # Masks, work and detections of the cascade modes, to the bit.
         seq = tmp_path / "seq"
@@ -554,7 +578,7 @@ class TestWorkFile:
         result = self.run_library(seq_dir, cmap, config)
         path = tmp_path / "work.txt"
         write_work_records(result.frames, result.total, path)
-        total = parse_work_total(path)
+        total, _ = parse_work_total(path)
         for f in dataclasses.fields(total):
             assert getattr(total, f.name) == getattr(result.total, f.name), f.name
         assert (total.estimated_time is None) == (mode != "timed")
@@ -649,7 +673,7 @@ class TestCostReport:
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet",
                 "--out", str(out), "--dump-masks")
-        total = parse_work_total(out / "work.txt")
+        total, _ = parse_work_total(out / "work.txt")
         assert run_cli("cost-report", str(out)) == 0
         lines = capsys.readouterr().out.splitlines()
         record = next(l for l in lines if l.startswith("record "))
@@ -717,9 +741,10 @@ class TestCostReport:
             lambda m: {**m, "sequence": {**m["sequence"], "frame_count": 4.0}},
             lambda m: {**m, "sequence": {**m["sequence"], "frame_count": 0}},
             lambda m: {**m, "sequence": {**m["sequence"], "frame_count": True}},
+            lambda m: {**m, "sequence": {**m["sequence"], "frame_count": 7}},
         ],
         ids=["top_level", "config", "pipeline", "sequence", "mode_list", "mode_unknown",
-             "frames_text", "frames_float", "frames_zero", "frames_bool"],
+             "frames_text", "frames_float", "frames_zero", "frames_bool", "frames_not_work_rows"],
     )
     def test_bad_manifest_is_data_error(self, seq_dir, tmp_path, capsys, edit):
         out = tmp_path / "out"
@@ -778,6 +803,25 @@ class TestBadOut:
         assert "--out" in err and str(out) in err
         assert [p.name for p in root.iterdir()] == ["afile"]
         assert (root / "afile").read_text() == "keep"
+
+
+    @pytest.mark.parametrize("command", ["run", "eval", "gen-synthetic"])
+    def test_existing_out_is_refused_before_inputs_are_read(self, seq_dir, tmp_path, capsys,
+                                                            command):
+        # Every input of the command is broken; the existing --out is named first.
+        (seq_dir / "refine.txt").write_text("0 car 0.9 1 2\n")
+        missing = str(tmp_path / "missing.txt")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("keep")
+        argv = {
+            "run": ["run", "--sequence", str(seq_dir), "--mode", "single", "--out", str(out)],
+            "eval": ["eval", "--gt", missing, "--det", missing, "--out", str(out)],
+            "gen-synthetic": ["gen-synthetic", "--scenario", missing, "--out", str(out)],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: --out exists: {out} (use --force)\n"
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
 class TestReadme:

@@ -199,18 +199,24 @@ def free_box(draw):
 class TestGreedyMergeOracle:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
+        # Crowded frames reach about 30 regions; the min_size lists make sure
+        # such sizes are drawn.
         st.one_of(
-            st.lists(lattice_box(), max_size=16),
-            st.lists(st.one_of(lattice_box(), free_box()), max_size=16),
+            st.lists(lattice_box(), max_size=32),
+            st.lists(st.one_of(lattice_box(), free_box()), max_size=32),
+            st.lists(st.one_of(lattice_box(), free_box()), min_size=20, max_size=32),
         ),
         st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
         st.sampled_from([0.0, 0.001, 0.005, 0.01, 0.05]),
     )
     def test_equals_pairwise_rescan(self, regions, alpha, b):
         cfg = CostModelConfig(alpha=alpha, b=b)
-        assert greedy_merge(regions, cfg, FRAME_W, FRAME_H) == reference_greedy_merge(
-            regions, cfg, FRAME_W, FRAME_H
-        )
+        got = greedy_merge(regions, cfg, FRAME_W, FRAME_H)
+        want = reference_greedy_merge(regions, cfg, FRAME_W, FRAME_H)
+        assert got == want
+        # A region never merged is returned as the input object; a hull is new.
+        for g, w in zip(got, want):
+            assert (g is w) == any(w is r for r in regions)
 
 
 class TestWorkReport:
