@@ -160,7 +160,7 @@ def _run_one_sequence(settings: Settings, seq_dir: Path, meta: SequenceMeta):
     refine = FileBackedSource(refine_store, "refine", meta.frame_count)
     proposal = None
     inputs = [seq_dir / "meta.cfg", refine_path]
-    config = settings.pipeline_config()
+    config = settings.pipeline
     if config.mode != "single":
         proposal_store = parse_detections(proposal_path, class_map, meta.frame_count)
         proposal = FileBackedSource(proposal_store, "proposal", meta.frame_count)
@@ -188,7 +188,7 @@ def _write_run_outputs(
     if dump_masks:
         write_mask_dump(result.frames, out / "masks.txt")
         outputs.append("masks.txt")
-    write_manifest(out / "manifest.json", "run", settings.snapshot(), inputs, outputs, meta=meta)
+    write_manifest(out / "manifest.json", "run", settings.values, inputs, outputs, meta=meta)
 
 
 def cmd_run(args) -> int:
@@ -272,11 +272,7 @@ def cmd_eval(args) -> int:
     if args.out:
         _check_out(Path(args.out), args.force)
     settings = load_settings(args.config, args.overrides)
-    eval_class_names = sorted(settings.match_iou_by_name())
-    alias_names = sorted(settings.dontcare_by_name())
-    class_map = ClassMap(eval_class_names + alias_names)
-    class_ids = {name: class_map.id_of(name) for name in eval_class_names + alias_names}
-    eval_config = settings.eval_config(class_ids)
+    class_map = ClassMap(settings.eval_classes)
 
     labels = parse_kitti_tracking_labels(args.gt, class_map)
     det_store = parse_detections(args.det, class_map)
@@ -284,20 +280,20 @@ def cmd_eval(args) -> int:
     if class_map.flagged:
         print(f"note: unevaluated class names in inputs: {sorted(class_map.flagged)}")
 
-    sparse = eval_config.sparse_annotations
+    sparse = settings.eval.sparse_annotations
     reports = []
-    for difficulty in settings.difficulties():
+    for difficulty in settings.difficulties:
         report = evaluate_classes(
             labels.tracks,
             detections,
-            eval_config,
+            settings.eval,
             difficulty,
             labels.dontcare_by_frame,
         )
         reports.append(report)
         _print_difficulty_report(report, class_map)
 
-    beta = eval_config.beta
+    beta = settings.eval.beta
     print(f"{'difficulty':<12} {'mAP':>8} {f'mD@{beta:.2f}':>9}")
     for report in reports:
         md_text = _fmt_opt(report.delay and report.delay.mean_delay, ".2f")
@@ -318,7 +314,7 @@ def cmd_eval(args) -> int:
             write_manifest(
                 tmp / "manifest.json",
                 "eval",
-                settings.snapshot(),
+                settings.values,
                 [args.gt, args.det],
                 outputs,
             )

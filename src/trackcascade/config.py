@@ -3,8 +3,9 @@
 Files use INI sections, one per module; `--set section.key=value` overrides
 win over file values, which win over the built-in defaults. Every key but
 `pipeline.classes` and `eval.difficulties` is a field of a config dataclass,
-and its default is that field's default. The fully resolved snapshot is what
-run manifests record.
+and its default is that field's default. `load_settings` builds and checks
+every section at once, so a config is accepted or refused whichever command
+reads it, and manifests record only the checked snapshot.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any
 from .cascade import PipelineConfig
 from .costmodel import CostModelConfig
 from .errors import ConfigError
-from .ingest import read_ini
+from .ingest import ClassMap, read_ini
 from .metrics import DIFFICULTY_PRESETS, DifficultyFilter, EvalConfig
 from .tracker import TrackerConfig
 
@@ -90,73 +91,16 @@ def _convert(kind: str, raw: Any, where: str) -> Any:
         raise ConfigError(f"bad value {raw!r} for {where}") from None
 
 
+@dataclasses.dataclass(frozen=True)
 class Settings:
-    """Resolved configuration snapshot plus typed accessors."""
+    """The resolved configuration, every section built and checked."""
 
-    def __init__(self, values: dict[str, dict[str, Any]], files: dict[str, str] | None = None):
-        self.values = values
-        # section -> the config file, when only that file set values in it
-        self.files = files or {}
-
-    def snapshot(self) -> dict[str, dict[str, Any]]:
-        return {s: dict(kv) for s, kv in sorted(self.values.items())}
-
-    @property
-    def classes(self) -> list[str]:
-        return list(self.values["pipeline"]["classes"])
-
-    def pipeline_config(self) -> PipelineConfig:
-        return self._build(
-            PipelineConfig,
-            "pipeline",
-            self.values["pipeline"],
-            tracker=self._build(TrackerConfig, "tracker", self.values["tracker"]),
-            cost=self._build(CostModelConfig, "cost", self.values["cost"]),
-        )
-
-    def match_iou_by_name(self) -> dict[str, float]:
-        return dict(self.values["match_iou"])
-
-    def dontcare_by_name(self) -> dict[str, str]:
-        return dict(self.values["dontcare"])
-
-    def difficulties(self) -> list[DifficultyFilter]:
-        out = []
-        for name in self.values["eval"]["difficulties"]:
-            custom = self.values.get("difficulty", {}).get(name)
-            if custom is not None:
-                out.append(self._build(DifficultyFilter, f"difficulty.{name}", custom, name=name))
-            elif name in DIFFICULTY_PRESETS:
-                out.append(DIFFICULTY_PRESETS[name])
-            else:
-                raise ConfigError(
-                    f"unknown difficulty {name!r}; presets: {sorted(DIFFICULTY_PRESETS)}",
-                    self.files.get("eval"),
-                )
-        return out
-
-    def eval_config(self, class_ids: dict[str, int]) -> EvalConfig:
-        """Build the id-keyed EvalConfig given a name -> id mapping."""
-        match_iou = {}
-        for name, thr in self.match_iou_by_name().items():
-            if name in class_ids:
-                match_iou[class_ids[name]] = thr
-        dontcare: dict[int, frozenset[int]] = {}
-        for alias, target in self.dontcare_by_name().items():
-            if alias in class_ids and target in class_ids:
-                tid = class_ids[target]
-                dontcare[tid] = dontcare.get(tid, frozenset()) | {class_ids[alias]}
-        return self._build(
-            EvalConfig, "eval", self.values["eval"], match_iou=match_iou, dontcare_classes=dontcare
-        )
-
-    def _build(self, cls, section: str, values: dict[str, Any], **nested):
-        """Instantiate a config dataclass from its keys' values plus nested arguments."""
-        names = {f.name for f in dataclasses.fields(cls)}
-        try:
-            return cls(**{k: v for k, v in values.items() if k in names}, **nested)
-        except ValueError as exc:
-            raise ConfigError(f"bad [{section}] value: {exc}", self.files.get(section)) from None
+    values: dict[str, dict[str, Any]]  # the snapshot that manifests record
+    classes: list[str]  # the run's configured class names, in ClassMap order
+    pipeline: PipelineConfig
+    eval_classes: list[str]  # evaluated names, then alias names, in ClassMap order
+    eval: EvalConfig  # keyed by the ids that ClassMap(eval_classes) gives
+    difficulties: list[DifficultyFilter]
 
 
 def _defaults() -> dict[str, dict[str, Any]]:
@@ -170,6 +114,12 @@ def _defaults() -> dict[str, dict[str, Any]]:
     return values
 
 
+def _check_name(name: str, where: str) -> None:
+    """Refuse a class or difficulty name that could not be part of a file name."""
+    if not name or any(ch.isspace() or ch in "/\\\0" for ch in name):
+        raise ConfigError(f"bad name {name!r} in {where}: empty, or holds whitespace, /, \\ or NUL")
+
+
 def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: Any) -> None:
     where = f"{section}.{key}"
     if section in _SCHEMA:
@@ -178,11 +128,13 @@ def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: Any) 
         kind, _ = _SCHEMA[section][key]
         values[section][key] = _convert(kind, raw, where)
     elif section == "match_iou":
+        _check_name(key.lower(), where)
         values["match_iou"][key.lower()] = _convert("float", raw, where)
     elif section == "dontcare":
         values["dontcare"][key.lower()] = _convert("str", raw, where).lower()
     elif section.startswith("difficulty."):
         name = section.split(".", 1)[1]
+        _check_name(name, where)
         if key not in _DIFFICULTY_KEYS:
             raise ConfigError(f"unknown key {where}")
         kind, _ = _DIFFICULTY_KEYS[key]
@@ -194,11 +146,60 @@ def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: Any) 
         raise ConfigError(f"unknown config section {section!r}")
 
 
+def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settings:
+    """Build and check every section; `files` names the file that alone set a section."""
+
+    def build(cls, section: str, section_values: dict[str, Any], **nested):
+        names = {f.name for f in dataclasses.fields(cls)}
+        try:
+            return cls(**{k: v for k, v in section_values.items() if k in names}, **nested)
+        except ValueError as exc:
+            raise ConfigError(f"bad [{section}] value: {exc}", files.get(section)) from None
+
+    tracker = build(TrackerConfig, "tracker", values["tracker"])
+    cost = build(CostModelConfig, "cost", values["cost"])
+    pipeline = build(PipelineConfig, "pipeline", values["pipeline"], tracker=tracker, cost=cost)
+
+    eval_classes = sorted(values["match_iou"]) + sorted(values["dontcare"])
+    class_map = ClassMap(eval_classes)
+    ids = {name: class_map.id_of(name) for name in eval_classes}
+    match_iou = {ids[name]: thr for name, thr in values["match_iou"].items()}
+    dontcare: dict[int, frozenset[int]] = {}
+    for alias, target in values["dontcare"].items():
+        if target in ids:
+            dontcare[ids[target]] = dontcare.get(ids[target], frozenset()) | {ids[alias]}
+    eval_config = build(
+        EvalConfig, "eval", values["eval"], match_iou=match_iou, dontcare_classes=dontcare
+    )
+
+    known = dict(DIFFICULTY_PRESETS)
+    for name, kv in values["difficulty"].items():
+        known[name] = build(DifficultyFilter, f"difficulty.{name}", kv, name=name)
+    names = values["eval"]["difficulties"]
+    if not names or len(set(names)) < len(names):
+        raise ConfigError(
+            f"eval.difficulties must name at least one difficulty, each once; got {names}",
+            files.get("eval"),
+        )
+    for name in names:
+        if name not in known:
+            raise ConfigError(
+                f"unknown difficulty {name!r}; presets: {sorted(DIFFICULTY_PRESETS)}",
+                files.get("eval"),
+            )
+
+    snapshot = {s: dict(kv) for s, kv in sorted(values.items())}
+    classes = list(values["pipeline"]["classes"])
+    difficulties = [known[name] for name in names]
+    return Settings(snapshot, classes, pipeline, eval_classes, eval_config, difficulties)
+
+
 def load_settings(
     path: str | Path | None = None, overrides: list[str] | None = None
 ) -> Settings:
-    """Defaults, then file values, then `section.key=value` overrides."""
+    """Defaults, then file values, then `section.key=value` overrides; then every check."""
     values = _defaults()
+    # section -> the config file, when only that file set values in it
     files: dict[str, str] = {}
     if path is not None:
         # Section names are judged by _apply, for the file and --set alike.
@@ -219,4 +220,4 @@ def load_settings(
         target = _SECTION_ALIASES.get(section, section)
         _apply(values, target, key, raw)
         files.pop(_CHECKED_WITH.get(target, target), None)
-    return Settings(values, files)
+    return _resolve(values, files)

@@ -545,6 +545,48 @@ class TestUsageErrors:
         assert trees[0] == trees[1]
 
 
+class TestConfigCheckedByEveryCommand:
+    """run and eval build every config section, so they refuse the same configs."""
+
+    @pytest.mark.parametrize(
+        "config, overrides, message",
+        [
+            (None, ["eval.beta=2"], "bad [eval] value: beta must be in (0, 1)"),
+            (None, ["difficulty.x.size_axis=diagonal", "eval.difficulties=x"],
+             "bad [difficulty.x] value: size_axis must be height or width"),
+            ("[eval]\nbeta = 3\n", [], "bad [eval] value: beta must be in (0, 1)"),
+            (None, ["cost.alpha=1"], "bad [cost] value: alpha and b must be set together"),
+            (None, ["pipeline.c_thresh=7"], "bad [pipeline] value: c_thresh must be in [0, 1]"),
+            (None, ["eval.difficulties=hard,hard"],
+             "eval.difficulties must name at least one difficulty, each once"),
+            (None, ["eval.difficulties="], "eval.difficulties must name at least one difficulty"),
+            # Names that eval --out would make part of a curve file name
+            (None, ["match_iou.a/b=0.5"], "bad name 'a/b' in match_iou.a/b"),
+            (None, ["difficulty.x/y.min_size=1", "eval.difficulties=x/y"],
+             "bad name 'x/y' in difficulty.x/y.min_size"),
+        ],
+    )
+    def test_run_and_eval_refuse_alike(self, seq_dir, tmp_path, capsys, config, overrides,
+                                       message):
+        args = [arg for item in overrides for arg in ("--set", item)]
+        if config is not None:
+            path = tmp_path / "c.cfg"
+            path.write_text(config)
+            args += ["--config", str(path)]
+            message = f"{path}: {message}"
+        commands = {
+            "run": ["run", "--sequence", str(seq_dir), "--mode", "catdet"],
+            "eval": ["eval", "--gt", str(DATA / "fig4_labels.txt"),
+                     "--det", str(DATA / "fig4_detections.txt")],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}_out"
+            assert run_cli(*argv, "--out", str(out), *args) == 2, name
+            captured = capsys.readouterr()
+            assert message in captured.err, (name, captured.err)
+            assert captured.out == "" and not out.exists(), name
+
+
 class TestWorkFile:
     """work.txt is written from each frame's WorkReport and read back into one."""
 

@@ -47,26 +47,26 @@ class TestDefaults:
         assert s.values["pipeline"]["margin"] == 30.0
         assert s.values["eval"]["beta"] == 0.8
         assert s.values["cost"]["baseline_proposal_count"] == 300
-        assert s.match_iou_by_name() == {"car": 0.7, "pedestrian": 0.5}
-        assert s.dontcare_by_name() == {"van": "car", "person_sitting": "pedestrian"}
+        assert s.values["match_iou"] == {"car": 0.7, "pedestrian": 0.5}
+        assert s.values["dontcare"] == {"van": "car", "person_sitting": "pedestrian"}
 
     def test_default_mode_and_classes(self):
         s = load_settings()
         assert s.values["pipeline"]["mode"] == "catdet"
-        assert s.pipeline_config().mode == "catdet"
+        assert s.pipeline.mode == "catdet"
         assert s.classes == ["car", "pedestrian"]
 
     def test_typed_configs_build(self):
         s = load_settings()
-        assert s.pipeline_config().nms_iou == 0.5
-        assert s.pipeline_config().cost.alpha is None
-        assert [d.name for d in s.difficulties()] == ["moderate", "hard"]
+        assert s.pipeline.nms_iou == 0.5
+        assert s.pipeline.cost.alpha is None
+        assert [d.name for d in s.difficulties] == ["moderate", "hard"]
 
     def test_defaults_are_the_dataclass_defaults(self):
         s = load_settings()
-        assert s.pipeline_config() == PipelineConfig()  # tracker and cost compared too
+        assert s.pipeline == PipelineConfig()  # tracker and cost compared too
         custom = load_settings(None, ["difficulty.x.max_occlusion=2", "eval.difficulties=x"])
-        assert custom.difficulties() == [DifficultyFilter("x", max_occlusion=2)]
+        assert custom.difficulties == [DifficultyFilter("x", max_occlusion=2)]
 
     def test_readme_defaults_block(self, tmp_path):
         text = README.read_text(encoding="utf-8")
@@ -92,17 +92,17 @@ class TestFileLoading:
         assert s.values["pipeline"]["mode"] == "cascaded"
         assert s.values["pipeline"]["c_thresh"] == 0.45
         assert s.classes == ["car", "pedestrian", "cyclist"]
-        assert s.pipeline_config().tracker.confidence_cap == 5
-        assert s.pipeline_config().cost.alpha == 0.001
+        assert s.pipeline.tracker.confidence_cap == 5
+        assert s.pipeline.cost.alpha == 0.001
         assert s.values["eval"]["ap_recall_points"] is None  # "all"
         # match_iou section replaces keys but keeps unmentioned defaults
-        assert s.match_iou_by_name()["cyclist"] == 0.5
-        assert s.match_iou_by_name()["pedestrian"] == 0.5
+        assert s.values["match_iou"]["cyclist"] == 0.5
+        assert s.values["match_iou"]["pedestrian"] == 0.5
 
     def test_custom_difficulty(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text(SAMPLE)
-        filters = load_settings(p).difficulties()
+        filters = load_settings(p).difficulties
         strict = filters[1]
         assert strict.name == "strict"
         assert strict.min_size == 50.0 and strict.max_occlusion == 0
@@ -127,7 +127,8 @@ class TestOverrides:
 
     def test_match_iou_override(self):
         s = load_settings(None, ["eval.match_iou.car=0.6"])
-        assert s.match_iou_by_name()["car"] == 0.6
+        assert s.values["match_iou"]["car"] == 0.6
+        assert s.eval.match_iou[0] == 0.6
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -153,7 +154,7 @@ class TestOverrides:
 
     def test_infinity_allowed(self):
         s = load_settings(None, ["pipeline.t_thresh=inf"])
-        assert s.pipeline_config().t_thresh == float("inf")
+        assert s.pipeline.t_thresh == float("inf")
 
     def test_file_value_error_names_the_file(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -167,22 +168,21 @@ class TestOverrides:
             load_settings(None, ["margin=30"])
 
     def test_unknown_difficulty_name_rejected(self):
-        s = load_settings(None, ["eval.difficulties=nonexistent"])
         with pytest.raises(ConfigError, match="unknown difficulty"):
-            s.difficulties()
+            load_settings(None, ["eval.difficulties=nonexistent"])
 
 
 class TestEvalConfigBuild:
     def test_ids_and_dontcare_wiring(self):
         s = load_settings()
-        ids = {"car": 0, "pedestrian": 1, "van": 2, "person_sitting": 3}
-        cfg = s.eval_config(ids)
-        assert cfg.match_iou == {0: 0.7, 1: 0.5}
-        assert cfg.dontcare_classes[0] == frozenset({2})
-        assert cfg.dontcare_classes[1] == frozenset({3})
+        # evaluated names, then alias names; ClassMap gives ids in this order
+        assert s.eval_classes == ["car", "pedestrian", "person_sitting", "van"]
+        assert s.eval.match_iou == {0: 0.7, 1: 0.5}
+        assert s.eval.dontcare_classes[0] == frozenset({3})  # van
+        assert s.eval.dontcare_classes[1] == frozenset({2})  # person_sitting
 
     def test_snapshot_is_plain_data(self):
-        snap = load_settings().snapshot()
+        snap = load_settings().values
         assert snap["pipeline"]["mode"] == "catdet"
         assert isinstance(snap["match_iou"], dict)
 
@@ -203,38 +203,90 @@ class TestRanges:
         ],
     )
     def test_pipeline_values_rejected(self, overrides, message):
-        s = load_settings(None, overrides)
         section = overrides[0].split(".")[0]
         with pytest.raises(ConfigError, match=rf"bad \[{section}\] value: {message}"):
-            s.pipeline_config()
+            load_settings(None, overrides)
 
     def test_error_names_the_config_file_that_set_the_section(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("[cost]\nalpha = -1\nb = 0\n\n[eval.match_iou]\ncar = 1.5\n")
         with pytest.raises(ConfigError, match=r"bad \[cost\] value: alpha") as err:
-            load_settings(p).pipeline_config()
+            load_settings(p)
         assert err.value.path == str(p)
+        # An override that mends [cost] leaves the file named for [eval].
         with pytest.raises(ConfigError, match=r"bad \[eval\] value: match IoU") as err:
-            load_settings(p).eval_config({"car": 0})
+            load_settings(p, ["cost.alpha=0"])
         assert err.value.path == str(p)
         # With an override in the section, either source may hold the bad value.
         with pytest.raises(ConfigError, match=r"bad \[cost\] value: alpha") as err:
-            load_settings(p, ["cost.b=0.5"]).pipeline_config()
+            load_settings(p, ["cost.b=0.5"])
         assert err.value.path is None
 
     def test_timing_pair_and_edges_accepted(self):
         s = load_settings(None, ["cost.alpha=0", "cost.b=0", "tracker.boundary_chop_fraction=1",
                                  "tracker.min_width=0"])
-        config = s.pipeline_config()
+        config = s.pipeline
         assert config.cost.has_timing
         assert config.tracker.boundary_chop_fraction == 1.0 and config.tracker.min_width == 0.0
 
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_ap_recall_points_below_two_rejected(self, points):
-        s = load_settings(None, [f"eval.ap_recall_points={points}"])
         with pytest.raises(ConfigError, match=r"bad \[eval\] value: ap_recall_points must be >= 2"):
-            s.eval_config({"car": 0, "pedestrian": 1})
+            load_settings(None, [f"eval.ap_recall_points={points}"])
 
     def test_two_recall_points_accepted(self):
         s = load_settings(None, ["eval.ap_recall_points=2"])
-        assert s.eval_config({"car": 0}).ap_recall_points == 2
+        assert s.eval.ap_recall_points == 2
+
+
+class TestNames:
+    """Class and difficulty names become part of eval's curve file names."""
+
+    @pytest.mark.parametrize(
+        "override",
+        ["match_iou.a/b=0.5", "match_iou.a\\b=0.5", "match_iou.a b=0.5", "match_iou.=0.5",
+         "eval.match_iou.x/y=0.5", "difficulty.x/y.min_size=1", "difficulty.x\\y.min_size=1",
+         "difficulty.x y.min_size=1", "difficulty..min_size=1"],
+    )
+    def test_name_that_is_no_file_name_part_rejected(self, override):
+        where = override.split("=")[0].removeprefix("eval.")
+        with pytest.raises(ConfigError, match="bad name") as err:
+            load_settings(None, [override, "eval.difficulties=all"])
+        assert where in str(err.value) and err.value.path is None
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[eval.match_iou]\na\\b = 0.5\n", "[match_iou]\na b = 0.5\n",
+         "[difficulty.a\0b]\nmin_size = 1\n", "[difficulty.a/b]\nmin_size = 1\n"],
+    )
+    def test_bad_name_in_file_names_the_file(self, tmp_path, text):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="bad name") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
+
+    def test_plain_names_accepted(self):
+        s = load_settings(None, ["match_iou.cyclist=0.5", "difficulty.my-size_2.min_size=1",
+                                 "eval.difficulties=my-size_2, all"])
+        assert "cyclist" in s.eval_classes
+        assert [d.name for d in s.difficulties] == ["my-size_2", "all"]
+
+
+class TestDifficulties:
+    @pytest.mark.parametrize("listed", ["", " , ", "hard,hard", "all, Hard, hard"])
+    def test_empty_or_repeated_list_rejected(self, listed):
+        with pytest.raises(ConfigError, match="eval.difficulties must name at least one") as err:
+            load_settings(None, [f"eval.difficulties={listed}"])
+        assert err.value.path is None
+
+    def test_repeated_list_in_file_names_the_file(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[eval]\ndifficulties = moderate, moderate\n")
+        with pytest.raises(ConfigError, match="each once; got") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
+
+    def test_unlisted_custom_difficulty_is_checked(self):
+        with pytest.raises(ConfigError, match=r"bad \[difficulty\.x\] value: size_axis"):
+            load_settings(None, ["difficulty.x.size_axis=diagonal"])

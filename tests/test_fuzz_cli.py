@@ -6,7 +6,9 @@ non-finite, negative, huge or '%'; lines dropped or duplicated; an unknown
 section or key; a [DEFAULT] section; a non-UTF-8 byte; an empty file) and
 runs the CLI command that reads it; cost-report's inputs are the work.txt and
 manifest.json of a real run. The command must exit 0, or exit 1 or 2
-with a message naming the file. A run of two sequences, whose ids name
+with a message naming the file. A config is also fuzzed by giving one to
+three of its keys such a value, and a config must get exit 2 from `run`
+exactly when it gets exit 2 from `eval`. A run of two sequences, whose ids name
 directories in --out, must also write nothing outside --out and leave --out
 as it was when it fails. Examples are derandomised, so every run checks the
 same cases.
@@ -158,6 +160,17 @@ def mutated(draw, text: str) -> bytes:
     return data
 
 
+@st.composite
+def revalued(draw, text: str) -> bytes:
+    """`text` with one to three of its `key = value` lines given a value from VALUES."""
+    lines = text.splitlines()
+    keyed = [i for i, line in enumerate(lines) if " = " in line]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(keyed))
+        lines[i] = f"{lines[i].split(' = ')[0]} = {draw(st.sampled_from(VALUES))}"
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def _sequence(root: Path, name: str = "", data: bytes = b"", dirname: str = "seq") -> Path:
     """A valid sequence directory whose file `name`, if given, holds `data`."""
     seq = root / dirname
@@ -220,15 +233,18 @@ def test_scenario(scenario):
 
 
 @FUZZ
-@given(config=mutated(CONFIG))
+@given(config=st.one_of(mutated(CONFIG), revalued(CONFIG)))
 def test_config(config):
     with tempfile.TemporaryDirectory() as tmp:
         seq = _sequence(Path(tmp))
         path = Path(tmp) / "c.cfg"
         path.write_bytes(config)
-        _check(["run", "--sequence", str(seq), "--config", str(path), "--out", f"{tmp}/o"], path)
-        _check(["eval", "--gt", str(seq / "labels.txt"), "--det", str(seq / "refine.txt"),
-                "--config", str(path)], path)
+        run = _check(["run", "--sequence", str(seq), "--config", str(path), "--out", f"{tmp}/o"],
+                     path)
+        evaluated = _check(["eval", "--gt", str(seq / "labels.txt"),
+                            "--det", str(seq / "refine.txt"), "--config", str(path)], path)
+        # Both commands check every section, so a config is refused by both or by neither.
+        assert (run == 2) == (evaluated == 2), (run, evaluated)
 
 
 @pytest.mark.parametrize("name", ["work.txt", "manifest.json"])
