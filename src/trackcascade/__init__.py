@@ -24,7 +24,7 @@ from .costmodel import (
     refine_cost,
     total_work,
 )
-from .errors import ConfigError, DataError, EvaluationRefused, MissingFrameError
+from .errors import ConfigError, DataError, MissingFrameError
 from .geometry import (
     BoundingBox,
     Detection,
@@ -125,5 +125,4 @@ __all__ = [
     "DataError",
     "ConfigError",
     "MissingFrameError",
-    "EvaluationRefused",
 ]

@@ -14,7 +14,6 @@ detections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .costmodel import CostModelConfig, WorkReport, estimate_time, greedy_merge, refine_cost, total_work
 from .errors import MissingFrameError
@@ -254,10 +253,8 @@ class Pipeline:
             merged_region_count=merged_count,
         )
 
-    def run_sequence(self, frames: Sequence[int] | None = None) -> SequenceResult:
-        """Run frames in order from a fresh tracker and aggregate the work totals."""
+    def run_sequence(self) -> SequenceResult:
+        """Run every frame in order from a fresh tracker and aggregate the work totals."""
         self.reset()
-        if frames is None:
-            frames = range(self.meta.frame_count)
-        results = [self.run_frame(i) for i in frames]
+        results = [self.run_frame(i) for i in range(self.meta.frame_count)]
         return SequenceResult(results, total_work([r.work for r in results]))

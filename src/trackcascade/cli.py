@@ -414,7 +414,10 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eval" and args.force and not args.out:
+        parser.error("eval --force needs --out: without it nothing is written")
     handlers = {
         "run": cmd_run,
         "eval": cmd_eval,

@@ -18,7 +18,7 @@ from typing import Any
 from .cascade import PipelineConfig
 from .costmodel import CostModelConfig
 from .errors import ConfigError
-from .ingest import ClassMap, read_ini
+from .ingest import DONTCARE, ClassMap, read_ini
 from .metrics import DIFFICULTY_PRESETS, DifficultyFilter, EvalConfig
 from .tracker import TrackerConfig
 
@@ -62,9 +62,7 @@ _SECTION_ALIASES = {"eval.match_iou": "match_iou", "eval.dontcare": "dontcare"}
 _CHECKED_WITH = {"match_iou": "eval", "dontcare": "eval"}
 
 
-def _convert(kind: str, raw: Any, where: str) -> Any:
-    if not isinstance(raw, str):
-        return raw
+def _convert(kind: str, raw: str, where: str) -> Any:
     text = raw.strip()
     try:
         if kind == "optfloat" and text.lower() in ("none", ""):
@@ -120,30 +118,36 @@ def _check_name(name: str, where: str) -> None:
         raise ConfigError(f"bad name {name!r} in {where}: empty, or holds whitespace, /, \\ or NUL")
 
 
-def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: Any) -> None:
-    where = f"{section}.{key}"
-    if section in _SCHEMA:
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {where}")
-        kind, _ = _SCHEMA[section][key]
-        values[section][key] = _convert(kind, raw, where)
-    elif section == "match_iou":
-        _check_name(key.lower(), where)
-        values["match_iou"][key.lower()] = _convert("float", raw, where)
-    elif section == "dontcare":
-        values["dontcare"][key.lower()] = _convert("str", raw, where).lower()
-    elif section.startswith("difficulty."):
+def _declare(values: dict[str, dict[str, Any]], section: str, where: str) -> dict[str, Any]:
+    """The values of a known section; a new [difficulty.<name>] starts from the defaults."""
+    if section.startswith("difficulty."):
         name = section.split(".", 1)[1]
         _check_name(name, where)
-        if key not in _DIFFICULTY_KEYS:
-            raise ConfigError(f"unknown key {where}")
-        kind, _ = _DIFFICULTY_KEYS[key]
-        custom = values["difficulty"].setdefault(
+        return values["difficulty"].setdefault(
             name, {k: d for k, (_, d) in _DIFFICULTY_KEYS.items()}
         )
-        custom[key] = _convert(kind, raw, where)
-    else:
+    if section == "difficulty" or section not in values:
         raise ConfigError(f"unknown config section {section!r}")
+    return values[section]
+
+
+def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: str) -> None:
+    where = f"{section}.{key}"
+    target = _declare(values, section, where)
+    if section in ("match_iou", "dontcare"):
+        name = key.lower()
+        if name == DONTCARE:
+            raise ConfigError(f"bad name {name!r} in {where}: it names KITTI's DontCare regions")
+        if section == "match_iou":
+            _check_name(name, where)
+            target[name] = _convert("float", raw, where)
+        else:
+            target[name] = _convert("str", raw, where).lower()
+        return
+    keys = _SCHEMA.get(section, _DIFFICULTY_KEYS)
+    if key not in keys:
+        raise ConfigError(f"unknown key {where}")
+    target[key] = _convert(keys[key][0], raw, where)
 
 
 def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settings:
@@ -166,8 +170,12 @@ def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settin
     match_iou = {ids[name]: thr for name, thr in values["match_iou"].items()}
     dontcare: dict[int, frozenset[int]] = {}
     for alias, target in values["dontcare"].items():
-        if target in ids:
-            dontcare[ids[target]] = dontcare.get(ids[target], frozenset()) | {ids[alias]}
+        if target not in values["match_iou"]:
+            raise ConfigError(
+                f"[eval.dontcare] {alias} = {target}: {target!r} is not an [eval.match_iou] class",
+                files.get("eval"),
+            )
+        dontcare[ids[target]] = dontcare.get(ids[target], frozenset()) | {ids[alias]}
     eval_config = build(
         EvalConfig, "eval", values["eval"], match_iou=match_iou, dontcare_classes=dontcare
     )
@@ -202,11 +210,12 @@ def load_settings(
     # section -> the config file, when only that file set values in it
     files: dict[str, str] = {}
     if path is not None:
-        # Section names are judged by _apply, for the file and --set alike.
+        # Section names are judged by _declare, for the file and --set alike.
         parser = read_ini(path, "config", lambda name: True, ConfigError)
         try:
             for section in parser.sections():
                 target = _SECTION_ALIASES.get(section, section)
+                _declare(values, target, f"[{section}]")
                 for key, raw in parser[section].items():
                     _apply(values, target, key, raw)
                 files[_CHECKED_WITH.get(target, target)] = str(path)

@@ -21,7 +21,3 @@ class ConfigError(DataError):
 
 class MissingFrameError(DataError):
     """A detector source was asked for a frame it cannot serve."""
-
-
-class EvaluationRefused(Exception):
-    """The requested metric is not meaningful on the given data."""

@@ -5,8 +5,9 @@ truths in descending score order, one-to-one, at a per-class IoU threshold.
 Because the greedy pass over a score-sorted list is prefix stable, a single
 labelling of all detections yields the exact counts for every score
 threshold. One score-descending pass per class (`ClassEvalData.sweep`)
-records them, and the precision/recall/delay curves, the interpolated AP and
-the precision-matched delay threshold are all read from it.
+records them, and the precision/recall/delay curves, the interpolated AP,
+the precision-matched delay threshold and the single-threshold readers
+`precision_recall_at` and `delay_from_labels` are all read from it.
 
 Delay for a ground-truth track is the frame distance from its first
 qualifying frame to the first frame in which a detection claims it; a track
@@ -24,7 +25,6 @@ from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EvaluationRefused
 from .geometry import BoundingBox, Detection, iou, score_order
 
 _RECALL_EPS = 1e-9
@@ -59,10 +59,6 @@ class GroundTruthTrack:
                 raise ValueError(
                     f"track {self.track_id}: frame indices must be strictly increasing"
                 )
-
-    @property
-    def entry_frame(self) -> int:
-        return self.frames[0].frame_index
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,10 @@ class FrameGt:
 
 @dataclass
 class FrameMatch:
+    """One frame's labels; a detection absorbed by a don't-care is in neither list."""
+
     tp: list[tuple[Detection, int]]  # detection and the track id it claimed
     fp: list[Detection]
-    fn: list[FrameGt]  # qualifying ground truths left unclaimed
-    ignored: list[Detection]  # matched only don't-care ground truth
 
 
 def match_frame(
@@ -167,7 +163,7 @@ def match_frame(
 
     claimed: set[int] = set()
     claimed_ignored: set[int] = set()
-    result = FrameMatch([], [], [], [])
+    result = FrameMatch([], [])
     for d in sorted(dets, key=score_order):
         best = None
         for idx, g in enumerate(qualifying):
@@ -193,12 +189,8 @@ def match_frame(
                 if inter is not None and inter.area / d.box.area >= iou_threshold:
                     absorbed = True
                     break
-        if absorbed:
-            result.ignored.append(d)
-        else:
+        if not absorbed:
             result.fp.append(d)
-
-    result.fn = [g for i, g in enumerate(qualifying) if i not in claimed]
     return result
 
 
@@ -355,41 +347,16 @@ def average_precision(data: ClassEvalData, recall_points: int | None = 11) -> fl
     return sum(envelope[bisect.bisect_left(recalls, r - _RECALL_EPS)] for r in grid) / len(grid)
 
 
-# Per-threshold rescans of the labels: the references the sweep is tested against.
 def precision_recall_at(data: ClassEvalData, threshold: float) -> tuple[float | None, float]:
     """Precision (None when no detection reaches the threshold) and recall."""
-    tp = sum(1 for l in data.labels if l.is_tp and l.score >= threshold)
-    fp = sum(1 for l in data.labels if not l.is_tp and l.score >= threshold)
-    precision = tp / (tp + fp) if (tp + fp) > 0 else None
-    recall = tp / data.n_pos if data.n_pos else 0.0
-    return precision, recall
+    row = data.row_at(threshold)
+    return data.precision(row), data.recall(row)
 
 
 def delay_from_labels(data: ClassEvalData, threshold: float) -> tuple[float | None, int]:
-    """Mean entry delay over counted tracks at a score threshold.
-
-    Returns (mean delay, never-detected count); mean is None when the class
-    has no counted tracks. A never-detected track contributes its
-    `TrackDelayInfo.length`.
-    """
-    if not data.tracks:
-        return None, 0
-    first_tp: dict[int, int] = {}
-    for l in data.labels:
-        if l.is_tp and l.score >= threshold:
-            prev = first_tp.get(l.track_id)
-            if prev is None or l.frame_index < prev:
-                first_tp[l.track_id] = l.frame_index
-    total = 0.0
-    never = 0
-    for t in data.tracks:
-        hit = first_tp.get(t.track_id)
-        if hit is None:
-            total += t.length
-            never += 1
-        else:
-            total += hit - t.entry_frame
-    return total / len(data.tracks), never
+    """Mean entry delay over counted tracks (None without any) and the never-detected count."""
+    row = data.row_at(threshold)
+    return data.delay(row), row.never
 
 
 def find_t_beta(per_class: Sequence[ClassEvalData], beta: float) -> float:
@@ -447,12 +414,12 @@ def mean_delay(per_class: Sequence[ClassEvalData], beta: float) -> DelayReport:
     """
     counted = [d for d in per_class if d.tracks]
     if not counted:
-        raise EvaluationRefused("no class has qualifying ground-truth tracks")
+        raise ValueError("no class has qualifying ground-truth tracks")
     t = find_t_beta(counted, beta)
     report: dict[int, ClassDelay] = {}
     for data in counted:
-        row = data.row_at(t)
-        report[data.class_id] = ClassDelay(data.delay(row), len(data.tracks), row.never)
+        delay, never = delay_from_labels(data, t)
+        report[data.class_id] = ClassDelay(delay, len(data.tracks), never)
     md = sum(c.mean_delay for c in report.values()) / len(report)
     return DelayReport(beta, t, report, md)
 
@@ -517,15 +484,17 @@ def evaluate_classes(
             (row.score, data.precision(row), data.recall(row), delay(row))
             for row in reversed(data.sweep[1:])
         ]
-        base = data.sweep[-1]  # every label counted
+        # Scores lie in [0, 1], so threshold 0 counts every label.
+        base_precision, base_recall = precision_recall_at(data, 0.0)
+        base_delay = None if sparse else delay_from_labels(data, 0.0)[0]
         reports[class_id] = ClassReport(
             ap,
             data.n_pos,
             len(data.tracks),
             len(data.labels),
-            data.precision(base),
-            data.recall(base),
-            delay(base),
+            base_precision,
+            base_recall,
+            base_delay,
             curve,
         )
 
@@ -537,6 +506,6 @@ def evaluate_classes(
     if not sparse:
         try:
             delay_report = mean_delay(list(per_class.values()), config.beta)
-        except (ValueError, EvaluationRefused) as exc:
+        except ValueError as exc:
             delay_error = str(exc)
     return DifficultyReport(difficulty.name, reports, mean_ap, delay_report, delay_error)

@@ -219,3 +219,37 @@ def reference_emit(tracks, config, frame_w, frame_h, frame_index):
         out.append(Detection(clipped, t.class_id, 1.0, frame_index))
     out.sort(key=score_order)
     return out
+
+
+def reference_precision_recall_at(data, threshold):
+    """`precision_recall_at` by rescanning every label: (precision or None, recall)."""
+    tp = sum(1 for l in data.labels if l.is_tp and l.score >= threshold)
+    fp = sum(1 for l in data.labels if not l.is_tp and l.score >= threshold)
+    precision = tp / (tp + fp) if (tp + fp) > 0 else None
+    recall = tp / data.n_pos if data.n_pos else 0.0
+    return precision, recall
+
+
+def reference_delay_from_labels(data, threshold):
+    """`delay_from_labels` by rescanning every label: (mean delay or None, never detected).
+
+    A never-detected track contributes its `TrackDelayInfo.length`.
+    """
+    if not data.tracks:
+        return None, 0
+    first_tp = {}
+    for l in data.labels:
+        if l.is_tp and l.score >= threshold:
+            prev = first_tp.get(l.track_id)
+            if prev is None or l.frame_index < prev:
+                first_tp[l.track_id] = l.frame_index
+    total = 0.0
+    never = 0
+    for t in data.tracks:
+        hit = first_tp.get(t.track_id)
+        if hit is None:
+            total += t.length
+            never += 1
+        else:
+            total += hit - t.entry_frame
+    return total / len(data.tracks), never

@@ -167,13 +167,16 @@ class TestCascadeModes:
             pipeline.run_frame(2)
 
     def test_missing_frame_halts_sequence(self):
-        pipeline = build("catdet")
-        with pytest.raises(MissingFrameError):
-            pipeline.run_sequence(range(0, 9))
-
-    def test_empty_range(self):
-        result = build("catdet").run_sequence(range(0))
-        assert result.frames == [] and result.total.total_ops == 0.0
+        # The sequence claims 9 frames; its sources serve 6.
+        proposal, refine = moving_object_stores()
+        pipeline = Pipeline(
+            PipelineConfig(mode="catdet"),
+            SequenceMeta("syn: test", 9, 1000.0, 400.0),
+            FileBackedSource(refine, "refine", META.frame_count),
+            FileBackedSource(proposal, "proposal", META.frame_count),
+        )
+        with pytest.raises(MissingFrameError, match="cannot serve frame 6"):
+            pipeline.run_sequence()
 
     def test_deterministic_repeat_runs(self):
         results = []

@@ -441,6 +441,14 @@ class TestUsageErrors:
             run_cli("run", "--out", "x")
         assert err.value.code == 1
 
+    def test_eval_force_without_out_exits_one(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", "--gt", str(DATA / "fig4_labels.txt"),
+                    "--det", str(DATA / "fig4_detections.txt"), "--force")
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "--force needs --out" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-5", "2"])
     def test_jobs_is_usage_error(self, seq_dir, tmp_path, jobs):
         with pytest.raises(SystemExit) as err:
@@ -564,6 +572,14 @@ class TestConfigCheckedByEveryCommand:
             (None, ["match_iou.a/b=0.5"], "bad name 'a/b' in match_iou.a/b"),
             (None, ["difficulty.x/y.min_size=1", "eval.difficulties=x/y"],
              "bad name 'x/y' in difficulty.x/y.min_size"),
+            # Sections are judged by name, keys or not
+            ("[bogus]\n[difficulty.x]\n", [], "unknown config section 'bogus'"),
+            # KITTI's DontCare regions are no class, and an alias needs an evaluated class
+            (None, ["match_iou.dontcare=0.5"], "bad name 'dontcare' in match_iou.dontcare"),
+            (None, ["eval.dontcare.van=carr"],
+             "[eval.dontcare] van = carr: 'carr' is not an [eval.match_iou] class"),
+            ("[eval.dontcare]\nvan = carr\n", [],
+             "[eval.dontcare] van = carr: 'carr' is not an [eval.match_iou] class"),
         ],
     )
     def test_run_and_eval_refuse_alike(self, seq_dir, tmp_path, capsys, config, overrides,
@@ -585,6 +601,20 @@ class TestConfigCheckedByEveryCommand:
             captured = capsys.readouterr()
             assert message in captured.err, (name, captured.err)
             assert captured.out == "" and not out.exists(), name
+
+    def test_keyless_difficulty_section_declares_it(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("[difficulty.x]\n")
+        argv = ["eval", "--gt", str(DATA / "fig4_labels.txt"),
+                "--det", str(DATA / "fig4_detections.txt")]
+        assert run_cli(*argv, "--set", "eval.difficulties=all") == 0
+        expected = capsys.readouterr().out
+        assert run_cli(*argv, "--config", str(path), "--set", "eval.difficulties=x") == 0
+        # A filter with the default values is the "all" preset under another name.
+        printed = capsys.readouterr().out
+        assert printed.replace("difficulty x ==", "difficulty all ==").replace(
+            "\nx           ", "\nall         "
+        ) == expected
 
 
 class TestWorkFile:

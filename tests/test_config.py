@@ -138,6 +138,18 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="unknown config section"):
             load_settings(None, ["nonsense.x=1"])
 
+    @pytest.mark.parametrize(
+        "text, section",
+        [("[bogus]\n", "bogus"), ("[difficulty.x]\n[bogus]\n", "bogus"),
+         ("[difficulty]\n", "difficulty"), ("[eval.bogus]\n", "eval.bogus")],
+    )
+    def test_keyless_unknown_section_in_file_rejected(self, tmp_path, text, section):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"unknown config section '{section}'") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             load_settings(None, ["pipeline.margin=wide"])
@@ -240,13 +252,19 @@ class TestRanges:
 
 
 class TestNames:
-    """Class and difficulty names become part of eval's curve file names."""
+    """Class and difficulty names become part of eval's curve file names.
+
+    `dontcare` names KITTI's DontCare regions, so it is no class or alias name,
+    and an alias must point at an evaluated class.
+    """
 
     @pytest.mark.parametrize(
         "override",
         ["match_iou.a/b=0.5", "match_iou.a\\b=0.5", "match_iou.a b=0.5", "match_iou.=0.5",
          "eval.match_iou.x/y=0.5", "difficulty.x/y.min_size=1", "difficulty.x\\y.min_size=1",
-         "difficulty.x y.min_size=1", "difficulty..min_size=1"],
+         "difficulty.x y.min_size=1", "difficulty..min_size=1",
+         # KITTI's DontCare regions are no class
+         "match_iou.dontcare=0.5", "eval.match_iou.DontCare=0.5", "eval.dontcare.dontcare=car"],
     )
     def test_name_that_is_no_file_name_part_rejected(self, override):
         where = override.split("=")[0].removeprefix("eval.")
@@ -257,7 +275,8 @@ class TestNames:
     @pytest.mark.parametrize(
         "text",
         ["[eval.match_iou]\na\\b = 0.5\n", "[match_iou]\na b = 0.5\n",
-         "[difficulty.a\0b]\nmin_size = 1\n", "[difficulty.a/b]\nmin_size = 1\n"],
+         "[difficulty.a\0b]\nmin_size = 1\n", "[difficulty.a/b]\nmin_size = 1\n",
+         "[difficulty.a b]\n", "[eval.match_iou]\ndontcare = 0.5\n"],
     )
     def test_bad_name_in_file_names_the_file(self, tmp_path, text):
         p = tmp_path / "c.cfg"
@@ -265,6 +284,24 @@ class TestNames:
         with pytest.raises(ConfigError, match="bad name") as err:
             load_settings(p)
         assert err.value.path == str(p)
+
+    @pytest.mark.parametrize("target", ["carr", "person_sitting", "dontcare", ""])
+    def test_alias_target_must_be_an_evaluated_class(self, target):
+        with pytest.raises(ConfigError, match=r"is not an \[eval.match_iou\] class") as err:
+            load_settings(None, [f"eval.dontcare.van={target}"])
+        assert f"van = {target}:" in str(err.value) and err.value.path is None
+
+    def test_alias_target_in_file_names_the_file(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[eval.dontcare]\nvan = carr\n")
+        with pytest.raises(ConfigError, match="'carr' is not an") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
+
+    def test_alias_of_an_added_class_accepted(self):
+        s = load_settings(None, ["match_iou.cyclist=0.5", "eval.dontcare.tram=cyclist"])
+        ids = {name: i for i, name in enumerate(s.eval_classes)}
+        assert s.eval.dontcare_classes[ids["cyclist"]] == frozenset({ids["tram"]})
 
     def test_plain_names_accepted(self):
         s = load_settings(None, ["match_iou.cyclist=0.5", "difficulty.my-size_2.min_size=1",
@@ -286,6 +323,13 @@ class TestDifficulties:
         with pytest.raises(ConfigError, match="each once; got") as err:
             load_settings(p)
         assert err.value.path == str(p)
+
+    def test_keyless_difficulty_section_declares_default_filter(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[difficulty.x]\n")
+        s = load_settings(p, ["eval.difficulties=x"])
+        assert s.difficulties == [DifficultyFilter("x")]
+        assert s.values["difficulty"]["x"]["min_size"] == 0.0
 
     def test_unlisted_custom_difficulty_is_checked(self):
         with pytest.raises(ConfigError, match=r"bad \[difficulty\.x\] value: size_axis"):

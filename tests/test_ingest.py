@@ -116,7 +116,7 @@ class TestKittiLabels:
         p.write_text(KITTI_TWO_LINES)
         labels = parse_kitti_tracking_labels(p, cmap)
         (t,) = labels.tracks
-        assert t.entry_frame == 0 and len(t.frames) == 2
+        assert t.frames[0].frame_index == 0 and len(t.frames) == 2
         assert t.frames[1].truncated == 0.1 and t.frames[1].occluded == 1
 
     def test_dontcare_preserved_as_regions(self, tmp_path, cmap):

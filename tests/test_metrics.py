@@ -8,7 +8,6 @@ from trackcascade import (
     BoundingBox,
     Detection,
     EvalConfig,
-    EvaluationRefused,
     FrameGt,
     GroundTruthTrack,
     GtEntry,
@@ -27,6 +26,8 @@ from trackcascade.metrics import (
     delay_from_labels,
     precision_recall_at,
 )
+
+from conftest import reference_delay_from_labels, reference_precision_recall_at
 
 ALL = DIFFICULTY_PRESETS["all"]
 
@@ -57,7 +58,7 @@ def rand_box(rng, span=100.0):
 class TestMatchFrame:
     def test_single_perfect_match(self):
         m = match_frame([gt(0, 0, 10, 10)], [det(0, 0, 10, 10)], 0.7)
-        assert len(m.tp) == 1 and m.fp == [] and m.fn == []
+        assert len(m.tp) == 1 and m.fp == [] and _fn(m, [gt(0, 0, 10, 10)]) == 0
 
     def test_second_detection_is_fp(self):
         dets = [det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
@@ -66,21 +67,22 @@ class TestMatchFrame:
         assert len(m.fp) == 1 and m.fp[0].score == 0.8
 
     def test_dontcare_absorbs_without_tp_or_fp(self):
-        m = match_frame([gt(0, 0, 10, 10, qualifying=False)], [det(0, 0, 10, 10)], 0.5)
-        assert m.tp == [] and m.fp == [] and len(m.ignored) == 1 and m.fn == []
+        gts, dets = [gt(0, 0, 10, 10, qualifying=False)], [det(0, 0, 10, 10)]
+        m = match_frame(gts, dets, 0.5)
+        assert m.tp == [] and m.fp == [] and _ignored(m, dets) == 1 and _fn(m, gts) == 0
 
     def test_region_absorbs_by_intersection_over_area(self):
         region = gt(0, 0, 100, 100, qualifying=False, region=True)
         inside = det(10, 10, 20, 20)
         outside = det(200, 200, 220, 220)
         m = match_frame([region], [inside, outside], 0.5)
-        assert len(m.ignored) == 1 and len(m.fp) == 1
+        assert _ignored(m, [inside, outside]) == 1 and len(m.fp) == 1
 
     def test_never_double_claims(self):
         gts = [gt(0, 0, 10, 10, track_id=1), gt(20, 0, 30, 10, track_id=2)]
         dets = [det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
         m = match_frame(gts, dets, 0.5)
-        assert len(m.tp) == 1 and len(m.fp) == 1 and len(m.fn) == 1
+        assert len(m.tp) == 1 and len(m.fp) == 1 and _fn(m, gts) == 1
 
     def test_against_greedy_oracle(self):
         rng = np.random.default_rng(30)
@@ -96,6 +98,16 @@ class TestMatchFrame:
 
 def _c(b):
     return b.x1, b.y1, b.x2, b.y2
+
+
+def _fn(m, gts):
+    """Qualifying ground truths left unclaimed: each true positive claims one."""
+    return sum(g.qualifying for g in gts) - len(m.tp)
+
+
+def _ignored(m, dets):
+    """Detections that matched only don't-care ground truth: neither TP nor FP."""
+    return len(dets) - len(m.tp) - len(m.fp)
 
 
 def _greedy_tp_oracle(gts, dets, thr):
@@ -364,7 +376,7 @@ class TestMeanDelay:
 
     def test_refuses_without_tracks(self):
         data = data_from_labels([DetLabel(0.9, False, None, 0)], 0)
-        with pytest.raises(EvaluationRefused):
+        with pytest.raises(ValueError, match="^no class has qualifying ground-truth tracks$"):
             mean_delay([data], 0.8)
 
 
@@ -481,7 +493,7 @@ def t_beta_bruteforce(per_class, beta):
     """(t_beta, None) or (None, best mean) by rescanning at every score."""
     best = None
     for t in sorted({l.score for d in per_class for l in d.labels}):
-        precisions = [precision_recall_at(d, t)[0] for d in per_class]
+        precisions = [reference_precision_recall_at(d, t)[0] for d in per_class]
         mean = sum(1.0 if p is None else p for p in precisions) / len(per_class)
         if mean >= beta:
             return t, None
@@ -495,7 +507,7 @@ def ap_bruteforce_envelope(data, recall_points):
         return None
     points = []
     for t in sorted({l.score for l in data.labels}, reverse=True):
-        precision, recall = precision_recall_at(data, t)
+        precision, recall = reference_precision_recall_at(data, t)
         points.append((precision, recall))
     if not points:
         return 0.0
@@ -521,8 +533,12 @@ class TestSweepOracle:
         thresholds = [row.score for row in data.sweep[1:]] + extra_thresholds + [0.0, 1.0]
         for t in thresholds:
             row = data.row_at(t)
-            assert (data.precision(row), data.recall(row)) == precision_recall_at(data, t)
-            assert (data.delay(row), row.never) == delay_from_labels(data, t)
+            expected = reference_precision_recall_at(data, t)
+            assert (data.precision(row), data.recall(row)) == expected
+            assert precision_recall_at(data, t) == expected
+            expected = reference_delay_from_labels(data, t)
+            assert (data.delay(row), row.never) == expected
+            assert delay_from_labels(data, t) == expected
 
     @PROPERTY
     @given(class_list(1, 3), st.sampled_from([0.3, 0.5, 0.8, 0.95]))
@@ -544,7 +560,7 @@ class TestSweepOracle:
     def test_mean_delay_at_t_beta_equals_rescan(self, per_class, beta):
         counted = [d for d in per_class if d.tracks]
         if not counted:
-            with pytest.raises(EvaluationRefused):
+            with pytest.raises(ValueError, match="^no class has qualifying ground-truth tracks$"):
                 mean_delay(list(per_class), beta)
             return
         t, _ = t_beta_bruteforce(counted, beta)
@@ -557,10 +573,10 @@ class TestSweepOracle:
         assert sorted(report.per_class) == [d.class_id for d in counted]
         for d in counted:
             c = report.per_class[d.class_id]
-            assert (c.mean_delay, c.never_detected) == delay_from_labels(d, t)
+            assert (c.mean_delay, c.never_detected) == reference_delay_from_labels(d, t)
             assert c.counted_tracks == len(d.tracks)
         assert report.mean_delay == sum(
-            delay_from_labels(d, t)[0] for d in counted
+            reference_delay_from_labels(d, t)[0] for d in counted
         ) / len(counted)
 
     @PROPERTY
@@ -604,9 +620,10 @@ class TestEvaluateClassesOracle:
             data = label_class_detections(tracks, dets, class_id, 0.5, difficulty)
             scores = sorted({l.score for l in data.labels})
             assert c.curve == [
-                (t, *precision_recall_at(data, t), delay_from_labels(data, t)[0])
+                (t, *reference_precision_recall_at(data, t),
+                 reference_delay_from_labels(data, t)[0])
                 for t in scores
             ]
             base_t = scores[0] if scores else 0.0
-            assert (c.base_precision, c.base_recall) == precision_recall_at(data, base_t)
-            assert c.base_delay == delay_from_labels(data, base_t)[0]
+            assert (c.base_precision, c.base_recall) == reference_precision_recall_at(data, base_t)
+            assert c.base_delay == reference_delay_from_labels(data, base_t)[0]
