@@ -116,8 +116,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_out(out: Path, force: bool) -> None:
-    """Refuse an --out that publishing would refuse, before any input is read."""
+def _check_out(out: Path, force: bool, inputs=()) -> None:
+    """Refuse an --out that publishing would refuse, before any input is read.
+
+    Publishing with --force deletes `out` first, so an `out` that is, or
+    holds, the working directory or one of `inputs` is refused even so.
+    """
+    where = Path(os.path.realpath(out))
+    kept = [("the working directory", ".")] + [(f"input {p}", p) for p in inputs if p is not None]
+    for what, path in kept:
+        path = Path(os.path.realpath(path))
+        if where == path or where in path.parents:
+            raise DataError(f"--out {out} is or holds {what}")
     if out.exists():
         if not out.is_dir():
             raise DataError(f"--out is a file, not a directory: {out}")
@@ -135,6 +145,7 @@ def _atomic_dir(out: Path, force: bool):
     here and on publishing, since it may have appeared in the meantime.
     """
     _check_out(out, force)
+    made = [parent for parent in out.parents if not parent.exists()]  # innermost first
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -149,10 +160,20 @@ def _atomic_dir(out: Path, force: bool):
         os.replace(tmp, out)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        if not out.exists():  # nothing was published: neither are the parents made above
+            for parent in made:
+                with contextlib.suppress(OSError):
+                    parent.rmdir()
 
 
-def _run_one_sequence(settings: Settings, seq_dir: Path, meta: SequenceMeta):
-    """Execute one sequence; returns everything the writer needs."""
+def _run_and_write(
+    settings: Settings, seq_dir: Path, meta: SequenceMeta, dest: Path, dump_masks: bool
+) -> tuple[list[str], int, WorkReport]:
+    """Run one sequence and write its outputs into `dest`, a new directory.
+
+    Returns only what `cmd_run` prints: the dropped class names, the frame
+    count and the totals, so a worker process sends back a few numbers.
+    """
     class_map = ClassMap(settings.classes)
     refine_path = seq_dir / "refine.txt"
     proposal_path = seq_dir / "proposal.txt"
@@ -168,32 +189,54 @@ def _run_one_sequence(settings: Settings, seq_dir: Path, meta: SequenceMeta):
 
     pipeline = Pipeline(config, meta, refine, proposal, known_classes=set(class_map.configured))
     result: SequenceResult = pipeline.run_sequence()
-    return class_map, inputs, result
 
-
-def _write_run_outputs(
-    settings: Settings,
-    out: Path,
-    meta: SequenceMeta,
-    class_map: ClassMap,
-    inputs,
-    result: SequenceResult,
-    dump_masks: bool,
-) -> None:
-    """Write one sequence's outputs into the existing directory `out`."""
+    dest.mkdir(exist_ok=True)
     final = [d for r in result.frames for d in r.final_detections]
-    write_detections(final, class_map, out / "detections.txt")
-    write_work_records(result.frames, result.total, out / "work.txt")
+    write_detections(final, class_map, dest / "detections.txt")
+    write_work_records(result.frames, result.total, dest / "work.txt")
     outputs = ["detections.txt", "work.txt", "manifest.json"]
     if dump_masks:
-        write_mask_dump(result.frames, out / "masks.txt")
+        write_mask_dump(result.frames, dest / "masks.txt")
         outputs.append("masks.txt")
-    write_manifest(out / "manifest.json", "run", settings.values, inputs, outputs, meta=meta)
+    write_manifest(dest / "manifest.json", "run", settings.values, inputs, outputs, meta=meta)
+    return sorted(class_map.flagged), len(result.frames), result.total
+
+
+def _run_sequences(tasks: list[tuple]) -> list[tuple]:
+    """`_run_and_write(*task)` for each task; the outcomes come in task order.
+
+    Sequences are independent and their work is pure Python, which one
+    process runs on one CPU.  So with several CPUs, forked workers run
+    `tasks[1:]`, at most one per CPU, while this process runs `tasks[0]`.
+    A failure raises the first failing task's error, as a serial loop
+    would.  Only a process without other threads forks, since a lock held
+    by another thread stays held in the child.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(len(tasks), cpus or 1)
+    if jobs > 1:
+        import multiprocessing
+        import threading
+
+        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            jobs = 1
+    if jobs == 1:
+        return [_run_and_write(*task) for task in tasks]
+
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run_and_write, *task) for task in tasks[1:]]
+        try:
+            return [_run_and_write(*tasks[0])] + [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # then the with waits for the running ones
+            raise
 
 
 def cmd_run(args) -> int:
     out_root = Path(args.out)
-    _check_out(out_root, args.force)
+    _check_out(out_root, args.force, [*args.sequence, args.config])
     mode_override = [f"pipeline.mode={args.mode}"] if args.mode else []
     settings = load_settings(args.config, args.overrides + mode_override)
     sequences = [Path(s) for s in args.sequence]
@@ -212,18 +255,16 @@ def cmd_run(args) -> int:
             str(sequences[i] / "meta.cfg"),
         )
 
-    # All sequences run before --out is staged and then published as a whole.
-    executed = [_run_one_sequence(settings, seq, meta) for seq, meta in zip(sequences, metas)]
     with _atomic_dir(out_root, args.force) as tmp:
-        for subdir, meta, outcome in zip(subdirs, metas, executed):
-            (tmp / subdir).mkdir(exist_ok=True)
-            _write_run_outputs(settings, tmp / subdir, meta, *outcome, args.dump_masks)
-    for subdir, meta, (class_map, _, result) in zip(subdirs, metas, executed):
-        if class_map.flagged:
-            print(f"note: dropped detections of unconfigured classes: {sorted(class_map.flagged)}")
-        t = result.total
+        outcomes = _run_sequences([
+            (settings, seq, meta, tmp / subdir, args.dump_masks)
+            for seq, meta, subdir in zip(sequences, metas, subdirs)
+        ])
+    for subdir, meta, (flagged, frame_count, t) in zip(subdirs, metas, outcomes):
+        if flagged:
+            print(f"note: dropped detections of unconfigured classes: {flagged}")
         print(
-            f"{meta.sequence_id}: {len(result.frames)} frames, "
+            f"{meta.sequence_id}: {frame_count} frames, "
             f"total {t.total_ops:.1f} Gops (proposal {t.proposal_ops:.1f}, "
             f"refinement {t.refine_ops:.1f}) -> {out_root / subdir}"
         )
@@ -269,8 +310,8 @@ def _print_difficulty_report(report: DifficultyReport, class_map: ClassMap) -> N
 
 
 def cmd_eval(args) -> int:
-    if args.out:
-        _check_out(Path(args.out), args.force)
+    if args.out is not None:
+        _check_out(Path(args.out), args.force, [args.gt, args.det, args.config])
     settings = load_settings(args.config, args.overrides)
     class_map = ClassMap(settings.eval_classes)
 
@@ -299,7 +340,7 @@ def cmd_eval(args) -> int:
         md_text = _fmt_opt(report.delay and report.delay.mean_delay, ".2f")
         print(f"{report.difficulty:<12} {_fmt_opt(report.mean_ap, '.4f'):>8} {md_text:>9}")
 
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         with _atomic_dir(out, args.force) as tmp:
             outputs = ["manifest.json"]
@@ -391,7 +432,7 @@ def cmd_cost_report(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     out = Path(args.out)
-    _check_out(out, args.force)
+    _check_out(out, args.force, [args.scenario])
     scenario = parse_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
@@ -416,7 +457,7 @@ def cmd_gen_synthetic(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval" and args.force and not args.out:
+    if args.command == "eval" and args.force and args.out is None:
         parser.error("eval --force needs --out: without it nothing is written")
     handlers = {
         "run": cmd_run,

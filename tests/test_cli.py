@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import multiprocessing
+import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,7 +24,7 @@ from trackcascade import (
     parse_meta,
     write_detections,
 )
-from trackcascade.cli import main
+from trackcascade.cli import _check_out, main
 from trackcascade.runio import (
     MASK_KINDS,
     parse_mask_dump,
@@ -64,15 +69,39 @@ def read_tree(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
-def two_sequences(tmp_path, cmap) -> list[Path]:
-    """Sequences seq0 and seq1 whose refinement detections differ."""
+def sequences(tmp_path, cmap, n=2) -> list[Path]:
+    """Sequences seq0, seq1, ... whose refinement detections differ."""
     seqs = []
-    for i in range(2):
+    for i in range(n):
         meta = SequenceMeta(f"seq{i}", 3, 1000.0, 400.0)
         proposal = make_store([(f, 0, 0.6, 100, 100, 200, 200) for f in range(3)])
         refine = make_store([(f, 0, 0.9 - 0.1 * i, 100, 100 + 10 * i, 200, 200) for f in range(3)])
         seqs.append(write_sequence(tmp_path, meta, proposal, refine, cmap))
     return seqs
+
+
+def all_files(root: Path) -> dict[str, bytes | None]:
+    """Every path under `root`, with a file's bytes and None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def run_on_cpus(monkeypatch, capsys, cpus: int, argv: list[str]):
+    """Run the CLI as if `cpus` CPUs were available; returns (exit, stdout, stderr, forks)."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", counted_fork)
+        code = run_cli(*argv)
+    assert multiprocessing.active_children() == []  # every worker was joined
+    out, err = capsys.readouterr()
+    return code, out, err, len(forks)
 
 
 class TestRun:
@@ -219,7 +248,7 @@ class TestRun:
         assert not (out / "keep.txt").exists()
 
     def test_multiple_sequences(self, tmp_path, cmap):
-        seqs = two_sequences(tmp_path, cmap)
+        seqs = sequences(tmp_path, cmap)
         out = tmp_path / "multi"
         args = ["run", "--mode", "catdet", "--out", str(out)]
         for s in seqs:
@@ -234,7 +263,7 @@ class TestRun:
             assert got == (alone / "detections.txt").read_bytes()
 
     def test_bad_later_sequence_writes_nothing(self, tmp_path, cmap):
-        seqs = two_sequences(tmp_path, cmap)
+        seqs = sequences(tmp_path, cmap)
         (seqs[1] / "refine.txt").write_text("0 car 0.9 100 100 not-a-number 200\n")
         out = tmp_path / "multi"
         args = ["run", "--mode", "catdet", "--out", str(out)]
@@ -311,6 +340,60 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(meta) in err and message in err
         assert not out.exists()
+
+
+class TestParallelRun:
+    """Several sequences run in forked workers, one per CPU beyond the first.
+
+    The CPU count is patched, so a one-CPU host takes the fork path too.
+    """
+
+    @staticmethod
+    def argv(seqs, out):
+        argv = ["run", "--mode", "catdet", "--out", str(out), "--dump-masks", "--force"]
+        for seq in seqs:
+            argv += ["--sequence", str(seq)]
+        return argv
+
+    @pytest.mark.parametrize("n, cpus, forks", [(2, 2, 1), (3, 2, 1), (3, 3, 2), (3, 8, 2)])
+    def test_outputs_and_stdout_equal_a_serial_run(self, tmp_path, cmap, monkeypatch, capsys,
+                                                   n, cpus, forks):
+        seqs = sequences(tmp_path, cmap, n)
+        # The last sequence, which a worker runs, drops an unconfigured class.
+        with open(seqs[-1] / "refine.txt", "a", encoding="utf-8") as fh:
+            fh.write("1 truck 0.9 10 10 50 50\n")
+        out = tmp_path / "out"
+        runs = []
+        for c in (1, cpus):
+            code, stdout, err, made = run_on_cpus(monkeypatch, capsys, c, self.argv(seqs, out))
+            assert (code, err, made) == (0, "", forks if c > 1 else 0)
+            runs.append((stdout, all_files(out)))
+        assert runs[0] == runs[1]
+        stdout, files = runs[0]
+        assert "note: dropped detections of unconfigured classes: ['truck']\n" in stdout
+        ids = [line.split(":")[0] for line in stdout.splitlines() if not line.startswith("note")]
+        assert ids == [s.name for s in seqs]
+        names = ("detections.txt", "manifest.json", "masks.txt", "work.txt")
+        want = [p for s in seqs for p in (s.name, *(f"{s.name}/{x}" for x in names))]
+        assert list(files) == want
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("bad", [(0,), (1,), (2,), (1, 2), (0, 2)])
+    def test_bad_sequence_writes_nothing(self, tmp_path, cmap, monkeypatch, capsys, cpus, bad):
+        # On two CPUs this process runs seq0 and one worker seq1 and seq2;
+        # on three, each of seq1 and seq2 has its own worker.
+        seqs = sequences(tmp_path / "in", cmap, 3)
+        for i in bad:
+            (seqs[i] / "refine.txt").write_text("0 car 0.9 100 100 not-a-number 200\n")
+        out = tmp_path / "runs" / "out"
+        errs = []
+        for c in (1, cpus):
+            code, stdout, err, made = run_on_cpus(monkeypatch, capsys, c, self.argv(seqs, out))
+            assert (code, stdout, made) == (2, "", cpus - 1 if c > 1 else 0)
+            assert not (tmp_path / "runs").exists()
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"error: {seqs[bad[0]] / 'refine.txt'}:1:")
 
 
 class TestEval:
@@ -894,6 +977,80 @@ class TestBadOut:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err == f"error: --out exists: {out} (use --force)\n"
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+class TestOutKeepsInputs:
+    """--out may not be, or hold, the working directory or an input; --force or not.
+
+    Publishing with --force deletes --out first, so each case would lose
+    data.  The working directory is `tree/work`; the inputs are `work/seq`,
+    `tree/cfg/c.cfg` and `tree/scen/s.cfg`.
+    """
+
+    COMMANDS = {
+        "run": ["run", "--sequence", "seq", "--config", "../cfg/c.cfg", "--mode", "single"],
+        "eval": ["eval", "--gt", "seq/labels.txt", "--det", "seq/refine.txt",
+                 "--config", "../cfg/c.cfg"],
+        "gen-synthetic": ["gen-synthetic", "--scenario", "../scen/s.cfg"],
+    }
+    CWD = "the working directory"
+
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch) -> Path:
+        root = tmp_path / "tree"
+        work = root / "work"
+        for part in ("cfg", "scen", "work"):
+            (root / part).mkdir(parents=True)
+        (root / "cfg" / "c.cfg").write_text("[pipeline]\nmode = single\n")
+        shutil.copy(DATA / "benchmark_scenario.cfg", root / "scen" / "s.cfg")
+        (work / "other.txt").write_text("keep")
+        (work / "seq-link").symlink_to("seq", target_is_directory=True)
+        monkeypatch.chdir(work)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("gen-synthetic", "--scenario", "../scen/s.cfg", "--out", "seq") == 0
+        return root
+
+    def check_refused(self, tree, capsys, command, out, force, what):
+        before = all_files(tree)
+        argv = self.COMMANDS[command] + ["--out", out] + (["--force"] if force else [])
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: --out {Path(out)} is or holds {what}\n"
+        assert all_files(tree) == before
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("command", ["run", "eval", "gen-synthetic"])
+    @pytest.mark.parametrize("out", ["", ".", "..", "../..", "ABS_CWD"])
+    def test_working_directory_and_its_parents(self, tree, capsys, command, out, force):
+        out = str(tree / "work") if out == "ABS_CWD" else out
+        self.check_refused(tree, capsys, command, out, force, self.CWD)
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize(
+        "command, out, what",
+        [
+            ("run", "seq", "input seq"),
+            ("run", "seq-link", "input seq"),
+            ("run", "../cfg", "input ../cfg/c.cfg"),
+            ("run", "../cfg/c.cfg", "input ../cfg/c.cfg"),
+            ("eval", "seq", "input seq/labels.txt"),
+            ("eval", "../cfg", "input ../cfg/c.cfg"),
+            ("gen-synthetic", "../scen", "input ../scen/s.cfg"),
+        ],
+    )
+    def test_inputs_and_their_parents(self, tree, capsys, command, out, what, force):
+        self.check_refused(tree, capsys, command, out, force, what)
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_filesystem_root(self, force):
+        with pytest.raises(DataError, match="^--out / is or holds the working directory$"):
+            _check_out(Path("/"), force)
+
+    def test_gen_synthetic_may_replace_a_sequence(self, tree, capsys):
+        argv = self.COMMANDS["gen-synthetic"] + ["--out", "seq", "--seed", "5", "--force"]
+        assert run_cli(*argv) == 0
+        manifest = json.loads((tree / "work" / "seq" / "manifest.json").read_text())
+        assert manifest["config"]["scenario"]["seed"] == 5
+        assert (tree / "work" / "other.txt").read_text() == "keep"
 
 
 class TestReadme:

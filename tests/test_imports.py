@@ -1,36 +1,59 @@
-"""Only `gen-synthetic` needs numpy, and nothing in the package needs scipy.
+"""What a CLI call imports: only `gen-synthetic` needs numpy, nothing needs scipy,
+and only a run of several sequences loads the process pool.
 
 Importing numpy and scipy costs most of a short CLI call's wall time and
-about half its peak memory, so the package and the CLI's start-up must not
-import them.
+about half its peak memory, and `multiprocessing` with `concurrent.futures`
+about 17 ms more, so a call must not import what it does not use.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trackcascade
+from trackcascade import ClassMap, SequenceMeta
+
+from conftest import make_store, write_sequence
 
 SRC = Path(trackcascade.__file__).resolve().parents[1]
 
 SCRIPT = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 import trackcascade, trackcascade.cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
-        trackcascade.cli.main(["--version"])
+        code = trackcascade.cli.main(json.loads(sys.argv[1]))
     except SystemExit as exc:
-        assert exc.code == 0, exc.code
-heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-print(" ".join(heavy))
+        code = exc.code
+assert code == 0, code
+roots = ("numpy", "scipy", "multiprocessing", "concurrent")
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in roots)))
 """
 
 
-def test_package_and_cli_start_without_numpy_or_scipy():
+def loaded_modules(argv: list[str]) -> str:
+    """The heavy modules loaded by one CLI call, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", SCRIPT, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    return done.stdout.strip()
+
+
+def test_package_and_cli_start_without_numpy_or_scipy():
+    assert loaded_modules(["--version"]) == ""
+
+
+@pytest.mark.parametrize("mode", ["single", "catdet"])
+def test_single_sequence_run_loads_neither_numpy_nor_a_process_pool(tmp_path, mode):
+    cmap = ClassMap(["car", "pedestrian"])
+    store = make_store([(f, 0, 0.9, 100, 100, 200, 200) for f in range(3)])
+    seq = write_sequence(tmp_path, SequenceMeta("seq0", 3, 1000.0, 400.0), store, store, cmap)
+    argv = ["run", "--sequence", str(seq), "--mode", mode, "--out", str(tmp_path / "out")]
+    assert loaded_modules(argv) == ""
