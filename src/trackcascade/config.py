@@ -18,7 +18,7 @@ from typing import Any
 from .cascade import PipelineConfig
 from .costmodel import CostModelConfig
 from .errors import ConfigError
-from .ingest import DONTCARE, ClassMap, read_ini
+from .ingest import DONTCARE, ClassMap, _check_name, read_ini
 from .metrics import DIFFICULTY_PRESETS, DifficultyFilter, EvalConfig
 from .tracker import TrackerConfig
 
@@ -112,17 +112,11 @@ def _defaults() -> dict[str, dict[str, Any]]:
     return values
 
 
-def _check_name(name: str, where: str) -> None:
-    """Refuse a class or difficulty name that could not be part of a file name."""
-    if not name or any(ch.isspace() or ch in "/\\\0" for ch in name):
-        raise ConfigError(f"bad name {name!r} in {where}: empty, or holds whitespace, /, \\ or NUL")
-
-
 def _declare(values: dict[str, dict[str, Any]], section: str, where: str) -> dict[str, Any]:
     """The values of a known section; a new [difficulty.<name>] starts from the defaults."""
     if section.startswith("difficulty."):
         name = section.split(".", 1)[1]
-        _check_name(name, where)
+        _check_name(name, where, ConfigError)
         return values["difficulty"].setdefault(
             name, {k: d for k, (_, d) in _DIFFICULTY_KEYS.items()}
         )
@@ -139,7 +133,7 @@ def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: str) 
         if name == DONTCARE:
             raise ConfigError(f"bad name {name!r} in {where}: it names KITTI's DontCare regions")
         if section == "match_iou":
-            _check_name(name, where)
+            _check_name(name, where, ConfigError)
             target[name] = _convert("float", raw, where)
         else:
             target[name] = _convert("str", raw, where).lower()

@@ -17,7 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .geometry import BoundingBox, Detection, score_order
@@ -151,6 +151,12 @@ def _check_keys(
     missing = [key for key in required if key not in section]
     if missing:
         raise ValueError(f"missing key {missing[0]!r}")
+
+
+def _check_name(name: str, where: str, error: type[Exception] = ValueError) -> None:
+    """Refuse a name that becomes part of a file name but could not be one."""
+    if not name or any(ch.isspace() or ch in "/\\\0" for ch in name):
+        raise error(f"bad name {name!r} in {where}: empty, or holds whitespace, /, \\ or NUL")
 
 
 def _parse_float(token: str, what: str, path: Path, lineno: int) -> float:
@@ -326,25 +332,36 @@ class ObjectScript:
         words = (self.class_name or "").split()
         if len(words) != 1 or "#" in words[0]:  # it is one field of the label file
             raise ValueError("class must be one word without '#'")
+        if words[0].lower() == DONTCARE:
+            raise ValueError(f"class {words[0]!r} names KITTI's DontCare regions, not a track")
         if not 0 <= self.entry_frame <= self.exit_frame:
             raise ValueError("need 0 <= entry <= exit")
         b = self.box
         if not all(map(math.isfinite, (b.x1, b.y1, b.x2, b.y2))) or b.width <= 0:
-            # box_at scales the height by height / width.
+            # path scales the height by height / width.
             raise ValueError("box corners must be finite, with width > 0")
         if len(self.velocity) not in (2, 3) or not all(map(math.isfinite, self.velocity)):
             raise ValueError("velocity must be 2 or 3 finite numbers")
         object.__setattr__(self, "velocity", (*map(float, self.velocity), 0.0)[:3])
 
-    def box_at(self, frame: int) -> BoundingBox:
-        age = frame - self.entry_frame
-        cx, cy = self.box.center
-        width = self.box.width + self.velocity[2] * age
-        height = width * (self.box.height / self.box.width)
-        return BoundingBox.from_center(
-            cx + self.velocity[0] * age, cy + self.velocity[1] * age, max(width, 0.0),
-            max(height, 0.0),
-        )
+    def path(self, last_frame: int) -> Iterator[tuple[int, tuple[float, float, float, float]]]:
+        """(frame, (x1, y1, x2, y2)) of the scripted box, unclipped, up to `last_frame`.
+
+        The centre moves by (dx, dy) and the width by dwidth per frame; the
+        height keeps the initial aspect ratio, and both stay >= 0.
+        """
+        b = self.box
+        cx, cy = (b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0
+        width0 = b.x2 - b.x1
+        aspect = (b.y2 - b.y1) / width0
+        dx, dy, dwidth = self.velocity
+        for frame in range(self.entry_frame, min(self.exit_frame, last_frame) + 1):
+            age = frame - self.entry_frame
+            width = width0 + dwidth * age
+            height = width * aspect
+            x, y = cx + dx * age, cy + dy * age
+            width, height = max(width, 0.0), max(height, 0.0)
+            yield frame, (x - width / 2.0, y - height / 2.0, x + width / 2.0, y + height / 2.0)
 
 
 MAX_FP_PER_FRAME = 1000.0
@@ -431,11 +448,23 @@ def parse_scenario(path: str | Path) -> SyntheticScenario:
                     )
                 )
             elif section.startswith("source."):
+                name = section.split(".", 1)[1]
+                _check_name(name, f"[{section}]")  # it names the file <name>.txt
+                if name == "labels":
+                    raise ValueError(
+                        f"bad name 'labels' in [{section}]: labels.txt holds the ground truth"
+                    )
                 s = parser[section]
                 fields = dataclasses.fields(NoiseModel)
                 _check_keys(s, (f.name for f in fields))
-                scenario.sources[section.split(".", 1)[1]] = NoiseModel(
+                scenario.sources[name] = NoiseModel(
                     **{f.name: s.getfloat(f.name, fallback=f.default) for f in fields}
+                )
+        for name, noise in scenario.sources.items():
+            if noise.fp_per_frame > 0 and not scenario.objects:
+                section = f"source.{name}"
+                raise ValueError(
+                    "fp_per_frame > 0 needs an [object.*]: false positives take its classes"
                 )
         return scenario
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -453,60 +482,90 @@ class SyntheticData:
 def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     """Deterministic ground truth plus noisy oracle detections per source.
 
-    A single RNG seeded from the scenario drives every draw in a fixed order
-    (frames ascending, objects in script order, sources in name order), so a
-    given scenario is reproducible bit for bit.
+    One RNG seeded from the scenario drives every draw, and the draw order is
+    the contract that byte-identical reruns rest on: frames ascending; within
+    a frame, sources in name order; within a source, first each live object
+    in script order, then the false positives.  A live object draws a uniform
+    for the miss and, unless missed, five standard normals: the jitter of
+    x1, y1, x2, y2, then the score.  The false positives draw one Poisson
+    count, then for each four uniforms (width, aspect, centre x, centre y), a
+    standard normal for the score and an integer for the class.
+
+    Each detection makes one numpy call per draw group and does its box
+    arithmetic on Python floats, with the same operations `Generator.normal`
+    (`loc + scale * z`), `Generator.uniform` (`low + (high - low) * u`),
+    `BoundingBox.from_center` and `BoundingBox.clip` do.  No block is drawn
+    ahead: the normal and Poisson draws take a variable number of words from
+    the stream, so that would shift every later value.
     """
     import numpy as np  # only the generator needs it; keeps it out of every other command
 
     meta = scenario.meta
+    frame_w, frame_h = float(meta.frame_w), float(meta.frame_h)
     rng = np.random.default_rng(scenario.seed)
+    random, standard_normal, integers = rng.random, rng.standard_normal, rng.integers
     class_names = sorted({o.class_name.strip().lower() for o in scenario.objects})
     class_map = ClassMap(class_names)
+    class_ids = [class_map.id_of(name) for name in class_names]
 
     tracks: list[GroundTruthTrack] = []
-    live: dict[int, list[tuple[GtEntry, int]]] = {}  # frame -> (entry, class id), script order
+    # frame -> (x1, y1, x2, y2, class id) of each object in view, in script order
+    live: dict[int, list[tuple[float, float, float, float, int]]] = {}
     for tid, obj in enumerate(scenario.objects, start=1):
         class_id = class_map.id_of(obj.class_name)
         entries = []
-        for frame in range(obj.entry_frame, min(obj.exit_frame, meta.frame_count - 1) + 1):
-            scripted = obj.box_at(frame)
-            clipped = scripted.clip(meta.frame_w, meta.frame_h)
-            if clipped.area <= 0 or scripted.area <= 0:
+        for frame, (x1, y1, x2, y2) in obj.path(meta.frame_count - 1):
+            cx1, cy1 = min(max(x1, 0.0), frame_w), min(max(y1, 0.0), frame_h)
+            cx2, cy2 = min(max(x2, 0.0), frame_w), min(max(y2, 0.0), frame_h)
+            clipped_area = (cx2 - cx1) * (cy2 - cy1)
+            scripted_area = (x2 - x1) * (y2 - y1)
+            if clipped_area <= 0 or scripted_area <= 0:
                 continue
-            entries.append(GtEntry(frame, clipped, truncated=1.0 - clipped.area / scripted.area))
-            live.setdefault(frame, []).append((entries[-1], class_id))
+            box = BoundingBox(cx1, cy1, cx2, cy2)
+            entries.append(GtEntry(frame, box, truncated=1.0 - clipped_area / scripted_area))
+            live.setdefault(frame, []).append((cx1, cy1, cx2, cy2, class_id))
         if entries:
             tracks.append(GroundTruthTrack(tid, class_id, entries))
 
-    stores: dict[str, DetectionStore] = {name: DetectionStore() for name in sorted(scenario.sources)}
+    stores = {name: DetectionStore() for name in sorted(scenario.sources)}
+    sources = [(scenario.sources[name], store.add) for name, store in stores.items()]
     for frame in range(meta.frame_count):
-        for source_name in sorted(scenario.sources):
-            noise = scenario.sources[source_name]
-            store = stores[source_name]
-            for entry, class_id in live.get(frame, ()):
-                if rng.random() < noise.miss_prob:
+        in_view = live.get(frame, ())
+        for noise, add in sources:
+            miss_prob, jitter = noise.miss_prob, noise.jitter
+            score_mean, score_sigma = noise.score_mean, noise.score_sigma
+            for x1, y1, x2, y2, class_id in in_view:
+                if random() < miss_prob:
                     continue
-                corners = np.array([entry.box.x1, entry.box.y1, entry.box.x2, entry.box.y2])
-                corners = corners + rng.normal(0.0, noise.jitter, size=4)
-                x1, x2 = sorted((corners[0], corners[2]))
-                y1, y2 = sorted((corners[1], corners[3]))
-                box = BoundingBox(x1, y1, x2, y2).clip(meta.frame_w, meta.frame_h)
-                score = float(np.clip(rng.normal(noise.score_mean, noise.score_sigma), 0.01, 0.999))
-                if box.area > 0:
-                    store.add(Detection(box, class_id, score, frame))
+                z0, z1, z2, z3, z4 = standard_normal(5).tolist()
+                x1 += 0.0 + jitter * z0
+                y1 += 0.0 + jitter * z1
+                x2 += 0.0 + jitter * z2
+                y2 += 0.0 + jitter * z3
+                if x2 < x1:
+                    x1, x2 = x2, x1
+                if y2 < y1:
+                    y1, y2 = y2, y1
+                x1, y1 = min(max(x1, 0.0), frame_w), min(max(y1, 0.0), frame_h)
+                x2, y2 = min(max(x2, 0.0), frame_w), min(max(y2, 0.0), frame_h)
+                score = min(max(score_mean + score_sigma * z4, 0.01), 0.999)
+                if (x2 - x1) * (y2 - y1) > 0:
+                    add(Detection(BoundingBox(x1, y1, x2, y2), class_id, score, frame))
             for _ in range(int(rng.poisson(noise.fp_per_frame))):
-                w = rng.uniform(20.0, 120.0)
-                h = w * rng.uniform(0.5, 2.0)
-                cx = rng.uniform(0.0, meta.frame_w)
-                cy = rng.uniform(0.0, meta.frame_h)
-                box = BoundingBox.from_center(cx, cy, w, h).clip(meta.frame_w, meta.frame_h)
-                score = float(
-                    np.clip(rng.normal(noise.fp_score_mean, noise.fp_score_sigma), 0.01, 0.999)
-                )
-                class_id = class_map.id_of(class_names[int(rng.integers(len(class_names)))])
-                if box.area > 0:
-                    store.add(Detection(box, class_id, score, frame))
+                u0, u1, u2, u3 = random(4).tolist()
+                w = 20.0 + (120.0 - 20.0) * u0
+                h = w * (0.5 + (2.0 - 0.5) * u1)
+                cx = 0.0 + (frame_w - 0.0) * u2
+                cy = 0.0 + (frame_h - 0.0) * u3
+                x1 = min(max(cx - w / 2.0, 0.0), frame_w)
+                y1 = min(max(cy - h / 2.0, 0.0), frame_h)
+                x2 = min(max(cx + w / 2.0, 0.0), frame_w)
+                y2 = min(max(cy + h / 2.0, 0.0), frame_h)
+                z = standard_normal()
+                score = min(max(noise.fp_score_mean + noise.fp_score_sigma * z, 0.01), 0.999)
+                class_id = class_ids[int(integers(len(class_ids)))]
+                if (x2 - x1) * (y2 - y1) > 0:
+                    add(Detection(BoundingBox(x1, y1, x2, y2), class_id, score, frame))
 
     labels = KittiLabels(tracks=tracks, dontcare_by_frame={})
     return SyntheticData(meta, labels, stores, class_map)

@@ -18,6 +18,8 @@ from trackcascade import (
 )
 from trackcascade.cascade import MASK_MIN_OVERLAP
 from trackcascade.geometry import iou, score_order
+from trackcascade.ingest import KittiLabels, SyntheticData
+from trackcascade.metrics import GroundTruthTrack, GtEntry
 from trackcascade.tracker import _canonical_det_order, predict
 
 DATA = Path(__file__).parent / "data"
@@ -253,3 +255,68 @@ def reference_delay_from_labels(data, threshold):
         else:
             total += hit - t.entry_frame
     return total / len(data.tracks), never
+
+
+def reference_box_at(obj, frame):
+    """The scripted, unclipped box of `obj` at `frame`, built as BoundingBox operations."""
+    age = frame - obj.entry_frame
+    cx, cy = obj.box.center
+    width = obj.box.width + obj.velocity[2] * age
+    height = width * (obj.box.height / obj.box.width)
+    return BoundingBox.from_center(
+        cx + obj.velocity[0] * age, cy + obj.velocity[1] * age, max(width, 0.0), max(height, 0.0)
+    )
+
+
+def reference_generate_synthetic(scenario):
+    """`generate_synthetic` as numpy array operations and BoundingBox methods, draw by draw."""
+    meta = scenario.meta
+    rng = np.random.default_rng(scenario.seed)
+    class_names = sorted({o.class_name.strip().lower() for o in scenario.objects})
+    class_map = ClassMap(class_names)
+
+    tracks = []
+    live = {}
+    for tid, obj in enumerate(scenario.objects, start=1):
+        class_id = class_map.id_of(obj.class_name)
+        entries = []
+        for frame in range(obj.entry_frame, min(obj.exit_frame, meta.frame_count - 1) + 1):
+            scripted = reference_box_at(obj, frame)
+            clipped = scripted.clip(meta.frame_w, meta.frame_h)
+            if clipped.area <= 0 or scripted.area <= 0:
+                continue
+            entries.append(GtEntry(frame, clipped, truncated=1.0 - clipped.area / scripted.area))
+            live.setdefault(frame, []).append((entries[-1], class_id))
+        if entries:
+            tracks.append(GroundTruthTrack(tid, class_id, entries))
+
+    stores = {name: DetectionStore() for name in sorted(scenario.sources)}
+    for frame in range(meta.frame_count):
+        for source_name in sorted(scenario.sources):
+            noise = scenario.sources[source_name]
+            store = stores[source_name]
+            for entry, class_id in live.get(frame, ()):
+                if rng.random() < noise.miss_prob:
+                    continue
+                corners = np.array([entry.box.x1, entry.box.y1, entry.box.x2, entry.box.y2])
+                corners = corners + rng.normal(0.0, noise.jitter, size=4)
+                x1, x2 = sorted((corners[0], corners[2]))
+                y1, y2 = sorted((corners[1], corners[3]))
+                box = BoundingBox(x1, y1, x2, y2).clip(meta.frame_w, meta.frame_h)
+                score = float(np.clip(rng.normal(noise.score_mean, noise.score_sigma), 0.01, 0.999))
+                if box.area > 0:
+                    store.add(Detection(box, class_id, score, frame))
+            for _ in range(int(rng.poisson(noise.fp_per_frame))):
+                w = rng.uniform(20.0, 120.0)
+                h = w * rng.uniform(0.5, 2.0)
+                cx = rng.uniform(0.0, meta.frame_w)
+                cy = rng.uniform(0.0, meta.frame_h)
+                box = BoundingBox.from_center(cx, cy, w, h).clip(meta.frame_w, meta.frame_h)
+                score = float(
+                    np.clip(rng.normal(noise.fp_score_mean, noise.fp_score_sigma), 0.01, 0.999)
+                )
+                class_id = class_map.id_of(class_names[int(rng.integers(len(class_names)))])
+                if box.area > 0:
+                    store.add(Detection(box, class_id, score, frame))
+
+    return SyntheticData(meta, KittiLabels(tracks=tracks, dontcare_by_frame={}), stores, class_map)

@@ -6,9 +6,12 @@ import json
 import multiprocessing
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trackcascade import (
     ClassMap,
@@ -1053,6 +1056,111 @@ class TestOutKeepsInputs:
         assert (tree / "work" / "other.txt").read_text() == "keep"
 
 
+TINY_SCENARIO = (
+    "[scenario]\nname = tiny\nframes = 4\nframe_w = 200\nframe_h = 100\nseed = 2\n\n"
+    "[object.a]\nclass = car\nentry = 0\nexit = 3\nbox = 20 20 60 60\nvelocity = 5 0\n\n"
+    "[source.proposal]\nfp_per_frame = 1\njitter = 2\n\n[source.refine]\njitter = 1\n"
+)
+
+
+@pytest.fixture(scope="module")
+def out_tree_template(tmp_path_factory) -> Path:
+    """tree/{cfg/c.cfg, scen/s.cfg, work/{seq/, notes.txt, deep/}}."""
+    tree = tmp_path_factory.mktemp("template") / "tree"
+    for part in ("cfg", "scen", "work/deep"):
+        (tree / part).mkdir(parents=True)
+    (tree / "cfg" / "c.cfg").write_text("[pipeline]\nmode = single\n")
+    (tree / "scen" / "s.cfg").write_text(TINY_SCENARIO)
+    (tree / "work" / "notes.txt").write_text("keep")
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["gen-synthetic", "--scenario", str(tree / "scen" / "s.cfg")]
+        assert run_cli(*argv, "--out", str(tree / "work" / "seq")) == 0
+    return tree
+
+
+class TestOutPathProperty:
+    """Over drawn working directories, commands and --out paths, with and
+    without --force: files outside --out and the inputs keep their bytes,
+    the exit is 0 or 2, and a refused --out is left exactly as it was.
+
+    Every tree is a fresh copy under tmp_path, so a broken rule could only
+    delete inside it; "/" is never drawn (see TestOutKeepsInputs).
+    """
+
+    INPUTS = {  # command -> (flag, path under tree) of each input
+        "run": [("--sequence", "work/seq"), ("--config", "cfg/c.cfg")],
+        "eval": [("--gt", "work/seq/labels.txt"), ("--det", "work/seq/refine.txt"),
+                 ("--config", "cfg/c.cfg")],
+        "gen-synthetic": [("--scenario", "scen/s.cfg")],
+    }
+    CWDS = ["", "work", "work/deep"]
+    # "", "." and ".." as given; CWD as the absolute working directory; the
+    # rest under tree: every input and its parent, a file, the tree itself
+    # and fresh siblings.
+    OUTS = ["", ".", "..", "CWD", "work/seq", "work/seq/labels.txt", "work/seq/refine.txt",
+            "cfg/c.cfg", "cfg", "scen/s.cfg", "scen", "work", "work/notes.txt", "tree",
+            "fresh", "work/fresh"]
+
+    @staticmethod
+    def snapshot(root: Path, within: Path, inside: bool) -> dict[str, bytes | None]:
+        """all_files(root), keeping only the paths that are (or are not) `within`."""
+        return {name: data for name, data in all_files(root).items()
+                if ((root / name) == within or within in (root / name).parents) == inside}
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(sorted(INPUTS)),
+        cwd=st.sampled_from(CWDS),
+        out=st.sampled_from(OUTS),
+        absolute=st.booleans(),
+        force=st.booleans(),
+    )
+    def test_out_keeps_what_lies_outside_it(
+        self, tmp_path, out_tree_template, command, cwd, out, absolute, force
+    ):
+        root = Path(tempfile.mkdtemp(dir=tmp_path)).resolve()
+        tree = root / "tree"
+        shutil.copytree(out_tree_template, tree, symlinks=True)
+        work_dir = tree / cwd
+
+        def arg(path: Path) -> str:
+            return str(path) if absolute else os.path.relpath(path, work_dir)
+
+        if out == "CWD":
+            out = str(work_dir)
+        elif out not in ("", ".", ".."):
+            out = arg(tree / out.removeprefix("tree"))
+        argv = [command, "--out", out] + ["--force"] * force
+        for flag, path in self.INPUTS[command]:
+            argv += [flag, arg(tree / path)]
+        if command == "run":
+            argv += ["--mode", "single"]
+
+        where = Path(os.path.realpath(work_dir / out))
+        outside = self.snapshot(root, where, inside=False)
+        at_out = self.snapshot(root, where, inside=True)
+        inputs = {path: self.snapshot(root, tree / path, inside=True)
+                  for _, path in self.INPUTS[command]}
+        home = os.getcwd()
+        os.chdir(work_dir)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run_cli(*argv)
+        finally:
+            os.chdir(home)
+        assert code in (0, 2), argv
+        assert self.snapshot(root, where, inside=False) == outside, argv
+        for path, files in inputs.items():
+            assert self.snapshot(root, tree / path, inside=True) == files, argv
+        if code == 0:
+            assert (where / "manifest.json").is_file(), argv
+        else:
+            assert self.snapshot(root, where, inside=True) == at_out, argv
+        shutil.rmtree(root)
+
+
 class TestReadme:
     def test_library_block_matches_catdet_run(self, tmp_path, monkeypatch, capsys):
         text = README.read_text(encoding="utf-8")
@@ -1172,6 +1280,18 @@ class TestGenSynthetic:
         assert str(scenario) in err and f"[source.proposal] {message}" in err
         assert not (tmp_path / "g").exists()
 
+    def test_false_positives_without_objects_are_data_error(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = gen\nframes = 2\nframe_w = 500\nframe_h = 300\n\n"
+            "[source.refine]\n\n[source.proposal]\nfp_per_frame = 2\n"
+        )
+        assert run_cli("gen-synthetic", "--scenario", str(scenario),
+                       "--out", str(tmp_path / "g")) == 2
+        err = capsys.readouterr().err  # no class to draw a false positive's from
+        assert f"{scenario}: bad scenario: [source.proposal] fp_per_frame > 0 needs" in err
+        assert not (tmp_path / "g").exists()
+
     def test_zero_width_object_is_data_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.cfg"
         scenario.write_text(
@@ -1198,6 +1318,8 @@ class TestGenSynthetic:
             ("seed = -1", "", "[scenario] seed must be >= 0"),
             ("", "class =", "[object.a] class must be one word without '#'"),
             ("", "class = big car", "[object.a] class must be one word without '#'"),
+            ("", "class = DontCare", "[object.a] class 'DontCare' names KITTI's DontCare regions"),
+            ("", "class = dontcare", "[object.a] class 'dontcare' names KITTI's DontCare regions"),
             ("", "box = 60 120 inf 220", "[object.a] box corners must be finite, with width > 0"),
             ("", "velocity = nan 0", "[object.a] velocity must be 2 or 3 finite numbers"),
             ("", "velocity = 1 2 3 4", "[object.a] velocity must be 2 or 3 finite numbers"),
@@ -1235,6 +1357,35 @@ class TestGenSynthetic:
         err = capsys.readouterr().err
         assert str(scenario) in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("../escape", "bad name '../escape' in [source.../escape]: empty, or holds"),
+            ("a/b", "bad name 'a/b' in [source.a/b]: empty, or holds"),
+            ("a\\b", "bad name 'a\\\\b' in [source.a\\b]: empty, or holds"),
+            ("a b", "bad name 'a b' in [source.a b]: empty, or holds"),
+            ("a\tb", "bad name 'a\\tb' in [source.a\tb]: empty, or holds"),
+            ("", "bad name '' in [source.]: empty, or holds"),
+            ("labels", "bad name 'labels' in [source.labels]: labels.txt holds the ground truth"),
+        ],
+    )
+    def test_source_name_that_is_no_file_name_is_data_error(self, tmp_path, capsys, name, message):
+        # Each source is written to <name>.txt in --out; these would land
+        # outside it, overwrite the ground truth or hold a space.
+        (tmp_path / "work").mkdir()
+        scenario = tmp_path / "work" / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = gen\nframes = 2\nframe_w = 500\nframe_h = 300\n\n"
+            "[object.a]\nclass = car\nentry = 0\nexit = 1\nbox = 50 50 150 120\n\n"
+            f"[source.{name}]\njitter = 1\n"
+        )
+        before = all_files(tmp_path)
+        out = tmp_path / "work" / "seq" / "x"
+        assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scenario}: bad scenario: [source.{name}] {message}")
+        assert all_files(tmp_path) == before
 
     @pytest.mark.parametrize(
         "old, new",

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import reference_generate_synthetic
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackcascade import (
     BoundingBox,
@@ -13,6 +19,7 @@ from trackcascade import (
     parse_scenario,
     write_detections,
     write_meta,
+    write_sequence_dir,
     write_tracks,
 )
 from trackcascade.ingest import (
@@ -275,3 +282,70 @@ class TestSynthetic:
         assert truncations[0] == 0.0
         assert truncations[-1] > 0.0
         assert all(e.box.x2 <= 100 for e in t.frames)
+
+
+@st.composite
+def noise_models(draw):
+    """Noise with each knob often at 0, and miss_prob also at 1."""
+
+    def knob(*values):
+        return draw(st.sampled_from(values))
+
+    return NoiseModel(
+        miss_prob=knob(0.0, 0.3, 1.0, 0.1),
+        fp_per_frame=knob(1.7, 0.0, 4.0, 0.4),
+        jitter=knob(2.3, 0.0, 17.9, 0.5),
+        score_mean=knob(0.61, 0.9, -0.5, 1.5),
+        score_sigma=knob(0.13, 0.0, 0.5),
+        fp_score_mean=knob(0.37, 0.4, -0.5, 1.5),
+        fp_score_sigma=knob(0.21, 0.0, 0.5),
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """Small scenarios whose objects often leave the frame, shrink to zero width or
+    outlive the sequence, with zero to two sources and one or two classes."""
+    frames = draw(st.integers(1, 12))
+    frame_w, frame_h = draw(st.sampled_from([(100.0, 60.0), (64.5, 48.25)]))
+    classes = draw(st.sampled_from([["car"], ["car", "Pedestrian"]]))
+    objects = []
+    for i in range(draw(st.integers(1, 4))):
+        entry = draw(st.integers(0, frames + 1))
+        x1, y1 = draw(st.floats(-20.0, frame_w)), draw(st.floats(-20.0, frame_h))
+        width = draw(st.sampled_from([0.5, 10.0, 33.3]))
+        height = draw(st.sampled_from([0.0, 10.0, 25.5]))
+        velocity = (
+            draw(st.sampled_from([0.0, 3.5, -12.0, 40.0])),
+            draw(st.sampled_from([0.0, -2.25, 15.0])),
+            draw(st.sampled_from([0.0, 1.5, -4.0, -40.0])),  # a negative dwidth shrinks it to 0
+        )
+        objects.append(
+            ObjectScript(
+                f"o{i}", draw(st.sampled_from(classes)), entry, entry + draw(st.integers(0, 10)),
+                BoundingBox(x1, y1, x1 + width, y1 + height), velocity,
+            )
+        )
+    names = draw(st.sampled_from([["proposal", "refine"], ["refine"], []]))
+    return SyntheticScenario(
+        meta=SequenceMeta("p", frames, frame_w, frame_h),
+        seed=draw(st.integers(0, 2**32)),
+        objects=objects,
+        sources={name: draw(noise_models()) for name in names},
+    )
+
+
+class TestGeneratorOracle:
+    """generate_synthetic writes the same bytes as the numpy-array reference in conftest.py."""
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(scenarios())
+    def test_sequence_files_are_byte_identical(self, scenario):
+        files = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, generate in (("new", generate_synthetic), ("ref", reference_generate_synthetic)):
+                out = Path(tmp) / name
+                write_sequence_dir(generate(scenario), out)
+                files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert files[0] == files[1]
+        assert set(files[0]) == {"meta.cfg", "labels.txt"} | {f"{s}.txt" for s in scenario.sources}
