@@ -8,26 +8,39 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
 class BoundingBox:
     """Box in pixel coordinates, origin top-left, with x1 <= x2 and y1 <= y2.
 
-    Coordinates are continuous; fractional pixels are allowed.
+    Coordinates are continuous; fractional pixels are allowed.  A slotted
+    record, treated as immutable: no code assigns to a field after
+    construction, so boxes can be shared, compared and hashed freely.
     """
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    __slots__ = ("x1", "y1", "x2", "y2")
 
-    def __post_init__(self):
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+    def __init__(self, x1: float, y1: float, x2: float, y2: float):
         if not (type(x1) is type(y1) is type(x2) is type(y2) is float):  # else float() is a no-op
             x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
-            for name, value in (("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2)):
-                object.__setattr__(self, name, value)
         if not (x1 <= x2 and y1 <= y2):
             raise ValueError(f"invalid box corners: ({x1}, {y1}, {x2}, {y2})")
+        self.x1 = x1
+        self.y1 = y1
+        self.x2 = x2
+        self.y2 = y2
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x1, self.y1, self.x2, self.y2) == (other.x1, other.y1, other.x2, other.y2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x1, self.y1, self.x2, self.y2))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(x1={self.x1!r}, y1={self.y1!r}, "
+            f"x2={self.x2!r}, y2={self.y2!r})"
+        )
 
     @property
     def width(self) -> float:
@@ -68,21 +81,37 @@ class BoundingBox:
         return BoundingBox(x1, y1, x2, y2)
 
 
-@dataclass(frozen=True)
 class Detection:
-    """A scored, class-labelled box attached to one frame."""
+    """A scored, class-labelled box attached to one frame; slotted, treated as immutable."""
 
-    box: BoundingBox
-    class_id: int
-    score: float
-    frame_index: int
+    __slots__ = ("box", "class_id", "score", "frame_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "score", float(self.score))
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-        if self.frame_index < 0:
-            raise ValueError(f"negative frame index {self.frame_index}")
+    def __init__(self, box: BoundingBox, class_id: int, score: float, frame_index: int):
+        score = float(score)
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score {score} outside [0, 1]")
+        if frame_index < 0:
+            raise ValueError(f"negative frame index {frame_index}")
+        self.box = box
+        self.class_id = class_id
+        self.score = score
+        self.frame_index = frame_index
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.box, self.class_id, self.score, self.frame_index) == (
+                other.box, other.class_id, other.score, other.frame_index
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.box, self.class_id, self.score, self.frame_index))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(box={self.box!r}, class_id={self.class_id!r}, "
+            f"score={self.score!r}, frame_index={self.frame_index!r})"
+        )
 
 
 @dataclass(frozen=True)

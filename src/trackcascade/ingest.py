@@ -115,12 +115,15 @@ def read_text(path: str | Path, what: str, error: type[DataError] = DataError) -
         raise error(f"{what} is not UTF-8 text ({exc.reason})", str(path), line) from None
 
 
-def _data_lines(path: Path) -> Iterable[tuple[int, list[str]]]:
+def _data_lines(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-separated fields) of each line with a field before any '#'."""
     # Text mode splits lines on "\n" only; str.splitlines() would renumber them.
-    for lineno, raw in enumerate(read_text(path, "file").split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    for lineno, line in enumerate(read_text(path, "file").split("\n"), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        fields = line.split()
+        if fields:
+            yield lineno, fields
 
 
 def read_ini(
@@ -176,27 +179,74 @@ def _parse_int(token: str, what: str, path: Path, lineno: int) -> int:
         raise DataError(f"bad {what} {token!r}", str(path), lineno) from None
 
 
+def _class_lookup(class_map: ClassMap) -> Callable[[str], int]:
+    """`class_map.id_of`, called once per distinct token: the ids and `flagged` stay the same."""
+    ids: dict[str, int] = {}
+
+    def class_id(token: str) -> int:
+        found = ids.get(token)
+        if found is None:
+            found = ids[token] = class_map.id_of(token)
+        return found
+
+    return class_id
+
+
+def _check_detection(
+    fields: list[str], class_map: ClassMap, frame_count: int | None, path: Path, lineno: int
+) -> Detection:
+    """A detection line checked field by field, for a line the one-pass test refused.
+
+    Raises the line's located DataError, or returns its detection when the
+    line is valid after all (a sum of finite fields can overflow).
+    """
+    if len(fields) != 7:
+        raise DataError(f"expected 7 fields, got {len(fields)}", str(path), lineno)
+    frame = _parse_int(fields[0], "frame index", path, lineno)
+    if frame_count is not None and frame >= frame_count:
+        raise DataError(
+            f"frame {frame} is past the sequence's {frame_count} frames", str(path), lineno
+        )
+    score = _parse_float(fields[2], "score", path, lineno)
+    corners = [_parse_float(t, "coordinate", path, lineno) for t in fields[3:7]]
+    try:
+        return Detection(BoundingBox(*corners), class_map.id_of(fields[1]), score, frame)
+    except ValueError as exc:
+        raise DataError(str(exc), str(path), lineno) from None
+
+
 def parse_detections(
     path: str | Path, class_map: ClassMap, frame_count: int | None = None
 ) -> DetectionStore:
-    """Read a detection file; a malformed record, or one past `frame_count`, is a located error."""
+    """Read a detection file; a malformed record, or one past `frame_count`, is a located error.
+
+    Each line is converted once and tested against every rule in one
+    expression; only a line that fails goes to `_check_detection`, which
+    finds the first rule it breaks.
+    """
     path = Path(path)
+    limit = math.inf if frame_count is None else frame_count
+    class_id = _class_lookup(class_map)
+    isfinite = math.isfinite
     by_frame: dict[int, list[Detection]] = {}
     for lineno, fields in _data_lines(path):
-        if len(fields) != 7:
-            raise DataError(f"expected 7 fields, got {len(fields)}", str(path), lineno)
-        frame = _parse_int(fields[0], "frame index", path, lineno)
-        if frame_count is not None and frame >= frame_count:
-            raise DataError(
-                f"frame {frame} is past the sequence's {frame_count} frames", str(path), lineno
-            )
-        score = _parse_float(fields[2], "score", path, lineno)
-        corners = [_parse_float(t, "coordinate", path, lineno) for t in fields[3:7]]
         try:
-            det = Detection(BoundingBox(*corners), class_map.id_of(fields[1]), score, frame)
-        except ValueError as exc:
-            raise DataError(str(exc), str(path), lineno) from None
-        by_frame.setdefault(frame, []).append(det)
+            f, name, s, a, b, c, d = fields
+            frame, score, x1, y1, x2, y2 = int(f), float(s), float(a), float(b), float(c), float(d)
+            valid = (
+                0 <= frame < limit
+                and 0.0 <= score <= 1.0
+                and x1 <= x2
+                and y1 <= y2
+                and isfinite(score + x1 + y1 + x2 + y2)
+            )
+        except ValueError:  # a bad number, or not 7 fields
+            valid = False
+        if valid:
+            det = Detection(BoundingBox(x1, y1, x2, y2), class_id(name), score, frame)
+        else:
+            det = _check_detection(fields, class_map, frame_count, path, lineno)
+        by_frame.setdefault(det.frame_index, []).append(det)
     return DetectionStore(by_frame)
 
 
@@ -223,29 +273,62 @@ class KittiLabels:
     dontcare_by_frame: dict[int, list[BoundingBox]]
 
 
+def _check_label(
+    fields: list[str], class_map: ClassMap, path: Path, lineno: int
+) -> tuple[int, int, GtEntry]:
+    """A label line checked field by field, for a line the one-pass test refused.
+
+    Raises the line's located DataError, or returns its (track id, class id,
+    entry) when the line is valid after all (a sum of finite fields can
+    overflow).
+    """
+    if len(fields) < 17:
+        raise DataError(f"expected >= 17 fields, got {len(fields)}", str(path), lineno)
+    frame = _parse_int(fields[0], "frame index", path, lineno)
+    track_id = _parse_int(fields[1], "track id", path, lineno)
+    class_id = class_map.id_of(fields[2])
+    truncated = _parse_float(fields[3], "truncation", path, lineno)
+    occluded = _parse_int(fields[4], "occlusion", path, lineno)
+    corners = [_parse_float(t, "coordinate", path, lineno) for t in fields[6:10]]
+    try:
+        return track_id, class_id, GtEntry(frame, BoundingBox(*corners), truncated, occluded)
+    except ValueError as exc:
+        raise DataError(str(exc), str(path), lineno) from None
+
+
 def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiLabels:
     """Read KITTI tracking labels into per-track frame sequences.
 
     DontCare lines become frame-indexed don't-care regions instead of tracks;
-    frames within a track must be strictly increasing.
+    frames within a track must be strictly increasing.  Lines are read in one
+    pass, as in `parse_detections`, with `_check_label` for a refused line.
     """
     path = Path(path)
+    class_id_of = _class_lookup(class_map)
+    isfinite = math.isfinite
     entries: dict[int, list[GtEntry]] = {}
     track_class: dict[int, int] = {}
     dontcare: dict[int, list[BoundingBox]] = {}
     for lineno, fields in _data_lines(path):
-        if len(fields) < 17:
-            raise DataError(f"expected >= 17 fields, got {len(fields)}", str(path), lineno)
-        frame = _parse_int(fields[0], "frame index", path, lineno)
-        track_id = _parse_int(fields[1], "track id", path, lineno)
-        class_id = class_map.id_of(fields[2])
-        truncated = _parse_float(fields[3], "truncation", path, lineno)
-        occluded = _parse_int(fields[4], "occlusion", path, lineno)
-        corners = [_parse_float(t, "coordinate", path, lineno) for t in fields[6:10]]
         try:
-            entry = GtEntry(frame, BoundingBox(*corners), truncated, occluded)
-        except ValueError as exc:
-            raise DataError(str(exc), str(path), lineno) from None
+            frame, track_id, occluded = int(fields[0]), int(fields[1]), int(fields[4])
+            truncated, x1, y1 = float(fields[3]), float(fields[6]), float(fields[7])
+            x2, y2 = float(fields[8]), float(fields[9])
+            valid = (
+                len(fields) >= 17
+                and frame >= 0
+                and x1 <= x2
+                and y1 <= y2
+                and isfinite(truncated + x1 + y1 + x2 + y2)
+            )
+        except (ValueError, IndexError):  # a bad number, or too few fields
+            valid = False
+        if valid:
+            class_id = class_id_of(fields[2])
+            entry = GtEntry(frame, BoundingBox(x1, y1, x2, y2), truncated, occluded)
+        else:
+            track_id, class_id, entry = _check_label(fields, class_map, path, lineno)
+            frame = entry.frame_index
         if class_id == DONTCARE_ID:
             dontcare.setdefault(frame, []).append(entry.box)
             continue
@@ -337,9 +420,10 @@ class ObjectScript:
         if not 0 <= self.entry_frame <= self.exit_frame:
             raise ValueError("need 0 <= entry <= exit")
         b = self.box
-        if not all(map(math.isfinite, (b.x1, b.y1, b.x2, b.y2))) or b.width <= 0:
-            # path scales the height by height / width.
-            raise ValueError("box corners must be finite, with width > 0")
+        corners = (b.x1, b.y1, b.x2, b.y2)
+        if not all(map(math.isfinite, corners)) or b.width <= 0 or b.height <= 0:
+            # path scales the height by height / width, and a box of no height is never seen.
+            raise ValueError("box corners must be finite, with width > 0 and height > 0")
         if len(self.velocity) not in (2, 3) or not all(map(math.isfinite, self.velocity)):
             raise ValueError("velocity must be 2 or 3 finite numbers")
         object.__setattr__(self, "velocity", (*map(float, self.velocity), 0.0)[:3])

@@ -30,9 +30,9 @@ from .geometry import BoundingBox, Detection, iou, score_order
 _RECALL_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GtEntry:
-    """One annotated frame of a ground-truth track."""
+    """One annotated frame of a ground-truth track; slotted, treated as immutable."""
 
     frame_index: int
     box: BoundingBox
@@ -40,9 +40,12 @@ class GtEntry:
     occluded: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "truncated", float(self.truncated))
+        self.truncated = float(self.truncated)
         if self.frame_index < 0:
             raise ValueError(f"negative frame index {self.frame_index}")
+
+    def __hash__(self):
+        return hash((self.frame_index, self.box, self.truncated, self.occluded))
 
 
 @dataclass
@@ -122,9 +125,9 @@ class EvalConfig:
             raise ValueError("ap_recall_points must be >= 2 or all")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrameGt:
-    """A ground truth as seen by the per-frame matcher.
+    """A ground truth as seen by the per-frame matcher; slotted, treated as immutable.
 
     `qualifying` entries can be claimed as true positives; non-qualifying
     box entries absorb at most one detection each; `region` entries are
@@ -135,6 +138,9 @@ class FrameGt:
     box: BoundingBox
     qualifying: bool
     region: bool = False
+
+    def __hash__(self):
+        return hash((self.track_id, self.box, self.qualifying, self.region))
 
 
 @dataclass
@@ -194,12 +200,17 @@ def match_frame(
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DetLabel:
+    """One labelled detection of `label_class_detections`; slotted, treated as immutable."""
+
     score: float
     is_tp: bool
     track_id: int | None
     frame_index: int
+
+    def __hash__(self):
+        return hash((self.score, self.is_tp, self.track_id, self.frame_index))
 
 
 @dataclass

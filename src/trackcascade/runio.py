@@ -53,7 +53,8 @@ def parse_work_total(path: str | Path) -> tuple[WorkReport, int]:
     """The totals row of a work.txt and its number of frame rows, after checking every row.
 
     A row needs 12 fields, an integer frame, finite ops or "/", and a
-    total_ops exactly equal to proposal_ops + refine_ops.
+    total_ops exactly equal to proposal_ops + refine_ops.  Frame rows are
+    numbered 0, 1, ... in order, and one totals row comes last.
     """
     path = Path(path)
     total: WorkReport | None = None
@@ -66,8 +67,15 @@ def parse_work_total(path: str | Path) -> tuple[WorkReport, int]:
         if len(fields) != 12:
             raise DataError(f"expected 12 fields, got {len(fields)}", str(path), lineno)
         is_total = fields[0] == "total"
+        if total is not None:
+            problem = "second totals row" if is_total else "frame row after the totals row"
+            raise DataError(problem, str(path), lineno)
         if not is_total:
-            _parse_int(fields[0], "frame", path, lineno)
+            frame = _parse_int(fields[0], "frame", path, lineno)
+            if frame != frame_rows:
+                raise DataError(
+                    f"frame {frame} out of order: expected frame {frame_rows}", str(path), lineno
+                )
             frame_rows += 1
         proposal = _parse_float(fields[1], "ops", path, lineno)
         refine = _parse_float(fields[2], "ops", path, lineno)

@@ -43,9 +43,12 @@ class TrackerConfig:
             raise ValueError("min_width must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrackState:
-    """One tracked object: center/width position, per-frame motion, aspect ratio."""
+    """One tracked object: center/width position, per-frame motion, aspect ratio.
+
+    Slotted and treated as immutable: a step builds new states.
+    """
 
     position: Vec3  # (center x, center y, width)
     motion: Vec3  # per-frame deltas of position
@@ -60,6 +63,12 @@ class TrackState:
             raise ValueError("track width and aspect must be positive")
         if self.confidence < 0 or self.misses < 0:
             raise ValueError("confidence and misses must be >= 0")
+
+    def __hash__(self):
+        return hash(
+            (self.position, self.motion, self.aspect, self.confidence, self.class_id,
+             self.track_id, self.misses)
+        )
 
 
 def _observation(box: BoundingBox) -> tuple[Vec3, float]:

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from trackcascade import (
     write_meta,
 )
 from trackcascade.cascade import MASK_MIN_OVERLAP
+from trackcascade.errors import DataError
 from trackcascade.geometry import iou, score_order
-from trackcascade.ingest import KittiLabels, SyntheticData
+from trackcascade.ingest import DONTCARE_ID, KittiLabels, SyntheticData, read_text
 from trackcascade.metrics import GroundTruthTrack, GtEntry
 from trackcascade.tracker import _canonical_det_order, predict
 
@@ -320,3 +322,84 @@ def reference_generate_synthetic(scenario):
                     store.add(Detection(box, class_id, score, frame))
 
     return SyntheticData(meta, KittiLabels(tracks=tracks, dontcare_by_frame={}), stores, class_map)
+
+
+def _reference_data_lines(path):
+    for lineno, raw in enumerate(read_text(path, "file").split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def _reference_float(token, what, path, lineno):
+    try:
+        value = float(token)
+    except ValueError:
+        raise DataError(f"bad {what} {token!r}", str(path), lineno) from None
+    if math.isnan(value) or math.isinf(value):
+        raise DataError(f"non-finite {what} {token!r}", str(path), lineno)
+    return value
+
+
+def _reference_int(token, what, path, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise DataError(f"bad {what} {token!r}", str(path), lineno) from None
+
+
+def reference_parse_detections(path, class_map, frame_count=None):
+    """`parse_detections` field by field, every check in turn on every line."""
+    path = Path(path)
+    by_frame = {}
+    for lineno, fields in _reference_data_lines(path):
+        if len(fields) != 7:
+            raise DataError(f"expected 7 fields, got {len(fields)}", str(path), lineno)
+        frame = _reference_int(fields[0], "frame index", path, lineno)
+        if frame_count is not None and frame >= frame_count:
+            raise DataError(
+                f"frame {frame} is past the sequence's {frame_count} frames", str(path), lineno
+            )
+        score = _reference_float(fields[2], "score", path, lineno)
+        corners = [_reference_float(t, "coordinate", path, lineno) for t in fields[3:7]]
+        try:
+            det = Detection(BoundingBox(*corners), class_map.id_of(fields[1]), score, frame)
+        except ValueError as exc:
+            raise DataError(str(exc), str(path), lineno) from None
+        by_frame.setdefault(frame, []).append(det)
+    return DetectionStore(by_frame)
+
+
+def reference_parse_kitti_tracking_labels(path, class_map):
+    """`parse_kitti_tracking_labels` field by field, every check in turn on every line."""
+    path = Path(path)
+    entries = {}
+    track_class = {}
+    dontcare = {}
+    for lineno, fields in _reference_data_lines(path):
+        if len(fields) < 17:
+            raise DataError(f"expected >= 17 fields, got {len(fields)}", str(path), lineno)
+        frame = _reference_int(fields[0], "frame index", path, lineno)
+        track_id = _reference_int(fields[1], "track id", path, lineno)
+        class_id = class_map.id_of(fields[2])
+        truncated = _reference_float(fields[3], "truncation", path, lineno)
+        occluded = _reference_int(fields[4], "occlusion", path, lineno)
+        corners = [_reference_float(t, "coordinate", path, lineno) for t in fields[6:10]]
+        try:
+            entry = GtEntry(frame, BoundingBox(*corners), truncated, occluded)
+        except ValueError as exc:
+            raise DataError(str(exc), str(path), lineno) from None
+        if class_id == DONTCARE_ID:
+            dontcare.setdefault(frame, []).append(entry.box)
+            continue
+        prior = entries.setdefault(track_id, [])
+        if prior and frame <= prior[-1].frame_index:
+            raise DataError(
+                f"track {track_id}: frame {frame} not after {prior[-1].frame_index}",
+                str(path),
+                lineno,
+            )
+        prior.append(entry)
+        track_class[track_id] = class_id
+    tracks = [GroundTruthTrack(tid, track_class[tid], entries[tid]) for tid in sorted(entries)]
+    return KittiLabels(tracks, dontcare)

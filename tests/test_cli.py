@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import shutil
 import tempfile
 from pathlib import Path
@@ -879,6 +880,40 @@ class TestCostReport:
         assert run_cli("cost-report", str(out)) == 2
         assert str(work) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            ("append", 7, "second totals row"),
+            ("repeat_frame_after_total", 7, "frame row after the totals row"),
+            ("skip_frame", 3, "frame 2 out of order: expected frame 1"),
+            ("repeat_frame", 3, "frame 0 out of order: expected frame 1"),
+            ("from_one", 2, "frame 1 out of order: expected frame 0"),
+        ],
+    )
+    def test_misplaced_work_rows_are_data_errors(self, seq_dir, tmp_path, capsys, edit, line,
+                                                 message):
+        out = tmp_path / "out"
+        run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))
+        work = out / "work.txt"
+        lines = work.read_text().splitlines()  # a header, frames 0-3, then the totals
+        assert len(lines) == 6 and lines[-1].startswith("total ")
+        if edit == "append":
+            lines.append("total 1.0 2.0 3.0 / / / / / / 0 /")
+        elif edit == "repeat_frame_after_total":
+            lines.append(lines[4])
+        elif edit == "skip_frame":
+            del lines[2]
+        elif edit == "repeat_frame":
+            lines[2] = lines[1]
+        else:
+            lines[1:5] = [f"{i + 1} {l.split(maxsplit=1)[1]}" for i, l in enumerate(lines[1:5])]
+        work.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("cost-report", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {work}:{line}: {message}\n"
+        assert captured.out == ""
+
     def test_rejects_config_options(self, seq_dir, tmp_path):
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))
@@ -1304,6 +1339,21 @@ class TestGenSynthetic:
         assert str(scenario) in err and "[object.thin]" in err
         assert not (tmp_path / "g").exists()
 
+    def test_zero_height_object_is_data_error(self, tmp_path, capsys):
+        # A width overflowing to inf once made the height inf * 0 = nan: a traceback.
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = gen\nframes = 3\nframe_w = 500\nframe_h = 300\n\n"
+            "[object.flat]\nclass = car\nentry = 0\nexit = 2\nbox = 10 10 20 10\n"
+            "velocity = 0 0 1e308\n"
+        )
+        assert run_cli("gen-synthetic", "--scenario", str(scenario),
+                       "--out", str(tmp_path / "g")) == 2
+        err = capsys.readouterr().err
+        assert f"{scenario}: bad scenario: [object.flat] box corners must be finite, with width > 0" \
+            " and height > 0" in err
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize(
         "scenario_line, object_line, message",
         [
@@ -1405,3 +1455,160 @@ class TestGenSynthetic:
         section = new.split("]")[0] + "]"
         assert str(scenario) in err and f"unknown section {section}" in err
         assert not out.exists()
+
+
+ORDER_SCENARIO = """\
+[scenario]
+name = order
+frames = 30
+frame_w = 800
+frame_h = 300
+seed = 3
+
+[object.a]
+class = car
+entry = 0
+exit = 29
+box = 40 100 160 180
+velocity = 14 1
+
+[object.b]
+class = car
+entry = 3
+exit = 25
+box = 600 90 720 170
+velocity = -12 0
+
+[object.c]
+class = car
+entry = 8
+exit = 29
+box = 300 150 400 220
+velocity = 4 -1 1
+
+[object.d]
+class = pedestrian
+entry = 0
+exit = 20
+box = 200 60 230 130
+velocity = 3 0
+
+[object.e]
+class = pedestrian
+entry = 10
+exit = 29
+box = 500 80 530 150
+velocity = -3 1
+
+[source.proposal]
+miss_prob = 0.25
+fp_per_frame = 3
+jitter = 3
+score_mean = 0.55
+score_sigma = 0.18
+fp_score_mean = 0.45
+fp_score_sigma = 0.15
+
+[source.refine]
+miss_prob = 0.05
+fp_per_frame = 1
+jitter = 1
+score_mean = 0.88
+score_sigma = 0.05
+fp_score_mean = 0.3
+fp_score_sigma = 0.1
+"""
+
+ORDER_RUNS = {  # name -> run arguments
+    "single": ["--mode", "single"],
+    "cascaded": ["--mode", "cascaded"],
+    "catdet": ["--mode", "catdet"],
+    "timed": ["--mode", "catdet", "--set", "cost.alpha=0.001", "--set", "cost.b=0.005"],
+}
+
+
+def run_outputs(seq: Path, out: Path, argv: list[str]) -> dict[str, bytes]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("run", "--sequence", str(seq), "--out", str(out), "--dump-masks", *argv) == 0
+    return {name: (out / name).read_bytes() for name in ("detections.txt", "work.txt", "masks.txt")}
+
+
+def eval_outputs(labels: Path, detections: Path, out: Path) -> tuple[str, dict[str, bytes]]:
+    """eval's stdout and its curve files."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_cli("eval", "--gt", str(labels), "--det", str(detections), "--out", str(out)) == 0
+    curves = {p.name: p.read_bytes() for p in sorted(out.glob("curve_*.txt"))}
+    assert curves
+    return stdout.getvalue(), curves
+
+
+def shuffle_file(path: Path, rng, keep_order_of=None) -> None:
+    """Shuffle the data lines of `path` across and within frames, comments first.
+
+    With `keep_order_of`, the lines of equal `keep_order_of(line)` keep their
+    order: each group's lines go back, in file order, into the places the
+    shuffle gave the group.
+    """
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    data = [line for line in lines if not line.startswith("#")]
+    shuffled = data[:]
+    rng.shuffle(shuffled)
+    if keep_order_of is not None:
+        groups: dict[str, list[str]] = {}
+        for line in data:
+            groups.setdefault(keep_order_of(line), []).append(line)
+        queues = {key: iter(group) for key, group in groups.items()}
+        shuffled = [next(queues[keep_order_of(line)]) for line in shuffled]
+    assert sorted(shuffled) == sorted(data)
+    path.write_text("".join(line + "\n" for line in comments + shuffled))
+
+
+@pytest.fixture(scope="module")
+def order_baseline(tmp_path_factory) -> tuple[Path, dict, tuple]:
+    """A generated two-class sequence, each run's outputs and the catdet run's eval."""
+    root = tmp_path_factory.mktemp("order")
+    (root / "s.cfg").write_text(ORDER_SCENARIO)
+    seq = root / "seq"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("gen-synthetic", "--scenario", str(root / "s.cfg"), "--out", str(seq)) == 0
+    runs = {name: run_outputs(seq, root / name, argv) for name, argv in ORDER_RUNS.items()}
+    evaluated = eval_outputs(seq / "labels.txt", root / "catdet" / "detections.txt", root / "eval")
+    return seq, runs, evaluated
+
+
+class TestRecordOrder:
+    """Outputs do not depend on the order of the input records (a metamorphic test):
+    shuffled detection files give byte-identical run outputs in every mode, and a
+    shuffled labels.txt whose tracks keep their rows in frame order gives the
+    same eval output."""
+
+    @settings(derandomize=True, max_examples=10, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32))
+    def test_run_outputs_ignore_detection_order(self, tmp_path, order_baseline, seed):
+        seq, runs, _ = order_baseline
+        rng = random.Random(seed)
+        shuffled = Path(tempfile.mkdtemp(dir=tmp_path)) / "seq"
+        shutil.copytree(seq, shuffled)
+        for name in ("proposal.txt", "refine.txt"):
+            shuffle_file(shuffled / name, rng)
+        assert (shuffled / "refine.txt").read_bytes() != (seq / "refine.txt").read_bytes()
+        for name, argv in ORDER_RUNS.items():
+            assert run_outputs(shuffled, shuffled.parent / name, argv) == runs[name], name
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32), detections_too=st.booleans())
+    def test_eval_output_ignores_label_order(self, tmp_path, order_baseline, seed, detections_too):
+        seq, _, evaluated = order_baseline
+        rng = random.Random(seed)
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        labels, detections = work / "labels.txt", work / "detections.txt"
+        shutil.copy(seq / "labels.txt", labels)
+        shutil.copy(seq.parent / "catdet" / "detections.txt", detections)
+        shuffle_file(labels, rng, keep_order_of=lambda line: line.split()[1])  # the track id
+        if detections_too:
+            shuffle_file(detections, rng)
+        assert eval_outputs(labels, detections, work / "eval") == evaluated

@@ -3,7 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_generate_synthetic
+from conftest import (
+    reference_generate_synthetic,
+    reference_parse_detections,
+    reference_parse_kitti_tracking_labels,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -314,7 +318,7 @@ def scenarios(draw):
         entry = draw(st.integers(0, frames + 1))
         x1, y1 = draw(st.floats(-20.0, frame_w)), draw(st.floats(-20.0, frame_h))
         width = draw(st.sampled_from([0.5, 10.0, 33.3]))
-        height = draw(st.sampled_from([0.0, 10.0, 25.5]))
+        height = draw(st.sampled_from([0.25, 10.0, 25.5]))  # a box of no height is refused
         velocity = (
             draw(st.sampled_from([0.0, 3.5, -12.0, 40.0])),
             draw(st.sampled_from([0.0, -2.25, 15.0])),
@@ -349,3 +353,203 @@ class TestGeneratorOracle:
                 files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert files[0] == files[1]
         assert set(files[0]) == {"meta.cfg", "labels.txt"} | {f"{s}.txt" for s in scenario.sources}
+
+
+# --- parser oracle --------------------------------------------------------
+
+CLASS_TOKENS = ["car", "Car", "PEDESTRIAN", "pedestrian", "cyclist", "Tram", "DontCare", "dontcare"]
+BAD_INTS = ["x", "1.5", "1e3", "--1", "0x1f"]
+BAD_FLOATS = ["x", "1..2", "0x10", "1,5", "e3"]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity"]
+# Huge corners make a valid line whose sum of fields overflows to inf.
+COORDS = st.sampled_from([0.0, -0.0, 10.5, 1e308, 1.7e308, -1.7e308]) | st.floats(-50.0, 1300.0)
+
+
+def corner_pair(draw) -> tuple[str, str]:
+    lo, hi = sorted((draw(COORDS), draw(COORDS)))
+    return repr(lo), repr(hi)
+
+
+def swap_corners(draw, fields: list[str], x1: int) -> None:
+    """Put x2 before x1 (or y2 before y1), the corners being at `x1` .. `x1` + 3."""
+    i = x1 + draw(st.integers(0, 1))
+    fields[i], fields[i + 2] = fields[i + 2], repr(float(fields[i]) - draw(st.floats(0.5, 9.0)))
+
+
+DETECTION_FAULTS = [
+    "int", "float", "non-finite", "count", "past", "negative", "score", "corners", "repeat"
+]
+
+
+@st.composite
+def detection_line(draw, index: int, fault: str | None, frame_count: int) -> str:
+    """A valid detection line, or one with a single `fault`."""
+    (x1, x2), (y1, y2) = corner_pair(draw), corner_pair(draw)
+    score = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    fields = [str(draw(st.integers(0, frame_count - 1))), draw(st.sampled_from(CLASS_TOKENS)),
+              repr(score), x1, y1, x2, y2]
+    if fault == "int":
+        fields[0] = draw(st.sampled_from(BAD_INTS))
+    elif fault in ("float", "non-finite"):
+        tokens = BAD_FLOATS if fault == "float" else NON_FINITE
+        fields[draw(st.sampled_from([2, 3, 4, 5, 6]))] = draw(st.sampled_from(tokens))
+    elif fault == "count":  # too few, or one too many
+        fields = fields[: draw(st.integers(1, 6))] if draw(st.booleans()) else fields + ["1"]
+    elif fault == "past":
+        fields[0] = str(frame_count + draw(st.integers(0, 2)))
+    elif fault == "negative":
+        fields[0] = str(-draw(st.integers(1, 3)))
+    elif fault == "score":
+        fields[2] = draw(st.sampled_from(["1.5", "-0.1", "1.0000000000000002", "2"]))
+    elif fault == "corners":
+        swap_corners(draw, fields, 3)
+    return " ".join(fields)
+
+
+LABEL_FAULTS = [
+    "int", "float", "non-finite", "count", "negative", "corners", "earlier", "unread", "repeat"
+]
+
+
+@st.composite
+def label_line(draw, index: int, fault: str | None) -> str:
+    """Label line `index`, valid or with a single `fault`; a track's frames increase with the
+    line, so only an "earlier" fault can break a track's frame order."""
+    (x1, x2), (y1, y2) = corner_pair(draw), corner_pair(draw)
+    truncated = draw(st.sampled_from([0.0, -1.0, 1e308]) | st.floats(0.0, 1.0))
+    fields = [str(index), str(draw(st.integers(-1, 1))), draw(st.sampled_from(CLASS_TOKENS)),
+              repr(truncated), str(draw(st.integers(-1, 3))), "-10", x1, y1, x2, y2,
+              "-1", "-1", "-1", "-1000", "-1000", "-1000", "-10"]
+    if draw(st.booleans()):
+        fields.append("0.5")  # KITTI's optional score column
+    if fault == "int":
+        fields[draw(st.sampled_from([0, 1, 4]))] = draw(st.sampled_from(BAD_INTS))
+    elif fault in ("float", "non-finite"):
+        tokens = BAD_FLOATS if fault == "float" else NON_FINITE
+        fields[draw(st.sampled_from([3, 6, 7, 8, 9]))] = draw(st.sampled_from(tokens))
+    elif fault == "count":
+        fields = fields[: draw(st.integers(1, 16))]
+    elif fault == "negative":
+        fields[0] = str(-draw(st.integers(1, 3)))
+    elif fault == "corners":
+        swap_corners(draw, fields, 6)
+    elif fault == "earlier":  # repeats or goes back on a frame of the line's track, if it has one
+        fields[0] = str(draw(st.integers(0, index)))
+    elif fault == "unread":  # alpha and the 3D fields are not read
+        fields[draw(st.sampled_from([5, 10, 16]))] = "x"
+    return " ".join(fields)
+
+
+@st.composite
+def text_file(draw, line, fault: str | None) -> str:
+    """Lines from `line(i, fault)`, one of them with the `fault`, and comments, blank lines
+    and LF or CRLF endings.  The "repeat" fault repeats an earlier data line."""
+    n = draw(st.integers(0, 12))
+    faulty = draw(st.integers(0, max(n - 1, 0)))
+    lines, data = [], []
+    for i in range(n):
+        kind = draw(st.sampled_from(["data"] * 6 + ["commented", "comment", "blank", "spaces"]))
+        if i == faulty:
+            kind = draw(st.sampled_from(["data", "commented"]))
+        text = ""
+        if kind in ("data", "commented"):
+            if i == faulty and fault == "repeat" and data:
+                text = draw(st.sampled_from(data))
+            else:
+                text = draw(line(i, fault if i == faulty and fault != "repeat" else None))
+            data.append(text)
+        if kind == "commented":
+            text += draw(st.sampled_from([" # note", "# x 1 2", "\t#"]))
+        elif kind == "comment":
+            text = draw(st.sampled_from(["# frame class score x1 y1 x2 y2", "  #", "#"]))
+        elif kind == "spaces":
+            text = " \t "
+        lines.append(text + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines)
+
+
+def parse_outcome(parse, path: Path, *args):
+    """A parser's records (as repr, so float signs count) or its error, and the ClassMap after."""
+    cmap = ClassMap(["car", "pedestrian"])
+    try:
+        got = repr(parse(path, cmap, *args))
+    except DataError as exc:
+        got = ("DataError", str(exc), exc.path, exc.line)
+    return got, vars(cmap)
+
+
+FRAME_COUNT = 4
+KITTI_TAIL = "-1 -1 -1 -1000 -1000 -1000 -10"
+# Lines at the edge of a rule: each one is parsed alone and after valid lines.
+EDGE_DETECTIONS = [
+    "0 car 0.5 -inf 0 10 10", "0 car 0.5 0 0 inf 10", "0 car 0.5 0 -Infinity 10 10",
+    "0 car 0.5 0 0 10 INF", "0 car nan 0 0 1 1", "0 car inf 0 0 1 1",
+    "0 car 0.5 1e308 0 1.7e308 1", "0 car 1.0 -1.7e308 -1e308 1.7e308 1e308",
+    "-0 car -0.0 -0.0 0 0.0 0", "0 car 1 0 0 0 0", "0 car 0 5 5 5 5",
+    f"{FRAME_COUNT - 1} car 0.5 0 0 1 1", f"{FRAME_COUNT} car 0.5 0 0 1 1",
+    "-1 car 0.5 0 0 1 1", "1_0 car 0.5 0 0 1 1", "0 car 0.5 0 0 1e400 1",
+    "0 Tram 1.5 0 0 1 1", "0 tram 0.5 2 0 1 1", "0 car 0.5 0 0 1 1 # 0 car 0.5",
+]
+EDGE_LABELS = [
+    f"0 1 car 0 0 -10 -inf 0 10 10 {KITTI_TAIL}", f"0 1 car 0 0 -10 0 0 10 inf {KITTI_TAIL}",
+    f"0 1 car inf 0 -10 0 0 10 10 {KITTI_TAIL}", f"0 1 car nan 0 -10 0 0 10 10 {KITTI_TAIL}",
+    f"0 1 car 1e308 0 -10 1e308 0 1.7e308 1 {KITTI_TAIL}",
+    f"0 -1 DontCare -1 -1 -10 0 0 1e308 1.7e308 {KITTI_TAIL}",
+    f"-1 1 car 0 0 -10 0 0 1 1 {KITTI_TAIL}", f"-0 1 car -0.0 0 -10 -0.0 0 0 0 {KITTI_TAIL}",
+    f"0 1 car 0 0 -10 0 0 1 1 {KITTI_TAIL.rsplit(' ', 1)[0]}", "0 1 car 0 0 nan 0 0 1 1 x x x",
+    f"0 1 Tram 0 0 -10 1 0 0 1 {KITTI_TAIL}", f"0 x Tram 0 0 -10 0 0 1 1 {KITTI_TAIL}",
+]
+VALID_DETECTIONS = "0 car 0.5 0 0 1 1\n1 Cyclist 0.25 3 4 5 6\n"
+VALID_LABELS = f"0 1 car 0 0 -10 0 0 1 1 {KITTI_TAIL}\n1 2 Van 0 0 -10 3 4 5 6 {KITTI_TAIL}\n"
+
+
+class TestParserOracle:
+    """The one-pass parsers give what the field-by-field parsers in conftest.py give.
+
+    Each fault is its own run, so that every check is reached (about 200
+    examples per parser in all).
+    """
+
+    @pytest.mark.parametrize("fault", [None, *DETECTION_FAULTS])
+    @settings(derandomize=True, max_examples=22, deadline=None, database=None)
+    @given(data=st.data(), frame_count=st.sampled_from([None, FRAME_COUNT]))
+    def test_detections(self, fault, data, frame_count):
+        line = lambda i, fault: detection_line(i, fault, FRAME_COUNT)  # noqa: E731
+        text = data.draw(text_file(line, fault))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.txt"
+            path.write_bytes(text.encode())
+            new = parse_outcome(lambda *a: parse_detections(*a).all(), path, frame_count)
+            ref = parse_outcome(lambda *a: reference_parse_detections(*a).all(), path, frame_count)
+        assert new == ref
+
+    @pytest.mark.parametrize("fault", [None, *LABEL_FAULTS])
+    @settings(derandomize=True, max_examples=22, deadline=None, database=None)
+    @given(data=st.data())
+    def test_labels(self, fault, data):
+        text = data.draw(text_file(label_line, fault))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "l.txt"
+            path.write_bytes(text.encode())
+            new = parse_outcome(parse_kitti_tracking_labels, path)
+            ref = parse_outcome(reference_parse_kitti_tracking_labels, path)
+        assert new == ref
+
+    @pytest.mark.parametrize("line", EDGE_DETECTIONS)
+    @pytest.mark.parametrize("before", ["", VALID_DETECTIONS])
+    @pytest.mark.parametrize("frame_count", [None, FRAME_COUNT])
+    def test_detection_edges(self, tmp_path, line, before, frame_count):
+        path = tmp_path / "d.txt"
+        path.write_text(before + line + "\n")
+        new = parse_outcome(lambda *a: parse_detections(*a).all(), path, frame_count)
+        ref = parse_outcome(lambda *a: reference_parse_detections(*a).all(), path, frame_count)
+        assert new == ref
+
+    @pytest.mark.parametrize("line", EDGE_LABELS)
+    @pytest.mark.parametrize("before", ["", VALID_LABELS])
+    def test_label_edges(self, tmp_path, line, before):
+        path = tmp_path / "l.txt"
+        path.write_text(before + line + "\n")
+        new = parse_outcome(parse_kitti_tracking_labels, path)
+        ref = parse_outcome(reference_parse_kitti_tracking_labels, path)
+        assert new == ref

@@ -1,0 +1,209 @@
+"""The hot records are slotted classes that behave as the frozen dataclasses they replaced.
+
+`BoundingBox` and `Detection` are hand-written `__slots__` classes; `GtEntry`,
+`FrameGt`, `DetLabel` and `TrackState` are `@dataclass(slots=True)`.  None is
+frozen, so immutability is a convention: no code assigns to a field after
+construction, which the AST scan below checks.  Their `==`, `hash` and `repr`
+are the frozen dataclasses' (compared against `make_dataclass` copies), and
+every constructor check keeps its message.
+"""
+
+import ast
+import dataclasses
+import math
+from pathlib import Path
+
+import pytest
+
+import trackcascade
+from trackcascade.geometry import BoundingBox, Detection
+from trackcascade.metrics import DetLabel, FrameGt, GtEntry
+from trackcascade.tracker import TrackState
+
+SRC = Path(trackcascade.__file__).parent
+
+FIELDS = {
+    "BoundingBox": ("x1", "y1", "x2", "y2"),
+    "Detection": ("box", "class_id", "score", "frame_index"),
+    "GtEntry": ("frame_index", "box", "truncated", "occluded"),
+    "FrameGt": ("track_id", "box", "qualifying", "region"),
+    "DetLabel": ("score", "is_tp", "track_id", "frame_index"),
+    "TrackState": (
+        "position", "motion", "aspect", "confidence", "class_id", "track_id", "misses"
+    ),
+}
+RECORDS = {cls.__name__: cls for cls in (BoundingBox, Detection, GtEntry, FrameGt, DetLabel,
+                                         TrackState)}
+# The frozen dataclasses these records were: same names, fields and order.
+FROZEN = {name: dataclasses.make_dataclass(name, fields, frozen=True)
+          for name, fields in FIELDS.items()}
+
+
+def test_records_are_slotted_with_the_old_fields():
+    for name, cls in RECORDS.items():
+        assert cls.__slots__ == FIELDS[name], name
+        sample = SAMPLES[name][0]
+        assert not hasattr(sample, "__dict__"), name
+        assert dataclasses.is_dataclass(cls) == (name not in ("BoundingBox", "Detection")), name
+
+
+def field_stores(tree: ast.AST, fields: set[str]):
+    """(line, code) of each assignment to an attribute named in `fields`, and of each
+    `setattr`/`object.__setattr__` naming one, outside a record's __init__/__post_init__."""
+
+    class Scan(ast.NodeVisitor):
+        def __init__(self):
+            self.where: list[str] = []  # enclosing class and function names
+            self.found = []
+
+        def visit_ClassDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def allowed(self) -> bool:
+            return (len(self.where) >= 2 and self.where[-2] in RECORDS
+                    and self.where[-1] in ("__init__", "__post_init__"))
+
+        def store(self, node, target):
+            for t in ast.walk(target):
+                stored = isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                if stored and t.attr in fields and not self.allowed():
+                    self.found.append((node.lineno, ast.unparse(node)))
+
+        def visit_Assign(self, node):
+            for target in node.targets:
+                self.store(node, target)
+            self.generic_visit(node)
+
+        def visit_AugAssign(self, node):
+            self.store(node, node.target)
+            self.generic_visit(node)
+
+        def visit_AnnAssign(self, node):
+            if node.value is not None:
+                self.store(node, node.target)
+            self.generic_visit(node)
+
+        def visit_Call(self, node):
+            func = ast.unparse(node.func)
+            if func in ("setattr", "object.__setattr__") and len(node.args) >= 2:
+                name = node.args[1]
+                if not (isinstance(name, ast.Constant) and name.value not in fields):
+                    if not self.allowed():
+                        self.found.append((node.lineno, ast.unparse(node)))
+            self.generic_visit(node)
+
+    scan = Scan()
+    scan.visit(tree)
+    return scan.found
+
+
+def test_no_code_assigns_to_a_record_field_after_construction():
+    fields = {f for names in FIELDS.values() for f in names}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, code in field_stores(ast.parse(path.read_text()), fields):
+            found.append(f"{path.name}:{line}: {code}")
+    assert found == []
+
+
+def test_the_scan_sees_assignments():
+    code = (
+        "class BoundingBox:\n"
+        "    def __init__(self, x1):\n"
+        "        self.x1 = x1\n"
+        "    def grow(self):\n"
+        "        self.x1 -= 1\n"
+        "def f(det, box):\n"
+        "    det.box = box\n"
+        "    det.score: float = 1.0\n"
+        "    a, det.frame_index = 1, 2\n"
+        "    object.__setattr__(det, 'score', 0.5)\n"
+        "    setattr(det, name, 0.5)\n"
+        "    det.other = 3\n"
+        "    seen[det.score] = det.box\n"
+    )
+    found = [line for line, _ in field_stores(ast.parse(code), {"x1", "box", "score",
+                                                                "frame_index"})]
+    assert found == [5, 7, 8, 9, 10, 11]
+
+
+BOX = BoundingBox(1.0, 2.0, 3.5, 4.0)
+SAMPLES = {  # two or more records of each class; the first two differ
+    "BoundingBox": [BOX, BoundingBox(-0.0, 0.0, 1e308, 2.5), BoundingBox(0.0, 0.0, 1e308, 2.5),
+                    BoundingBox(1.0, 2.0, 3.5, 4.0)],
+    "Detection": [Detection(BOX, 0, 0.5, 3), Detection(BOX, 1, 0.5, 3),
+                  Detection(BoundingBox(1.0, 2.0, 3.5, 4.0), 0, 0.5, 3)],
+    "GtEntry": [GtEntry(0, BOX), GtEntry(0, BOX, 0.25, 2), GtEntry(0, BOX, 0.0, 0)],
+    "FrameGt": [FrameGt(7, BOX, True), FrameGt(-1, BOX, False, True), FrameGt(7, BOX, True)],
+    "DetLabel": [DetLabel(0.9, True, 4, 2), DetLabel(0.9, False, None, 2),
+                 DetLabel(0.9, True, 4, 2)],
+    "TrackState": [TrackState((1.0, 2.0, 3.0), (0.0, 0.0, 0.0), 0.5, 1, 0, 1),
+                   TrackState((1.0, 2.0, 3.0), (0.0, 0.0, 0.0), 0.5, 1, 0, 1, misses=2),
+                   TrackState((1.0, 2.0, 3.0), (-0.0, 0.0, 0.0), 0.5, 1, 0, 1)],
+}
+
+
+def frozen(record):
+    """The frozen-dataclass twin of a record, nested boxes included."""
+    if type(record) not in RECORDS.values():
+        return record
+    name = type(record).__name__
+    return FROZEN[name](*(frozen(getattr(record, f)) for f in FIELDS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_eq_hash_and_repr_are_the_frozen_dataclasses(name):
+    samples = SAMPLES[name]
+    assert samples[0] != samples[1]
+    for a in samples:
+        assert repr(a) == repr(frozen(a))
+        assert hash(a) == hash(frozen(a))
+        assert (a == (1, 2)) is (frozen(a) == (1, 2)) is False
+        for b in samples:
+            assert (a == b) == (frozen(a) == frozen(b)), (a, b)
+            assert (a != b) == (frozen(a) != frozen(b)), (a, b)
+    assert len(set(samples)) == len({frozen(s) for s in samples})
+
+
+def test_box_corners_become_floats():
+    box = BoundingBox(1, 0, 3, True)
+    assert [type(v) for v in (box.x1, box.y1, box.x2, box.y2)] == [float] * 4
+    assert repr(box) == "BoundingBox(x1=1.0, y1=0.0, x2=3.0, y2=1.0)"
+    assert type(Detection(box, 0, 1, 0).score) is float
+    assert type(GtEntry(0, box, 1).truncated) is float
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BoundingBox(3, 0, 1, 1), "invalid box corners: (3.0, 0.0, 1.0, 1.0)"),
+        (lambda: BoundingBox(0, 5.5, 1, 1), "invalid box corners: (0.0, 5.5, 1.0, 1.0)"),
+        (lambda: BoundingBox(0, 0, math.nan, 1), "invalid box corners: (0.0, 0.0, nan, 1.0)"),
+        (lambda: BoundingBox("x", 0, 1, 1), "could not convert string to float: 'x'"),
+        (lambda: Detection(BOX, 0, 1.5, 0), "score 1.5 outside [0, 1]"),
+        (lambda: Detection(BOX, 0, math.nan, 0), "score nan outside [0, 1]"),
+        (lambda: Detection(BOX, 0, 0.5, -1), "negative frame index -1"),
+        (lambda: Detection(BOX, 0, -1, -1), "score -1.0 outside [0, 1]"),
+        (lambda: GtEntry(-2, BOX), "negative frame index -2"),
+        (lambda: GtEntry(0, BOX, "x"), "could not convert string to float: 'x'"),
+        (lambda: TrackState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0, 1, 0, 1),
+         "track width and aspect must be positive"),
+        (lambda: TrackState((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 0.0, 1, 0, 1),
+         "track width and aspect must be positive"),
+        (lambda: TrackState((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 1.0, -1, 0, 1),
+         "confidence and misses must be >= 0"),
+        (lambda: TrackState((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 1.0, 1, 0, 1, misses=-1),
+         "confidence and misses must be >= 0"),
+    ],
+)
+def test_constructor_checks_keep_their_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
