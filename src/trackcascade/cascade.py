@@ -14,10 +14,11 @@ detections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .costmodel import CostModelConfig, WorkReport, estimate_time, greedy_merge, refine_cost, total_work
 from .errors import MissingFrameError
-from .geometry import Detection, RegionMask, mask_overlap_fraction, nms
+from .geometry import Detection, RegionMask, grown_rects, mask_overlap_fraction, nms, rects_union_area
 from .ingest import DetectionStore, SequenceMeta
 from .tracker import Tracker, TrackerConfig
 
@@ -108,15 +109,63 @@ class PipelineConfig:
 
 @dataclass
 class FrameResult:
-    """One frame's outputs, recorded before tracker feedback."""
+    """One frame's outputs, recorded before tracker feedback.
+
+    `work` is computed from the recorded fields, the config and the mask's
+    frame size the first time it is read, and then cached; nothing later
+    frames change goes into it, so it may be read at any time, in any order.
+    """
 
     frame_index: int
     final_detections: list[Detection]
     mask: RegionMask
-    work: WorkReport
+    config: PipelineConfig = field(repr=False)
     tracker_boxes: list[Detection] = field(default_factory=list)
     proposal_boxes: list[Detection] = field(default_factory=list)
     refine_proposals: list[Detection] = field(default_factory=list)
+
+    @cached_property
+    def work(self) -> WorkReport:
+        """Op counts of this frame; the single-model run has no proposal source."""
+        cost = self.config.cost
+        mask = self.mask
+        single = self.config.mode == "single"
+        n_proposals = cost.baseline_proposal_count if single else len(self.refine_proposals)
+        refine_ops = refine_cost(mask, n_proposals, cost)
+        proposal_ops = 0.0 if single else cost.proposal_fullframe_ops
+        # In cascaded mode there are no tracker boxes, so the tracker's
+        # attribution is a truthful 0.0 and a tracker-disabled catdet run is
+        # byte identical.
+        from_tracker = None if single else self._attributed(self.tracker_boxes)
+        from_proposal = None if single else self._attributed(self.proposal_boxes)
+        estimated = None
+        merged_count = len(mask.regions)
+        if cost.has_timing:
+            merged = greedy_merge(mask.regions, cost, mask.frame_w, mask.frame_h)
+            merged_count = len(merged)
+            frame_area = mask.frame_w * mask.frame_h
+            estimated = sum(
+                estimate_time(cost.refine_feature_fullframe_ops * r.area / frame_area, cost)
+                for r in merged
+            )
+            if n_proposals > 0:
+                estimated += estimate_time(cost.refine_per_proposal_ops * n_proposals, cost)
+            if not single:
+                estimated += estimate_time(proposal_ops, cost)
+        return WorkReport(
+            proposal_ops=proposal_ops,
+            refine_ops=refine_ops,
+            refine_from_tracker_ops=from_tracker,
+            refine_from_proposal_ops=from_proposal,
+            estimated_time=estimated,
+            merged_region_count=merged_count,
+        )
+
+    def _attributed(self, boxes: list[Detection]) -> float:
+        """Refine ops of the mask `boxes` alone would make, as if they were the only proposals."""
+        w, h = self.mask.frame_w, self.mask.frame_h
+        rects = grown_rects((d.box for d in boxes), w, h, self.config.margin)
+        return refine_cost(rects_union_area(rects) / (w * h), len(boxes), self.config.cost)
 
 
 @dataclass
@@ -162,7 +211,7 @@ class Pipeline:
         return [d for d in dets if d.class_id in self.known_classes]
 
     def run_frame(self, frame_index: int) -> FrameResult:
-        """Run the configured cascade on one frame and account its cost."""
+        """Run the configured cascade on one frame; its `work` is computed when first read."""
         if self._next_frame is not None and frame_index != self._next_frame:
             raise ValueError(f"frames must be processed in order; expected {self._next_frame}")
         self._next_frame = frame_index + 1
@@ -172,9 +221,7 @@ class Pipeline:
         if cfg.mode == "single":
             raw = self._known(self.refine_source.detect(frame_index))
             final = nms(raw, cfg.nms_iou, cfg.class_agnostic_nms)
-            mask = RegionMask.full_frame(w, h)
-            work = self._work(mask, cfg.cost.baseline_proposal_count, None, None, 0, 0)
-            return FrameResult(frame_index, final, mask, work)
+            return FrameResult(frame_index, final, RegionMask.full_frame(w, h), cfg)
 
         proposal_raw = self._known(self.proposal_source.detect(frame_index))
         proposal_boxes = [d for d in proposal_raw if d.score >= cfg.c_thresh]
@@ -187,71 +234,13 @@ class Pipeline:
 
         refined = self._known(self.refine_source.detect(frame_index, mask=mask))
         final = nms(refined, cfg.nms_iou, cfg.class_agnostic_nms)
-
-        # In cascaded mode the tracker mask is empty, so its attribution is a
-        # truthful 0.0 and a tracker-disabled catdet run is byte identical.
-        tracker_mask = RegionMask.from_boxes((d.box for d in tracker_boxes), w, h, cfg.margin)
-        proposal_mask = RegionMask.from_boxes((d.box for d in proposal_boxes), w, h, cfg.margin)
-        work = self._work(
-            mask,
-            len(refine_proposals),
-            tracker_mask,
-            proposal_mask,
-            len(tracker_boxes),
-            len(proposal_boxes),
-        )
         result = FrameResult(
-            frame_index,
-            final,
-            mask,
-            work,
-            tracker_boxes,
-            proposal_boxes,
-            refine_proposals,
+            frame_index, final, mask, cfg, tracker_boxes, proposal_boxes, refine_proposals
         )
         if self._tracker is not None:
             tracked = [d for d in final if d.score >= cfg.t_thresh]
             self._pending_predictions = self._tracker.step(frame_index, tracked)
         return result
-
-    def _work(
-        self,
-        mask: RegionMask,
-        n_proposals: int,
-        tracker_mask: RegionMask | None,
-        proposal_mask: RegionMask | None,
-        n_tracker: int,
-        n_proposal: int,
-    ) -> WorkReport:
-        """Op counts of one frame; no proposal mask means the single-model run."""
-        cost = self.config.cost
-        single = proposal_mask is None
-        refine_ops = refine_cost(mask, n_proposals, cost)
-        proposal_ops = 0.0 if single else cost.proposal_fullframe_ops
-        from_tracker = None if single else refine_cost(tracker_mask, n_tracker, cost)
-        from_proposal = None if single else refine_cost(proposal_mask, n_proposal, cost)
-        estimated = None
-        merged_count = len(mask.regions)
-        if cost.has_timing:
-            merged = greedy_merge(mask.regions, cost, mask.frame_w, mask.frame_h)
-            merged_count = len(merged)
-            frame_area = mask.frame_w * mask.frame_h
-            estimated = sum(
-                estimate_time(cost.refine_feature_fullframe_ops * r.area / frame_area, cost)
-                for r in merged
-            )
-            if n_proposals > 0:
-                estimated += estimate_time(cost.refine_per_proposal_ops * n_proposals, cost)
-            if not single:
-                estimated += estimate_time(proposal_ops, cost)
-        return WorkReport(
-            proposal_ops=proposal_ops,
-            refine_ops=refine_ops,
-            refine_from_tracker_ops=from_tracker,
-            refine_from_proposal_ops=from_proposal,
-            estimated_time=estimated,
-            merged_region_count=merged_count,
-        )
 
     def run_sequence(self) -> SequenceResult:
         """Run every frame in order from a fresh tracker and aggregate the work totals."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import shutil
 import sys
@@ -21,7 +22,7 @@ from .config import Settings, load_settings
 # work.txt; they stay importable from this module because perfbench/tracing.py
 # hooks them on it (ROADMAP item 2).
 from .costmodel import WorkReport, refine_cost  # noqa: F401
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ingest import (
     ClassMap,
     SequenceMeta,
@@ -189,6 +190,16 @@ def _run_and_write(
 
     pipeline = Pipeline(config, meta, refine, proposal, known_classes=set(class_map.configured))
     result: SequenceResult = pipeline.run_sequence()
+    # Every op is >= 0, so a frame's inf or nan shows in the totals, as does
+    # a sum of finite frames that overflows.
+    t = result.total
+    totals = (t.proposal_ops, t.refine_ops, t.total_ops, t.refine_from_tracker_ops,
+              t.refine_from_proposal_ops, t.estimated_time)
+    if not all(math.isfinite(v) for v in totals if v is not None):
+        raise ConfigError(
+            f"the [cost] constants make non-finite op totals over {len(result.frames)} frames",
+            str(seq_dir),
+        )
 
     dest.mkdir(exist_ok=True)
     final = [d for r in result.frames for d in r.final_detections]

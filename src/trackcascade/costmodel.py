@@ -49,7 +49,11 @@ class CostModelConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not 0.0 <= value < math.inf:
+            try:  # isfinite converts to float, which an int may overflow
+                valid = value is None or (math.isfinite(value) and value >= 0)
+            except OverflowError:
+                valid = False
+            if not valid:
                 raise ValueError(f"{f.name} must be finite and >= 0")
         if (self.alpha is None) != (self.b is None):
             raise ValueError("alpha and b must be set together")
@@ -99,12 +103,16 @@ def total_work(reports: Sequence[WorkReport]) -> WorkReport:
     )
 
 
-def refine_cost(mask: RegionMask, n_proposals: int, config: CostModelConfig) -> float:
-    """Refinement ops: feature extraction over the mask plus classifier per proposal."""
+def refine_cost(mask: RegionMask | float, n_proposals: int, config: CostModelConfig) -> float:
+    """Refinement ops: feature extraction over the mask plus classifier per proposal.
+
+    `mask` is a RegionMask or the share of the frame that one covers.
+    """
     if n_proposals < 0:
         raise ValueError("n_proposals must be >= 0")
+    coverage = mask.coverage if isinstance(mask, RegionMask) else mask
     return (
-        config.refine_feature_fullframe_ops * mask.coverage
+        config.refine_feature_fullframe_ops * coverage
         + config.refine_per_proposal_ops * n_proposals
     )
 

@@ -149,16 +149,7 @@ class RegionMask:
         """Regions are the boxes grown by `margin` on every side, then clipped."""
         if margin < 0:
             raise ValueError("margin must be >= 0")
-        # The same arithmetic as BoundingBox(...grown...).clip(frame_w, frame_h).
-        regions = tuple(
-            BoundingBox(
-                min(max(b.x1 - margin, 0.0), frame_w),
-                min(max(b.y1 - margin, 0.0), frame_h),
-                min(max(b.x2 + margin, 0.0), frame_w),
-                min(max(b.y2 + margin, 0.0), frame_h),
-            )
-            for b in boxes
-        )
+        regions = tuple(BoundingBox(*r) for r in grown_rects(boxes, frame_w, frame_h, margin))
         return cls(frame_w, frame_h, regions)
 
     @classmethod
@@ -169,6 +160,24 @@ class RegionMask:
     def coverage(self) -> float:
         """Fraction of the frame the region union covers, in [0, 1]; computed once."""
         return union_area(self.regions) / (self.frame_w * self.frame_h)
+
+
+def grown_rects(
+    boxes: Iterable[BoundingBox], frame_w: float, frame_h: float, margin: float
+) -> list[tuple[float, float, float, float]]:
+    """Each box grown by `margin` on every side, then clipped, as an (x1, y1, x2, y2) tuple.
+
+    The same arithmetic as BoundingBox(...grown...).clip(frame_w, frame_h).
+    """
+    return [
+        (
+            min(max(b.x1 - margin, 0.0), frame_w),
+            min(max(b.y1 - margin, 0.0), frame_h),
+            min(max(b.x2 + margin, 0.0), frame_w),
+            min(max(b.y2 + margin, 0.0), frame_h),
+        )
+        for b in boxes
+    ]
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -188,13 +197,22 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def union_area(boxes: Sequence[BoundingBox]) -> float:
-    """Exact area of the union of boxes, counting overlapped regions once.
+    """Exact area of the union of boxes, counting overlapped regions once."""
+    return _sweep(sorted((b.x1, b.y1, b.y2, b.x2) for b in boxes if b.area > 0))
+
+
+def rects_union_area(rects: Iterable[tuple[float, float, float, float]]) -> float:
+    """`union_area` of (x1, y1, x2, y2) tuples, with no box built for them."""
+    return _sweep(sorted((x1, y1, y2, x2) for x1, y1, x2, y2 in rects if (x2 - x1) * (y2 - y1) > 0))
+
+
+def _sweep(rects: list[tuple[float, float, float, float]]) -> float:
+    """Union area of positive-area (x1, y1, y2, x2) tuples, sorted.
 
     Coordinate sweep over x-slabs with merged y-intervals; resolution
     independent, no rasterisation. The boxes spanning a slab are kept sorted
     by (y1, y2) as the sweep enters and leaves them.
     """
-    rects = sorted((b.x1, b.y1, b.y2, b.x2) for b in boxes if b.area > 0)
     if not rects:
         return 0.0
     ends = {r[3] for r in rects}
@@ -238,9 +256,11 @@ def mask_overlap_fraction(box: BoundingBox, mask: RegionMask) -> float:
 
 
 def score_order(d: Detection) -> tuple:
-    # Score ties broken by lower x1, lower y1, smaller area, then class id, so
-    # that NMS, matching and the writer do not depend on the input order.
-    return (-d.score, d.box.x1, d.box.y1, d.box.area, d.class_id)
+    # Score ties broken by lower x1, lower y1, smaller area, class id, lower x2,
+    # then lower y2: only equal boxes of one class and score tie on all of it,
+    # so NMS, matching and the writer do not depend on the input order.
+    box = d.box
+    return (-d.score, box.x1, box.y1, box.area, d.class_id, box.x2, box.y2)
 
 
 def nms(

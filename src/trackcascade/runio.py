@@ -97,7 +97,7 @@ def parse_work_total(path: str | Path) -> tuple[WorkReport, int]:
 
 
 def _box_order(box: BoundingBox) -> tuple:
-    return (box.x1, box.y1, box.area)
+    return (box.x1, box.y1, box.area, box.x2, box.y2)
 
 
 def write_mask_dump(results: Iterable[FrameResult], path: Path) -> None:

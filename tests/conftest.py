@@ -10,8 +10,11 @@ from trackcascade import (
     ClassMap,
     Detection,
     DetectionStore,
+    RegionMask,
     SequenceMeta,
+    WorkReport,
     estimate_time,
+    greedy_merge,
     mask_overlap_fraction,
     refine_cost,
     write_detections,
@@ -70,6 +73,45 @@ def source_costs(tracker_mask, proposal_mask, union_mask, config, n_tracker, n_p
         refine_cost(proposal_mask, n_proposal, config),
         refine_cost(union_mask, n_tracker + n_proposal, config),
     )
+
+
+def reference_work(config, frame_w, frame_h, result):
+    """`FrameResult.work` as `run_frame` once computed it on every frame.
+
+    One `RegionMask` each for the refinement proposals, the tracker boxes and
+    the proposal boxes, `refine_cost` on each, and `greedy_merge` when timed.
+    """
+    cost = config.cost
+    single = config.mode == "single"
+    if single:
+        mask = RegionMask.full_frame(frame_w, frame_h)
+        n_proposals = cost.baseline_proposal_count
+    else:
+        def mask_of(dets):
+            return RegionMask.from_boxes((d.box for d in dets), frame_w, frame_h, config.margin)
+
+        mask = mask_of(result.refine_proposals)
+        n_proposals = len(result.refine_proposals)
+        tracker_mask, proposal_mask = mask_of(result.tracker_boxes), mask_of(result.proposal_boxes)
+    refine_ops = refine_cost(mask, n_proposals, cost)
+    proposal_ops = 0.0 if single else cost.proposal_fullframe_ops
+    from_tracker = None if single else refine_cost(tracker_mask, len(result.tracker_boxes), cost)
+    from_proposal = None if single else refine_cost(proposal_mask, len(result.proposal_boxes), cost)
+    estimated = None
+    merged_count = len(mask.regions)
+    if cost.has_timing:
+        merged = greedy_merge(mask.regions, cost, mask.frame_w, mask.frame_h)
+        merged_count = len(merged)
+        frame_area = mask.frame_w * mask.frame_h
+        estimated = sum(
+            estimate_time(cost.refine_feature_fullframe_ops * r.area / frame_area, cost)
+            for r in merged
+        )
+        if n_proposals > 0:
+            estimated += estimate_time(cost.refine_per_proposal_ops * n_proposals, cost)
+        if not single:
+            estimated += estimate_time(proposal_ops, cost)
+    return WorkReport(proposal_ops, refine_ops, from_tracker, from_proposal, estimated, merged_count)
 
 
 def hull(a, b):

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,12 +14,17 @@ from trackcascade import (
     PipelineConfig,
     RegionMask,
     SequenceMeta,
+    cascade,
+    generate_synthetic,
     mask_overlap_fraction,
     nms,
+    parse_scenario,
+    total_work,
 )
+from trackcascade.cascade import MODES
 from trackcascade.ingest import DetectionStore
 
-from conftest import make_store
+from conftest import DATA, make_store, reference_work
 
 META = SequenceMeta("syn: test", 6, 1000.0, 400.0)
 
@@ -279,3 +288,74 @@ class TestOpsMonotonicity:
             totals.append(pipeline.run_sequence().total.total_ops)
         for lo, hi in zip(totals, totals[1:]):
             assert hi <= lo + 1e-9
+
+
+TIMING = {"untimed": {}, "timed": {"alpha": 0.001, "b": 0.005}}
+
+
+@pytest.fixture(scope="module")
+def bench_data():
+    return generate_synthetic(parse_scenario(DATA / "benchmark_scenario.cfg"))
+
+
+def bench_pipeline(data, mode, timing):
+    return Pipeline(
+        PipelineConfig(mode=mode, cost=CostModelConfig(**TIMING[timing])),
+        data.meta,
+        FileBackedSource(data.detections["refine"], "refine", data.meta.frame_count),
+        FileBackedSource(data.detections["proposal"], "proposal", data.meta.frame_count),
+    )
+
+
+class TestDeferredWork:
+    """`FrameResult.work` is computed on first read, and equals the eager accounting."""
+
+    @pytest.mark.parametrize("timing", TIMING)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_late_reverse_reads_equal_the_eager_accounting(self, bench_data, mode, timing):
+        pipeline = bench_pipeline(bench_data, mode, timing)
+        w, h = bench_data.meta.frame_w, bench_data.meta.frame_h
+        frames, expected = [], []
+        for i in range(bench_data.meta.frame_count):
+            frames.append(pipeline.run_frame(i))
+            expected.append(reference_work(pipeline.config, w, h, frames[-1]))
+        for r, want in reversed(list(zip(frames, expected))):
+            assert repr(r.work) == repr(want), r.frame_index
+            assert r.work is r.work
+        result = pipeline.run_sequence()
+        assert [repr(r.work) for r in reversed(result.frames)] == [repr(e) for e in expected[::-1]]
+        assert repr(result.total) == repr(total_work(expected))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unread_work_is_never_computed(self, bench_data, mode, monkeypatch):
+        calls = Counter()
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(cascade, "refine_cost", spy(cascade.refine_cost))
+        monkeypatch.setattr(cascade, "greedy_merge", spy(cascade.greedy_merge))
+        pipeline = bench_pipeline(bench_data, mode, "timed")
+        frames = [pipeline.run_frame(i) for i in range(bench_data.meta.frame_count)]
+        assert calls == Counter()
+        frames[7].work
+        frames[7].work
+        assert calls == Counter(refine_cost=1 if mode == "single" else 3, greedy_merge=1)
+
+    def test_frame_result_does_not_keep_the_pipeline(self, bench_data):
+        pipeline = bench_pipeline(bench_data, "catdet", "timed")
+        config = pipeline.config
+        frames = [pipeline.run_frame(i) for i in range(bench_data.meta.frame_count)]
+        held = [
+            weakref.ref(o)
+            for o in (pipeline, pipeline._tracker, pipeline.refine_source, pipeline.proposal_source)
+        ]
+        del pipeline
+        gc.collect()
+        assert [ref() for ref in held] == [None] * len(held)
+        w, h = bench_data.meta.frame_w, bench_data.meta.frame_h
+        assert repr(frames[-1].work) == repr(reference_work(config, w, h, frames[-1]))

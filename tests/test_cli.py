@@ -18,6 +18,7 @@ from trackcascade import (
     ClassMap,
     CostModelConfig,
     DataError,
+    DetectionStore,
     FileBackedSource,
     Pipeline,
     PipelineConfig,
@@ -589,6 +590,9 @@ class TestUsageErrors:
             (["tracker.boundary_chop_fraction=1.5"],
              "[tracker] value: boundary_chop_fraction must be in [0, 1]"),
             (["tracker.min_width=-1"], "[tracker] value: min_width must be >= 0"),
+            # An int too large for a float, which the accounting would need.
+            (["cost.baseline_proposal_count=1" + "0" * 400],
+             "[cost] value: baseline_proposal_count must be finite and >= 0"),
         ],
     )
     def test_out_of_range_config_is_data_error(self, seq_dir, tmp_path, capsys, overrides, message):
@@ -598,6 +602,29 @@ class TestUsageErrors:
             args += ["--set", item]
         assert run_cli(*args) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, overrides",
+        [
+            ("single", ["cost.refine_per_proposal_ops=1e308"]),  # one frame's product is inf
+            ("catdet", ["cost.proposal_fullframe_ops=1e307"]),  # 50 finite frames sum to inf
+            ("catdet", ["cost.alpha=1e308", "cost.b=1e308"]),  # the estimated time
+            ("cascaded", ["cost.refine_feature_fullframe_ops=1e308",
+                          "cost.refine_per_proposal_ops=1e308"]),
+        ],
+    )
+    def test_non_finite_accounting_is_refused(self, tmp_path, capsys, mode, overrides):
+        seq = tmp_path / "seq"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg"),
+                           "--out", str(seq)) == 0
+        out = tmp_path / "o"
+        args = ["run", "--sequence", str(seq), "--mode", mode, "--out", str(out)]
+        for item in overrides:
+            args += ["--set", item]
+        assert run_cli(*args) == 2
+        assert f"{seq}: the [cost] constants make non-finite op totals" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_in_config_file_names_the_file(self, seq_dir, tmp_path, capsys):
@@ -1578,6 +1605,15 @@ def order_baseline(tmp_path_factory) -> tuple[Path, dict, tuple]:
     return seq, runs, evaluated
 
 
+@st.composite
+def tied_pairs(draw):
+    """Two boxes a x b and b x a at one corner, with b in (2a/3, a): IoU b / (2a - b) > 0.5."""
+    x1, y1 = draw(st.integers(0, 900)), draw(st.integers(0, 300))
+    a = draw(st.integers(10, 90))
+    b = draw(st.integers(2 * a // 3 + 1, a - 1))
+    return (x1, y1, x1 + a, y1 + b), (x1, y1, x1 + b, y1 + a)
+
+
 class TestRecordOrder:
     """Outputs do not depend on the order of the input records (a metamorphic test):
     shuffled detection files give byte-identical run outputs in every mode, and a
@@ -1597,6 +1633,25 @@ class TestRecordOrder:
         assert (shuffled / "refine.txt").read_bytes() != (seq / "refine.txt").read_bytes()
         for name, argv in ORDER_RUNS.items():
             assert run_outputs(shuffled, shuffled.parent / name, argv) == runs[name], name
+
+    @settings(derandomize=True, max_examples=10, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=tied_pairs())
+    def test_run_outputs_ignore_the_order_of_tied_boxes(self, tmp_path, cmap, pair):
+        # Both orders of two boxes that tie on everything but x2 and y2, and
+        # overlap enough for NMS to keep one: a one-frame sequence for each.
+        outputs = []
+        for order in (pair, pair[::-1]):
+            root = Path(tempfile.mkdtemp(dir=tmp_path))
+            empty = DetectionStore()
+            seq = write_sequence(root, SequenceMeta("tie", 1, 1000.0, 400.0), empty, empty, cmap)
+            lines = "".join(f"0 car 0.9 {x1} {y1} {x2} {y2}\n" for x1, y1, x2, y2 in order)
+            for name in ("proposal.txt", "refine.txt"):
+                (seq / name).write_text(lines)
+            outputs.append(
+                {name: run_outputs(seq, root / name, argv) for name, argv in ORDER_RUNS.items()}
+            )
+        assert outputs[0] == outputs[1]
 
     @settings(derandomize=True, max_examples=20, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -47,6 +47,7 @@ from trackcascade import (
     update_motion,
 )
 from trackcascade._lsap import linear_sum_assignment
+from trackcascade.geometry import grown_rects, rects_union_area
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FRAME_W, FRAME_H = 40.0, 30.0
@@ -116,6 +117,14 @@ class TestRegionMask:
         with mock.patch.object(BoundingBox, "clip", side_effect=AssertionError("clipped twice")):
             mask = RegionMask.from_boxes(boxes, FRAME_W, FRAME_H, margin)
         assert corners(mask.regions) == corners(reference_from_boxes(boxes, FRAME_W, FRAME_H, margin))
+
+    @PROPERTY
+    @given(box_lists(), st.sampled_from([0.0, 0.5, 1.0, 3.0, 30.0]))
+    def test_rect_coverage_same_float_as_mask_coverage(self, boxes, margin):
+        # FrameResult.work measures the tracker and proposal masks without building them.
+        rects = grown_rects(boxes, FRAME_W, FRAME_H, margin)
+        mask = RegionMask.from_boxes(boxes, FRAME_W, FRAME_H, margin)
+        assert repr(rects_union_area(rects) / (FRAME_W * FRAME_H)) == repr(mask.coverage)
 
     @PROPERTY
     @given(box_lists())
