@@ -162,9 +162,24 @@ class FrameResult:
         )
 
     def _attributed(self, boxes: list[Detection]) -> float:
-        """Refine ops of the mask `boxes` alone would make, as if they were the only proposals."""
-        w, h = self.mask.frame_w, self.mask.frame_h
-        rects = grown_rects((d.box for d in boxes), w, h, self.config.margin)
+        """Refine ops of the mask `boxes` alone would make, as if they were the only proposals.
+
+        When their grown rects are the mask's regions, in any order, the union
+        is the mask's and its cached coverage is the same float; the rects are
+        compared every time, whatever the mask was built from.
+        """
+        mask = self.mask
+        w, h = mask.frame_w, mask.frame_h
+        rects = [
+            r
+            for r in grown_rects((d.box for d in boxes), w, h, self.config.margin)
+            if (r[2] - r[0]) * (r[3] - r[1]) > 0
+        ]
+        regions = mask.regions
+        if len(rects) == len(regions) and sorted(rects) == sorted(
+            (r.x1, r.y1, r.x2, r.y2) for r in regions
+        ):
+            return refine_cost(mask, len(boxes), self.config.cost)
         return refine_cost(rects_union_area(rects) / (w * h), len(boxes), self.config.cost)
 
 

@@ -167,17 +167,27 @@ def grown_rects(
 ) -> list[tuple[float, float, float, float]]:
     """Each box grown by `margin` on every side, then clipped, as an (x1, y1, x2, y2) tuple.
 
-    The same arithmetic as BoundingBox(...grown...).clip(frame_w, frame_h).
+    The same arithmetic as BoundingBox(...grown...).clip(frame_w, frame_h):
+    `0.0 if v < 0.0 else v` is max(v, 0.0) and `w if w < v else v` is
+    min(v, w), down to which of two equal floats (0.0 or -0.0) is returned.
     """
-    return [
-        (
-            min(max(b.x1 - margin, 0.0), frame_w),
-            min(max(b.y1 - margin, 0.0), frame_h),
-            min(max(b.x2 + margin, 0.0), frame_w),
-            min(max(b.y2 + margin, 0.0), frame_h),
-        )
-        for b in boxes
-    ]
+    rects = []
+    for b in boxes:
+        x1 = b.x1 - margin
+        y1 = b.y1 - margin
+        x2 = b.x2 + margin
+        y2 = b.y2 + margin
+        x1 = 0.0 if x1 < 0.0 else x1
+        y1 = 0.0 if y1 < 0.0 else y1
+        x2 = 0.0 if x2 < 0.0 else x2
+        y2 = 0.0 if y2 < 0.0 else y2
+        rects.append((
+            frame_w if frame_w < x1 else x1,
+            frame_h if frame_h < y1 else y1,
+            frame_w if frame_w < x2 else x2,
+            frame_h if frame_h < y2 else y2,
+        ))
+    return rects
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -198,12 +208,16 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def union_area(boxes: Sequence[BoundingBox]) -> float:
     """Exact area of the union of boxes, counting overlapped regions once."""
-    return _sweep(sorted((b.x1, b.y1, b.y2, b.x2) for b in boxes if b.area > 0))
+    rects = [(b.x1, b.y1, b.y2, b.x2) for b in boxes if (b.x2 - b.x1) * (b.y2 - b.y1) > 0]
+    rects.sort()
+    return _sweep(rects)
 
 
 def rects_union_area(rects: Iterable[tuple[float, float, float, float]]) -> float:
     """`union_area` of (x1, y1, x2, y2) tuples, with no box built for them."""
-    return _sweep(sorted((x1, y1, y2, x2) for x1, y1, x2, y2 in rects if (x2 - x1) * (y2 - y1) > 0))
+    kept = [(x1, y1, y2, x2) for x1, y1, x2, y2 in rects if (x2 - x1) * (y2 - y1) > 0]
+    kept.sort()
+    return _sweep(kept)
 
 
 def _sweep(rects: list[tuple[float, float, float, float]]) -> float:
@@ -213,8 +227,12 @@ def _sweep(rects: list[tuple[float, float, float, float]]) -> float:
     independent, no rasterisation. The boxes spanning a slab are kept sorted
     by (y1, y2) as the sweep enters and leaves them.
     """
-    if not rects:
-        return 0.0
+    if len(rects) < 2:
+        if not rects:
+            return 0.0
+        # A lone rect's area, by the float operations the sweep below makes on it.
+        x1, y1, y2, x2 = rects[0]
+        return 0.0 + (0.0 + (y2 - y1)) * (x2 - x1)
     ends = {r[3] for r in rects}
     xs = sorted({r[0] for r in rects} | ends)
     active: list[tuple[float, float, float]] = []  # (y1, y2, x2) of the boxes spanning the slab
@@ -275,14 +293,21 @@ def nms(
     `class_agnostic`) is <= `iou_threshold`. Output is in visit order.
     """
     kept: list[Detection] = []
-    by_class: dict[int | None, list[BoundingBox]] = {}  # kept boxes, per class unless class-agnostic
+    # Kept boxes as (x1, y1, x2, y2, box), per class unless class-agnostic.
+    by_class: dict[int | None, list[tuple[float, float, float, float, BoundingBox]]] = {}
+    # A rival strictly apart on x or y has IoU 0.0, which only a negative or
+    # NaN threshold suppresses on; any other pair, NaN IoUs included, gets `iou`.
+    skip_apart = iou_threshold >= 0.0
     for d in sorted(detections, key=score_order):
         rivals = by_class.setdefault(None if class_agnostic else d.class_id, [])
         box = d.box
-        for k in rivals:
+        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        for kx1, ky1, kx2, ky2, k in rivals:
+            if skip_apart and (kx2 < x1 or x2 < kx1 or ky2 < y1 or y2 < ky1):
+                continue
             if not iou(box, k) <= iou_threshold:
                 break
         else:
             kept.append(d)
-            rivals.append(box)
+            rivals.append((x1, y1, x2, y2, box))
     return kept

@@ -7,6 +7,7 @@ import datetime
 import hashlib
 import json
 import os
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -96,23 +97,42 @@ def parse_work_total(path: str | Path) -> tuple[WorkReport, int]:
     return total, frame_rows
 
 
-def _box_order(box: BoundingBox) -> tuple:
-    return (box.x1, box.y1, box.area, box.x2, box.y2)
-
-
 def write_mask_dump(results: Iterable[FrameResult], path: Path) -> None:
+    """Write one `frame kind x1 y1 x2 y2` row per box of each frame, frame by frame.
+
+    A frame's rows are its tracker boxes, then its proposal boxes, then its
+    refine proposals (the de-duplicated union of both), then its mask
+    regions; within one kind they are sorted by x1, y1, area, x2, y2, and
+    boxes equal on all five keep their recorded order. This order is part of
+    the byte-identical output. A box object is formatted once per frame: a
+    refine proposal is the very box of a tracker or proposal row.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# frame kind x1 y1 x2 y2\n")
         for r in results:
+            seen: dict[int, tuple[tuple, str]] = {}  # id(box) -> (sort key, "x1 y1 x2 y2\n")
+            rows = []
             per_kind = (
                 ("tracker", [d.box for d in r.tracker_boxes]),
                 ("proposal", [d.box for d in r.proposal_boxes]),
                 ("refine", [d.box for d in r.refine_proposals]),
-                ("mask", list(r.mask.regions)),
+                ("mask", r.mask.regions),
             )
             for kind, boxes in per_kind:
-                for b in sorted(boxes, key=_box_order):
-                    fh.write(f"{r.frame_index} {kind} {b.x1} {b.y1} {b.x2} {b.y2}\n")
+                keyed = []
+                for b in boxes:
+                    item = seen.get(id(b))
+                    if item is None:
+                        x1, y1, x2, y2 = b.x1, b.y1, b.x2, b.y2
+                        item = seen[id(b)] = (
+                            (x1, y1, (x2 - x1) * (y2 - y1), x2, y2),
+                            f"{x1} {y1} {x2} {y2}\n",
+                        )
+                    keyed.append(item)
+                keyed.sort(key=itemgetter(0))
+                prefix = f"{r.frame_index} {kind} "
+                rows += [prefix + text for _, text in keyed]
+            fh.write("".join(rows))
 
 
 def parse_mask_dump(path: str | Path) -> dict[int, dict[str, list[BoundingBox]]]:

@@ -178,6 +178,19 @@ def reference_union_area(boxes):
     return total
 
 
+def reference_grown_rects(boxes, frame_w, frame_h, margin):
+    """`grown_rects` through builtin min and max, as `BoundingBox.clip` computes."""
+    return [
+        (
+            min(max(b.x1 - margin, 0.0), frame_w),
+            min(max(b.y1 - margin, 0.0), frame_h),
+            min(max(b.x2 + margin, 0.0), frame_w),
+            min(max(b.y2 + margin, 0.0), frame_h),
+        )
+        for b in boxes
+    ]
+
+
 def reference_clip_regions(regions, frame_w, frame_h):
     """`RegionMask` regions by clipping every region and dropping the zero-area ones."""
     return tuple(c for c in (r.clip(frame_w, frame_h) for r in regions) if c.area > 0)
@@ -445,3 +458,23 @@ def reference_parse_kitti_tracking_labels(path, class_map):
         track_class[track_id] = class_id
     tracks = [GroundTruthTrack(tid, track_class[tid], entries[tid]) for tid in sorted(entries)]
     return KittiLabels(tracks, dontcare)
+
+
+def _reference_box_order(box):
+    return (box.x1, box.y1, box.area, box.x2, box.y2)
+
+
+def reference_write_mask_dump(results, path):
+    """`write_mask_dump` sorting each kind by a key function and formatting every row anew."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# frame kind x1 y1 x2 y2\n")
+        for r in results:
+            per_kind = (
+                ("tracker", [d.box for d in r.tracker_boxes]),
+                ("proposal", [d.box for d in r.proposal_boxes]),
+                ("refine", [d.box for d in r.refine_proposals]),
+                ("mask", list(r.mask.regions)),
+            )
+            for kind, boxes in per_kind:
+                for b in sorted(boxes, key=_reference_box_order):
+                    fh.write(f"{r.frame_index} {kind} {b.x1} {b.y1} {b.x2} {b.y2}\n")

@@ -8,6 +8,8 @@ import pytest
 from trackcascade import (
     BoundingBox,
     CostModelConfig,
+    Detection,
+    FrameResult,
     FileBackedSource,
     MissingFrameError,
     Pipeline,
@@ -345,6 +347,70 @@ class TestDeferredWork:
         frames[7].work
         frames[7].work
         assert calls == Counter(refine_cost=1 if mode == "single" else 3, greedy_merge=1)
+
+    # Boxes in a 100 x 50 frame grown by 10: A and B apart, C apart from both,
+    # Z off the frame, so its region clips away.
+    HAND = {
+        "A": (10.0, 10.0, 20.0, 20.0),
+        "B": (40.0, 10.0, 50.0, 30.0),
+        "C": (70.0, 5.0, 80.0, 25.0),
+        "Z": (200.0, 10.0, 220.0, 20.0),
+    }
+
+    @pytest.mark.parametrize(
+        "tracker, proposal, refine, sweeps",
+        [
+            ("", "AB", "BA", 1),  # the proposals' rects are the mask's regions, reordered
+            ("", "AB", "AC", 2),  # as many rects as regions, but not the same ones
+            ("", "ABZ", "AB", 1),  # a proposal off the frame makes no region
+            ("A", "", "A", 1),  # the tracker boxes alone make the mask
+            ("A", "B", "AB", 2),  # each source makes only part of the mask
+            ("", "", "", 0),  # no proposals: no regions, and an empty union either way
+        ],
+    )
+    def test_hand_built_frame_reuses_mask_coverage_only_for_the_same_rects(
+        self, tracker, proposal, refine, sweeps, monkeypatch
+    ):
+        config = PipelineConfig(mode="catdet", margin=10.0)
+        dets = {k: Detection(BoundingBox(*v), 0, 0.8, 0) for k, v in self.HAND.items()}
+        refine_dets = [dets[k] for k in refine]
+        mask = RegionMask.from_boxes((d.box for d in refine_dets), 100.0, 50.0, config.margin)
+        tracker_dets, proposal_dets = [dets[k] for k in tracker], [dets[k] for k in proposal]
+        result = FrameResult(0, [], mask, config, tracker_dets, proposal_dets, refine_dets)
+        calls = Counter()
+
+        def counted(rects):
+            calls["sweep"] += 1
+            return real(rects)
+
+        real = cascade.rects_union_area
+        monkeypatch.setattr(cascade, "rects_union_area", counted)
+        assert repr(result.work) == repr(reference_work(config, 100.0, 50.0, result))
+        assert calls["sweep"] == sweeps
+
+    def test_cascaded_frame_with_a_deduplicated_proposal(self, bench_data):
+        pipeline = bench_pipeline(bench_data, "cascaded", "untimed")
+        frames = pipeline.run_sequence().frames
+        dropped = [r for r in frames if len(r.refine_proposals) < len(r.proposal_boxes)]
+        assert dropped
+        w, h = bench_data.meta.frame_w, bench_data.meta.frame_h
+        for r in dropped:
+            assert repr(r.work) == repr(reference_work(pipeline.config, w, h, r))
+
+    def test_catdet_with_the_tracker_off(self, bench_data):
+        data = bench_data
+        config = PipelineConfig(mode="catdet", t_thresh=1.5)
+        pipeline = Pipeline(
+            config,
+            data.meta,
+            FileBackedSource(data.detections["refine"], "refine", data.meta.frame_count),
+            FileBackedSource(data.detections["proposal"], "proposal", data.meta.frame_count),
+        )
+        frames = pipeline.run_sequence().frames
+        assert not any(r.tracker_boxes for r in frames)
+        w, h = data.meta.frame_w, data.meta.frame_h
+        for r in frames:
+            assert repr(r.work) == repr(reference_work(config, w, h, r)), r.frame_index
 
     def test_frame_result_does_not_keep_the_pipeline(self, bench_data):
         pipeline = bench_pipeline(bench_data, "catdet", "timed")

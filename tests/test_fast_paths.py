@@ -10,6 +10,9 @@ Examples are derandomised, so every run checks the same cases.
 """
 
 import dataclasses
+import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,11 +25,13 @@ from conftest import (
     reference_detect,
     reference_emit,
     reference_from_boxes,
+    reference_grown_rects,
     reference_iou,
     reference_nms,
     reference_union_area,
+    reference_write_mask_dump,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackcascade import (
@@ -34,12 +39,15 @@ from trackcascade import (
     Detection,
     DetectionStore,
     FileBackedSource,
+    FrameResult,
+    PipelineConfig,
     RegionMask,
     Tracker,
     TrackerConfig,
     TrackState,
     associate,
     cascade,
+    geometry,
     iou,
     nms,
     predict,
@@ -48,9 +56,25 @@ from trackcascade import (
 )
 from trackcascade._lsap import linear_sum_assignment
 from trackcascade.geometry import grown_rects, rects_union_area
+from trackcascade.runio import write_mask_dump
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FRAME_W, FRAME_H = 40.0, 30.0
+INF = math.inf
+# Boxes reaching to infinity, with signed zeros, or with an area that is inf
+# or NaN (inf * 0, or overflow to inf twice in one IoU).
+FAR_BOXES = [
+    BoundingBox(-INF, 0.0, 10.0, 10.0),
+    BoundingBox(5.0, -INF, 20.0, INF),
+    BoundingBox(-INF, -INF, INF, INF),
+    BoundingBox(30.0, 5.0, INF, 25.0),
+    BoundingBox(-INF, 20.0, INF, 20.0),
+    BoundingBox(INF, INF, INF, INF),
+    BoundingBox(-INF, -INF, -INF, -INF),
+    BoundingBox(-0.0, -0.0, 3.0, 3.0),
+    BoundingBox(-5.0, -0.0, -0.0, 2.0),
+    BoundingBox(0.0, 0.0, 1e200, 1e200),
+]
 
 
 @st.composite
@@ -108,6 +132,22 @@ class TestUnionArea:
     def test_same_float_as_slab_rescan(self, boxes):
         assert repr(union_area(boxes)) == repr(reference_union_area(boxes))
 
+    @PROPERTY
+    @given(st.lists(st.floats(allow_nan=False), min_size=4, max_size=4))
+    @example([-INF, 0.0, 5.0, 2.0])
+    @example([-INF, 1.0, INF, 2.5])
+    @example([0.1, -INF, 0.7, INF])
+    @example([-0.0, -0.0, 1e200, 1e200])
+    @example([-INF, 3.0, INF, 3.0])
+    def test_one_box_same_float_as_slab_rescan(self, xs):
+        # One box skips the sweep; its area must still be the sweep's float.
+        x1, x2 = sorted(xs[0::2])
+        y1, y2 = sorted(xs[1::2])
+        box = BoundingBox(x1, y1, x2, y2)
+        want = repr(reference_union_area([box]))
+        assert repr(union_area([box])) == want
+        assert repr(rects_union_area([(x1, y1, x2, y2)])) == want
+
 
 class TestRegionMask:
     @PROPERTY
@@ -117,6 +157,15 @@ class TestRegionMask:
         with mock.patch.object(BoundingBox, "clip", side_effect=AssertionError("clipped twice")):
             mask = RegionMask.from_boxes(boxes, FRAME_W, FRAME_H, margin)
         assert corners(mask.regions) == corners(reference_from_boxes(boxes, FRAME_W, FRAME_H, margin))
+
+    @PROPERTY
+    @given(box_lists())
+    def test_grown_rects_same_floats_as_min_max(self, boxes):
+        # repr tells -0.0 from 0.0 and shows the NaN that inf - inf makes.
+        boxes = boxes + FAR_BOXES
+        for margin in (0.0, 0.5, 30.0, INF):
+            got = grown_rects(boxes, FRAME_W, FRAME_H, margin)
+            assert repr(got) == repr(reference_grown_rects(boxes, FRAME_W, FRAME_H, margin))
 
     @PROPERTY
     @given(box_lists(), st.sampled_from([0.0, 0.5, 1.0, 3.0, 30.0]))
@@ -176,14 +225,75 @@ class TestIouAndNms:
     @PROPERTY
     @given(
         box_lists(max_size=10),
-        st.sampled_from([0.0, 1 / 3, 0.5, 0.7, 1.0]),
+        st.sampled_from([0.0, 1 / 3, 0.5, 0.7, 1.0, -0.0, -0.5, -INF, math.nan]),
         st.booleans(),
-        st.integers(0, 2),
+        st.lists(st.sampled_from(FAR_BOXES), max_size=3),
     )
-    def test_nms_same_list_as_rival_rescan(self, boxes, threshold, class_agnostic, n_huge):
-        # The IoU of two boxes whose areas overflow to inf is NaN, which suppresses.
-        dets = detections(boxes + [BoundingBox(0.0, 0.0, 1e200, 1e200)] * n_huge)
+    def test_nms_same_list_as_rival_rescan(self, boxes, threshold, class_agnostic, far):
+        # `nms` takes any threshold. The IoU of boxes apart is 0.0, which a
+        # negative or NaN threshold suppresses on; that of two boxes whose
+        # areas are inf or NaN is NaN, which suppresses on every threshold.
+        dets = detections(boxes + far)
         assert nms(dets, threshold, class_agnostic) == reference_nms(dets, threshold, class_agnostic)
+
+    @pytest.mark.parametrize(
+        "threshold, iou_calls, kept", [(0.5, 1, 4), (0.0, 1, 4), (-0.5, 3, 1), (math.nan, 3, 1)]
+    )
+    def test_nms_skips_iou_only_for_rivals_strictly_apart(self, threshold, iou_calls, kept):
+        # Four boxes in a row: two touch at x = 15, the others are apart.
+        boxes = [BoundingBox(x, 0.0, x + 5.0, 5.0) for x in (0.0, 10.0, 15.0, 30.0)]
+        dets = [Detection(b, 0, 0.9 - 0.1 * i, 0) for i, b in enumerate(boxes)]
+        with mock.patch.object(geometry, "iou", wraps=geometry.iou) as spy:
+            got = nms(dets, threshold)
+        assert spy.call_count == iou_calls
+        assert got == dets[:kept] == reference_nms(dets, threshold, False)
+
+
+def twin(box, signed_zero):
+    """An equal box that is another object; with `signed_zero`, each 0.0 corner is -0.0.
+
+    A -0.0 twin ties with the box on every sort key, yet prints differently.
+    """
+    xs = (box.x1, box.y1, box.x2, box.y2)
+    return BoundingBox(*(-0.0 if signed_zero and v == 0.0 else v for v in xs))
+
+
+@st.composite
+def dump_frames(draw):
+    """Frames whose refine proposals are tracker and proposal box objects, their twins or others."""
+    coord = draw(lattice())
+    frames = []
+    for frame in range(draw(st.integers(0, 3))):
+        tracker = draw(box_lists(max_size=5, coord=coord))
+        proposal = draw(box_lists(max_size=5, coord=coord))
+        pool = tracker + proposal + draw(box_lists(max_size=3, coord=coord))
+        refine = draw(st.lists(st.sampled_from(pool), max_size=8)) if pool else []
+        refine += [twin(b, draw(st.booleans())) for b in refine[: draw(st.integers(0, 3))]]
+        refine = draw(st.permutations(refine))
+        regions = refine + [twin(b, True) for b in refine[: draw(st.integers(0, 2))]]
+        frames.append(
+            FrameResult(
+                frame,
+                [],
+                RegionMask(FRAME_W, FRAME_H, tuple(regions)),
+                PipelineConfig(),
+                detections(tracker, frame),
+                detections(proposal, frame),
+                detections(refine, frame),
+            )
+        )
+    return frames
+
+
+class TestMaskDump:
+    @PROPERTY
+    @given(dump_frames())
+    def test_same_bytes_as_key_function_sort(self, frames):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.txt", Path(tmp) / "want.txt"
+            write_mask_dump(frames, got)
+            reference_write_mask_dump(frames, want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestTrackerPredictions:

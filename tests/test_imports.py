@@ -50,10 +50,19 @@ def test_package_and_cli_start_without_numpy_or_scipy():
     assert loaded_modules(["--version"]) == ""
 
 
-@pytest.mark.parametrize("mode", ["single", "catdet"])
-def test_single_sequence_run_loads_neither_numpy_nor_a_process_pool(tmp_path, mode):
+@pytest.mark.parametrize(
+    "mode, extra",
+    [
+        pytest.param("single", [], id="single"),
+        pytest.param("catdet", [], id="catdet"),
+        pytest.param("cascaded", ["--dump-masks"], id="cascaded-dump-masks"),
+    ],
+)
+def test_single_sequence_run_loads_neither_numpy_nor_a_process_pool(tmp_path, mode, extra):
     cmap = ClassMap(["car", "pedestrian"])
     store = make_store([(f, 0, 0.9, 100, 100, 200, 200) for f in range(3)])
     seq = write_sequence(tmp_path, SequenceMeta("seq0", 3, 1000.0, 400.0), store, store, cmap)
-    argv = ["run", "--sequence", str(seq), "--mode", mode, "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = ["run", "--sequence", str(seq), "--mode", mode, "--out", str(out), *extra]
     assert loaded_modules(argv) == ""
+    assert (out / "masks.txt").exists() == bool(extra)
