@@ -20,7 +20,7 @@ from .cascade import MODES, FileBackedSource, Pipeline, SequenceResult
 from .config import Settings, load_settings
 # refine_cost and parse_mask_dump are unused here since cost-report reads
 # work.txt; they stay importable from this module because perfbench/tracing.py
-# hooks them on it (ROADMAP item 2).
+# hooks them on it.
 from .costmodel import WorkReport, refine_cost  # noqa: F401
 from .errors import ConfigError, DataError
 from .ingest import (

@@ -78,6 +78,8 @@ class SequenceMeta:
             raise ValueError("frame_count must be >= 1")
         if not (0.0 < self.frame_w < math.inf and 0.0 < self.frame_h < math.inf):
             raise ValueError("frame dimensions must be finite and positive")
+        if not 0.0 < self.frame_w * self.frame_h < math.inf:
+            raise ValueError("frame area frame_w * frame_h must be finite and > 0")
         if not 0.0 < self.frame_rate < math.inf:
             raise ValueError("frame_rate must be finite and > 0")
 
@@ -300,8 +302,9 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
     """Read KITTI tracking labels into per-track frame sequences.
 
     DontCare lines become frame-indexed don't-care regions instead of tracks;
-    frames within a track must be strictly increasing.  Lines are read in one
-    pass, as in `parse_detections`, with `_check_label` for a refused line.
+    frames within a track must be strictly increasing, and its class the same
+    on every line (in any letter case).  Lines are read in one pass, as in
+    `parse_detections`, with `_check_label` for a refused line.
     """
     path = Path(path)
     class_id_of = _class_lookup(class_map)
@@ -339,8 +342,15 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
                 str(path),
                 lineno,
             )
+        first_class = track_class.setdefault(track_id, class_id)
+        if class_id != first_class:
+            raise DataError(
+                f"track {track_id}: class {class_map.name_of(class_id)!r} after "
+                f"{class_map.name_of(first_class)!r}",
+                str(path),
+                lineno,
+            )
         prior.append(entry)
-        track_class[track_id] = class_id
 
     tracks = [
         GroundTruthTrack(tid, track_class[tid], entries[tid]) for tid in sorted(entries)

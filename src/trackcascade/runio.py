@@ -208,3 +208,7 @@ def read_manifest(path: str | Path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"bad manifest: {exc}", str(path)) from None
+    except RecursionError:
+        raise DataError("bad manifest: nested too deeply", str(path)) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise DataError("bad manifest: an integer has too many digits", str(path)) from None

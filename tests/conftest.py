@@ -5,25 +5,28 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from trackcascade import (
+from trackcascade import ClassMap
+from trackcascade.cascade import MASK_MIN_OVERLAP
+from trackcascade.costmodel import WorkReport, estimate_time, greedy_merge, refine_cost
+from trackcascade.errors import DataError
+from trackcascade.geometry import (
     BoundingBox,
-    ClassMap,
     Detection,
-    DetectionStore,
     RegionMask,
-    SequenceMeta,
-    WorkReport,
-    estimate_time,
-    greedy_merge,
+    iou,
     mask_overlap_fraction,
-    refine_cost,
+    score_order,
+)
+from trackcascade.ingest import (
+    DONTCARE_ID,
+    DetectionStore,
+    KittiLabels,
+    SequenceMeta,
+    SyntheticData,
+    read_text,
     write_detections,
     write_meta,
 )
-from trackcascade.cascade import MASK_MIN_OVERLAP
-from trackcascade.errors import DataError
-from trackcascade.geometry import iou, score_order
-from trackcascade.ingest import DONTCARE_ID, KittiLabels, SyntheticData, read_text
 from trackcascade.metrics import GroundTruthTrack, GtEntry
 from trackcascade.tracker import _canonical_det_order, predict
 
@@ -451,6 +454,13 @@ def reference_parse_kitti_tracking_labels(path, class_map):
         if prior and frame <= prior[-1].frame_index:
             raise DataError(
                 f"track {track_id}: frame {frame} not after {prior[-1].frame_index}",
+                str(path),
+                lineno,
+            )
+        if track_id in track_class and class_id != track_class[track_id]:
+            raise DataError(
+                f"track {track_id}: class {class_map.name_of(class_id)!r} after "
+                f"{class_map.name_of(track_class[track_id])!r}",
                 str(path),
                 lineno,
             )

@@ -10,40 +10,41 @@ import numpy as np
 import pytest
 
 from trackcascade import (
-    DIFFICULTY_PRESETS,
-    BoundingBox,
     ClassMap,
-    CostModelConfig,
-    Detection,
-    DetectionStore,
-    EvalConfig,
     FileBackedSource,
-    GroundTruthTrack,
-    GtEntry,
     Pipeline,
     PipelineConfig,
-    RegionMask,
-    SequenceMeta,
-    Tracker,
-    TrackerConfig,
-    associate,
-    average_precision,
-    estimate_time,
-    evaluate_classes,
-    generate_synthetic,
-    greedy_merge,
-    iou,
-    label_class_detections,
     parse_detections,
-    parse_kitti_tracking_labels,
     parse_meta,
-    parse_scenario,
+)
+from trackcascade.cli import main as cli_main
+from trackcascade.costmodel import (
+    CostModelConfig,
+    estimate_time,
+    greedy_merge,
     refine_cost,
+)
+from trackcascade.geometry import BoundingBox, Detection, RegionMask, iou
+from trackcascade.ingest import (
+    DetectionStore,
+    SequenceMeta,
+    generate_synthetic,
+    parse_kitti_tracking_labels,
+    parse_scenario,
     write_detections,
     write_meta,
     write_tracks,
 )
-from trackcascade.cli import main as cli_main
+from trackcascade.metrics import (
+    DIFFICULTY_PRESETS,
+    EvalConfig,
+    GroundTruthTrack,
+    GtEntry,
+    average_precision,
+    evaluate_classes,
+    label_class_detections,
+)
+from trackcascade.tracker import Tracker, TrackerConfig, associate
 
 from conftest import DATA, source_costs
 

@@ -5,26 +5,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from trackcascade import (
+from trackcascade import FileBackedSource, Pipeline, PipelineConfig, cascade
+from trackcascade.cascade import MODES, FrameResult
+from trackcascade.costmodel import CostModelConfig, total_work
+from trackcascade.errors import MissingFrameError
+from trackcascade.geometry import (
     BoundingBox,
-    CostModelConfig,
     Detection,
-    FrameResult,
-    FileBackedSource,
-    MissingFrameError,
-    Pipeline,
-    PipelineConfig,
     RegionMask,
-    SequenceMeta,
-    cascade,
-    generate_synthetic,
     mask_overlap_fraction,
     nms,
-    parse_scenario,
-    total_work,
 )
-from trackcascade.cascade import MODES
-from trackcascade.ingest import DetectionStore
+from trackcascade.ingest import (
+    DetectionStore,
+    SequenceMeta,
+    generate_synthetic,
+    parse_scenario,
+)
 
 from conftest import DATA, make_store, reference_work
 
@@ -245,8 +242,6 @@ class TestCascadeModes:
 
 class TestOpsMonotonicity:
     def test_raising_t_thresh_never_adds_tracker_work(self):
-        from trackcascade import generate_synthetic, parse_scenario
-
         from conftest import DATA
 
         data = generate_synthetic(parse_scenario(DATA / "benchmark_scenario.cfg"))

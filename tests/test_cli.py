@@ -16,20 +16,18 @@ from hypothesis import strategies as st
 
 from trackcascade import (
     ClassMap,
-    CostModelConfig,
     DataError,
-    DetectionStore,
     FileBackedSource,
     Pipeline,
     PipelineConfig,
-    SequenceMeta,
     geometry,
-    nms,
     parse_detections,
     parse_meta,
-    write_detections,
 )
 from trackcascade.cli import _check_out, main
+from trackcascade.costmodel import CostModelConfig
+from trackcascade.geometry import nms
+from trackcascade.ingest import DetectionStore, SequenceMeta, write_detections
 from trackcascade.runio import (
     MASK_KINDS,
     parse_mask_dump,
@@ -962,15 +960,23 @@ class TestCostReport:
             lambda m: {**m, "sequence": {**m["sequence"], "frame_count": 0}},
             lambda m: {**m, "sequence": {**m["sequence"], "frame_count": True}},
             lambda m: {**m, "sequence": {**m["sequence"], "frame_count": 7}},
+            # A str is the manifest's raw text: neither shape survives json.dumps.
+            lambda m: "[" * 100_000,
+            lambda m: json.dumps(m).replace(
+                f'"frame_count": {m["sequence"]["frame_count"]}', '"frame_count": ' + "9" * 5000
+            ),
         ],
         ids=["top_level", "config", "pipeline", "sequence", "mode_list", "mode_unknown",
-             "frames_text", "frames_float", "frames_zero", "frames_bool", "frames_not_work_rows"],
+             "frames_text", "frames_float", "frames_zero", "frames_bool", "frames_not_work_rows",
+             "deep_nesting", "frames_5000_digits"],
     )
     def test_bad_manifest_is_data_error(self, seq_dir, tmp_path, capsys, edit):
         out = tmp_path / "out"
         assert run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out)) == 0
         manifest = out / "manifest.json"
-        spoiled = json.dumps(edit(json.loads(manifest.read_text())))
+        spoiled = edit(json.loads(manifest.read_text()))
+        if not isinstance(spoiled, str):
+            spoiled = json.dumps(spoiled)
         manifest.unlink()
         manifest.write_text(spoiled)
         capsys.readouterr()
@@ -1389,6 +1395,7 @@ class TestGenSynthetic:
             ("", "velocty = 5 0", "[object.a] unknown key 'velocty'"),
             ("frame_w = nan", "", "[scenario] frame dimensions must be finite and positive"),
             ("frame_h = inf", "", "[scenario] frame dimensions must be finite and positive"),
+            ("frame_w = 1e308", "", "[scenario] frame area frame_w * frame_h must be finite"),
             ("frame_rate = nan", "", "[scenario] frame_rate must be finite and > 0"),
             ("frame_rate = 0", "", "[scenario] frame_rate must be finite and > 0"),
             ("frame_rate = -10", "", "[scenario] frame_rate must be finite and > 0"),

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from trackcascade import ConfigError, DifficultyFilter, PipelineConfig
+from trackcascade import ConfigError, PipelineConfig
 from trackcascade.config import load_settings
+from trackcascade.metrics import DifficultyFilter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

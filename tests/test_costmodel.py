@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackcascade import (
-    BoundingBox,
+from trackcascade.costmodel import (
     CostModelConfig,
-    RegionMask,
     WorkReport,
     estimate_time,
     greedy_merge,
     refine_cost,
     total_work,
 )
+from trackcascade.geometry import BoundingBox, RegionMask
 
 from conftest import reference_greedy_merge, source_costs
 

@@ -34,29 +34,29 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackcascade import (
+from trackcascade import FileBackedSource, PipelineConfig, cascade, geometry
+from trackcascade._lsap import linear_sum_assignment
+from trackcascade.cascade import FrameResult
+from trackcascade.geometry import (
     BoundingBox,
     Detection,
-    DetectionStore,
-    FileBackedSource,
-    FrameResult,
-    PipelineConfig,
     RegionMask,
+    grown_rects,
+    iou,
+    nms,
+    rects_union_area,
+    union_area,
+)
+from trackcascade.ingest import DetectionStore
+from trackcascade.runio import write_mask_dump
+from trackcascade.tracker import (
     Tracker,
     TrackerConfig,
     TrackState,
     associate,
-    cascade,
-    geometry,
-    iou,
-    nms,
     predict,
-    union_area,
     update_motion,
 )
-from trackcascade._lsap import linear_sum_assignment
-from trackcascade.geometry import grown_rects, rects_union_area
-from trackcascade.runio import write_mask_dump
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FRAME_W, FRAME_H = 40.0, 30.0

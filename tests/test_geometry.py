@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trackcascade import geometry
-from trackcascade import (
+from trackcascade.geometry import (
     BoundingBox,
     Detection,
     RegionMask,

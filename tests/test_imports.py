@@ -4,8 +4,12 @@ and only a run of several sequences loads the process pool.
 Importing numpy and scipy costs most of a short CLI call's wall time and
 about half its peak memory, and `multiprocessing` with `concurrent.futures`
 about 17 ms more, so a call must not import what it does not use.
+
+The package root exports only the README's library API, and no module of the
+package imports from the root but `__version__`, so `__init__` stays a leaf.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import trackcascade
-from trackcascade import ClassMap, SequenceMeta
+from trackcascade import ClassMap
+from trackcascade.ingest import SequenceMeta
 
 from conftest import make_store, write_sequence
 
@@ -66,3 +71,54 @@ def test_single_sequence_run_loads_neither_numpy_nor_a_process_pool(tmp_path, mo
     argv = ["run", "--sequence", str(seq), "--mode", mode, "--out", str(out), *extra]
     assert loaded_modules(argv) == ""
     assert (out / "masks.txt").exists() == bool(extra)
+
+
+# The README's "Library use" imports, the two errors a caller catches, and the version.
+ROOT_API = [
+    "__version__", "FileBackedSource", "Pipeline", "PipelineConfig", "ClassMap",
+    "parse_detections", "parse_meta", "DataError", "ConfigError",
+]
+
+
+def test_package_root_exports_only_the_library_api():
+    assert sorted(trackcascade.__all__) == sorted(ROOT_API)
+    for name in ROOT_API:
+        assert hasattr(trackcascade, name), name
+
+
+def root_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each name imported from the package root, relatively or absolutely."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative_root = node.level == 1 and node.module is None
+            if relative_root or (node.level == 0 and node.module == "trackcascade"):
+                found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "trackcascade"]
+    return found
+
+
+def test_modules_import_only_the_version_from_the_package_root():
+    found = []
+    for path in sorted((SRC / "trackcascade").glob("*.py")):
+        for line, name in root_imports(ast.parse(path.read_text())):
+            if name != "__version__":
+                found.append(f"{path.name}:{line}: {name}")
+    assert found == []
+
+
+def test_the_scan_sees_root_imports():
+    code = (
+        "from . import __version__\n"
+        "from .cascade import Pipeline\n"
+        "from . import cascade\n"
+        "from trackcascade import ClassMap\n"
+        "from trackcascade.ingest import parse_meta\n"
+        "import trackcascade\n"
+        "def f():\n"
+        "    from . import DataError\n"
+    )
+    assert root_imports(ast.parse(code)) == [
+        (1, "__version__"), (3, "cascade"), (4, "ClassMap"), (6, "trackcascade"), (8, "DataError")
+    ]

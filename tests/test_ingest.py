@@ -11,27 +11,21 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackcascade import (
-    BoundingBox,
-    ClassMap,
-    DataError,
-    Detection,
-    generate_synthetic,
-    parse_detections,
-    parse_kitti_tracking_labels,
-    parse_meta,
-    parse_scenario,
-    write_detections,
-    write_meta,
-    write_sequence_dir,
-    write_tracks,
-)
+from trackcascade import ClassMap, DataError, parse_detections, parse_meta
+from trackcascade.geometry import BoundingBox, Detection
 from trackcascade.ingest import (
     DONTCARE_ID,
     NoiseModel,
     ObjectScript,
     SequenceMeta,
     SyntheticScenario,
+    generate_synthetic,
+    parse_kitti_tracking_labels,
+    parse_scenario,
+    write_detections,
+    write_meta,
+    write_sequence_dir,
+    write_tracks,
 )
 
 
@@ -171,6 +165,26 @@ class TestKittiLabels:
         with pytest.raises(DataError, match="not after"):
             parse_kitti_tracking_labels(p, cmap)
 
+    def test_track_changing_class_rejected(self, tmp_path, cmap):
+        p = tmp_path / "l.txt"
+        p.write_text(
+            "0 5 Car 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+            "0 6 Tram 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+            "1 5 Pedestrian 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+        )
+        with pytest.raises(DataError, match="l.txt:3: track 5: class 'pedestrian' after 'car'"):
+            parse_kitti_tracking_labels(p, cmap)
+
+    def test_track_class_in_any_letter_case(self, tmp_path, cmap):
+        p = tmp_path / "l.txt"
+        p.write_text(
+            "0 5 Car 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+            "1 5 car 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+            "2 5 CAR 0 0 -10 100 100 200 200 -1 -1 -1 -1000 -1000 -1000 -10\n"
+        )
+        (t,) = parse_kitti_tracking_labels(p, cmap).tracks
+        assert t.class_id == cmap.id_of("car") and len(t.frames) == 3
+
     def test_round_trip(self, tmp_path, cmap):
         p = tmp_path / "l.txt"
         p.write_text(
@@ -196,6 +210,14 @@ class TestMeta:
         p = tmp_path / "meta.cfg"
         p.write_text("[sequence]\nframe_count = many\n")
         with pytest.raises(DataError):
+            parse_meta(p)
+
+    @pytest.mark.parametrize("side", ["1e308", "1e-200"], ids=["overflow", "underflow"])
+    def test_frame_area_out_of_float_range(self, tmp_path, side):
+        # Each side is finite and positive; their product is inf or 0.0.
+        p = tmp_path / "meta.cfg"
+        p.write_text(f"[sequence]\nframe_count = 3\nframe_w = {side}\nframe_h = {side}\n")
+        with pytest.raises(DataError, match=r"meta.cfg: bad sequence meta: \[sequence\] frame area"):
             parse_meta(p)
 
 
@@ -261,8 +283,6 @@ class TestSynthetic:
         assert len(data.detections["refine"].all()) == 5
 
     def test_seeded_determinism_is_byte_identical(self, tmp_path):
-        from trackcascade import write_sequence_dir
-
         p = tmp_path / "s.cfg"
         p.write_text(SCENARIO_TEXT)
         outs = []
@@ -407,17 +427,27 @@ def detection_line(draw, index: int, fault: str | None, frame_count: int) -> str
 
 
 LABEL_FAULTS = [
-    "int", "float", "non-finite", "count", "negative", "corners", "earlier", "unread", "repeat"
+    "int", "float", "non-finite", "count", "negative", "corners", "earlier", "class", "unread",
+    "repeat",
 ]
+# Each track keeps one class, in any letter case, unless a "class" fault changes it.
+TRACK_CLASSES = {
+    -1: ["car", "Car"], 0: ["PEDESTRIAN", "pedestrian"], 1: ["cyclist", "Cyclist"], 2: ["Tram", "tram"]
+}
 
 
 @st.composite
 def label_line(draw, index: int, fault: str | None) -> str:
     """Label line `index`, valid or with a single `fault`; a track's frames increase with the
-    line, so only an "earlier" fault can break a track's frame order."""
+    line and its class stays, so only an "earlier" fault can break a track's frame order
+    and only a "class" fault its class."""
     (x1, x2), (y1, y2) = corner_pair(draw), corner_pair(draw)
     truncated = draw(st.sampled_from([0.0, -1.0, 1e308]) | st.floats(0.0, 1.0))
-    fields = [str(index), str(draw(st.integers(-1, 1))), draw(st.sampled_from(CLASS_TOKENS)),
+    track_id = draw(st.integers(-1, 2))
+    names = TRACK_CLASSES[track_id] * 3 + ["DontCare", "dontcare"]
+    if fault == "class":
+        names = [n for t, ns in TRACK_CLASSES.items() if t != track_id for n in ns]
+    fields = [str(index), str(track_id), draw(st.sampled_from(names)),
               repr(truncated), str(draw(st.integers(-1, 3))), "-10", x1, y1, x2, y2,
               "-1", "-1", "-1", "-1000", "-1000", "-1000", "-10"]
     if draw(st.booleans()):

@@ -3,27 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackcascade import (
+from trackcascade.geometry import BoundingBox, Detection, iou
+from trackcascade.metrics import (
     DIFFICULTY_PRESETS,
-    BoundingBox,
-    Detection,
+    ClassEvalData,
+    DetLabel,
     EvalConfig,
     FrameGt,
     GroundTruthTrack,
     GtEntry,
+    TrackDelayInfo,
     average_precision,
+    delay_from_labels,
     evaluate_classes,
     find_t_beta,
-    iou,
     label_class_detections,
     match_frame,
     mean_delay,
-)
-from trackcascade.metrics import (
-    ClassEvalData,
-    DetLabel,
-    TrackDelayInfo,
-    delay_from_labels,
     precision_recall_at,
 )
 

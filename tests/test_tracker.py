@@ -3,14 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from trackcascade import (
-    BoundingBox,
-    Detection,
+from trackcascade.geometry import BoundingBox, Detection, iou
+from trackcascade.tracker import (
     Tracker,
     TrackerConfig,
     TrackState,
     associate,
-    iou,
     predict,
     update_motion,
 )
