@@ -97,9 +97,9 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 <= self.c_thresh <= 1.0:
             raise ValueError("c_thresh must be in [0, 1]")
-        if self.t_thresh < 0.0:
+        if not self.t_thresh >= 0.0:
             raise ValueError("t_thresh must be >= 0")
-        if self.margin < 0.0:
+        if not self.margin >= 0.0:
             raise ValueError("margin must be >= 0")
         if not 0.0 <= self.nms_iou <= 1.0:
             raise ValueError("nms_iou must be in [0, 1]")

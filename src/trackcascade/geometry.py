@@ -8,6 +8,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class BoundingBox:
     """Box in pixel coordinates, origin top-left, with x1 <= x2 and y1 <= y2.
 
@@ -16,7 +17,10 @@ class BoundingBox:
     construction, so boxes can be shared, compared and hashed freely.
     """
 
-    __slots__ = ("x1", "y1", "x2", "y2")
+    x1: float
+    y1: float
+    x2: float
+    y2: float
 
     def __init__(self, x1: float, y1: float, x2: float, y2: float):
         if not (type(x1) is type(y1) is type(x2) is type(y2) is float):  # else float() is a no-op
@@ -27,20 +31,6 @@ class BoundingBox:
         self.y1 = y1
         self.x2 = x2
         self.y2 = y2
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x1, self.y1, self.x2, self.y2) == (other.x1, other.y1, other.x2, other.y2)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x1, self.y1, self.x2, self.y2))
-
-    def __repr__(self):
-        return (
-            f"{self.__class__.__qualname__}(x1={self.x1!r}, y1={self.y1!r}, "
-            f"x2={self.x2!r}, y2={self.y2!r})"
-        )
 
     @property
     def width(self) -> float:
@@ -81,10 +71,14 @@ class BoundingBox:
         return BoundingBox(x1, y1, x2, y2)
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Detection:
     """A scored, class-labelled box attached to one frame; slotted, treated as immutable."""
 
-    __slots__ = ("box", "class_id", "score", "frame_index")
+    box: BoundingBox
+    class_id: int
+    score: float
+    frame_index: int
 
     def __init__(self, box: BoundingBox, class_id: int, score: float, frame_index: int):
         score = float(score)
@@ -96,22 +90,6 @@ class Detection:
         self.class_id = class_id
         self.score = score
         self.frame_index = frame_index
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.box, self.class_id, self.score, self.frame_index) == (
-                other.box, other.class_id, other.score, other.frame_index
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.box, self.class_id, self.score, self.frame_index))
-
-    def __repr__(self):
-        return (
-            f"{self.__class__.__qualname__}(box={self.box!r}, class_id={self.class_id!r}, "
-            f"score={self.score!r}, frame_index={self.frame_index!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +125,7 @@ class RegionMask:
         margin: float = 0.0,
     ) -> "RegionMask":
         """Regions are the boxes grown by `margin` on every side, then clipped."""
-        if margin < 0:
+        if not margin >= 0.0:
             raise ValueError("margin must be >= 0")
         regions = tuple(BoundingBox(*r) for r in grown_rects(boxes, frame_w, frame_h, margin))
         return cls(frame_w, frame_h, regions)

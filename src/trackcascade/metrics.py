@@ -30,7 +30,7 @@ from .geometry import BoundingBox, Detection, iou, score_order
 _RECALL_EPS = 1e-9
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GtEntry:
     """One annotated frame of a ground-truth track; slotted, treated as immutable."""
 
@@ -43,9 +43,6 @@ class GtEntry:
         self.truncated = float(self.truncated)
         if self.frame_index < 0:
             raise ValueError(f"negative frame index {self.frame_index}")
-
-    def __hash__(self):
-        return hash((self.frame_index, self.box, self.truncated, self.occluded))
 
 
 @dataclass
@@ -82,7 +79,7 @@ class DifficultyFilter:
     def __post_init__(self):
         if self.size_axis not in ("height", "width"):
             raise ValueError(f"size_axis must be height or width, got {self.size_axis!r}")
-        if self.min_size < 0.0:
+        if not self.min_size >= 0.0:
             raise ValueError("min_size must be >= 0")
         if not 0.0 <= self.max_truncation <= 1.0:
             raise ValueError("max_truncation must be in [0, 1]")
@@ -125,7 +122,7 @@ class EvalConfig:
             raise ValueError("ap_recall_points must be >= 2 or all")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FrameGt:
     """A ground truth as seen by the per-frame matcher; slotted, treated as immutable.
 
@@ -138,9 +135,6 @@ class FrameGt:
     box: BoundingBox
     qualifying: bool
     region: bool = False
-
-    def __hash__(self):
-        return hash((self.track_id, self.box, self.qualifying, self.region))
 
 
 @dataclass
@@ -200,7 +194,7 @@ def match_frame(
     return result
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DetLabel:
     """One labelled detection of `label_class_detections`; slotted, treated as immutable."""
 
@@ -208,9 +202,6 @@ class DetLabel:
     is_tp: bool
     track_id: int | None
     frame_index: int
-
-    def __hash__(self):
-        return hash((self.score, self.is_tp, self.track_id, self.frame_index))
 
 
 @dataclass

@@ -43,7 +43,7 @@ class TrackerConfig:
             raise ValueError("min_width must be >= 0")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TrackState:
     """One tracked object: center/width position, per-frame motion, aspect ratio.
 
@@ -63,12 +63,6 @@ class TrackState:
             raise ValueError("track width and aspect must be positive")
         if self.confidence < 0 or self.misses < 0:
             raise ValueError("confidence and misses must be >= 0")
-
-    def __hash__(self):
-        return hash(
-            (self.position, self.motion, self.aspect, self.confidence, self.class_id,
-             self.track_id, self.misses)
-        )
 
 
 def _observation(box: BoundingBox) -> tuple[Vec3, float]:

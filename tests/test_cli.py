@@ -226,6 +226,19 @@ class TestRun:
         assert manifest["sequence"]["frame_count"] == 4
         assert all(digest.startswith("sha256:") for digest in manifest["inputs"].values())
 
+    def test_config_env_var_is_the_default_config(self, seq_dir, tmp_path, monkeypatch):
+        env_config, explicit = tmp_path / "env.cfg", tmp_path / "explicit.cfg"
+        env_config.write_text("[pipeline]\nmargin = 12.5\n")
+        explicit.write_text("[pipeline]\nmargin = 7.0\n")
+        monkeypatch.setenv("TRACKCASCADE_CONFIG", str(env_config))
+        margins = []
+        for name, argv in [("env", []), ("explicit", ["--config", str(explicit)])]:
+            out = tmp_path / name
+            assert run_cli("run", "--sequence", str(seq_dir), "--out", str(out), *argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            margins.append(manifest["config"]["pipeline"]["margin"])
+        assert margins == [12.5, 7.0]
+
     def test_cascaded_equals_catdet_when_tracker_disabled(self, seq_dir, tmp_path):
         trees = []
         for mode in ("cascaded", "catdet"):

@@ -439,8 +439,8 @@ TRACK_CLASSES = {
 @st.composite
 def label_line(draw, index: int, fault: str | None) -> str:
     """Label line `index`, valid or with a single `fault`; a track's frames increase with the
-    line and its class stays, so only an "earlier" fault can break a track's frame order
-    and only a "class" fault its class."""
+    line and its class stays, so only an "earlier" fault (an `earlier_label`) can break a
+    track's frame order and only a "class" fault its class."""
     (x1, x2), (y1, y2) = corner_pair(draw), corner_pair(draw)
     truncated = draw(st.sampled_from([0.0, -1.0, 1e308]) | st.floats(0.0, 1.0))
     track_id = draw(st.integers(-1, 2))
@@ -463,17 +463,28 @@ def label_line(draw, index: int, fault: str | None) -> str:
         fields[0] = str(-draw(st.integers(1, 3)))
     elif fault == "corners":
         swap_corners(draw, fields, 6)
-    elif fault == "earlier":  # repeats or goes back on a frame of the line's track, if it has one
-        fields[0] = str(draw(st.integers(0, index)))
     elif fault == "unread":  # alpha and the 3D fields are not read
         fields[draw(st.sampled_from([5, 10, 16]))] = "x"
     return " ".join(fields)
 
 
 @st.composite
+def earlier_label(draw, index: int, data: list[str]) -> str:
+    """Label line `index` with the track and class of an earlier data line that is not a
+    DontCare, at that line's frame or before; a valid line if there is none."""
+    fields = draw(label_line(index, None)).split()
+    tracked = [t.split()[:3] for t in data if t.split()[2].lower() != "dontcare"]
+    if tracked:
+        frame, track_id, name = draw(st.sampled_from(tracked))
+        fields[:3] = [str(draw(st.integers(0, int(frame)))), track_id, name]
+    return " ".join(fields)
+
+
+@st.composite
 def text_file(draw, line, fault: str | None) -> str:
     """Lines from `line(i, fault)`, one of them with the `fault`, and comments, blank lines
-    and LF or CRLF endings.  The "repeat" fault repeats an earlier data line."""
+    and LF or CRLF endings.  The "repeat" fault repeats an earlier data line; the "earlier"
+    fault is an `earlier_label`."""
     n = draw(st.integers(0, 12))
     faulty = draw(st.integers(0, max(n - 1, 0)))
     lines, data = [], []
@@ -485,6 +496,8 @@ def text_file(draw, line, fault: str | None) -> str:
         if kind in ("data", "commented"):
             if i == faulty and fault == "repeat" and data:
                 text = draw(st.sampled_from(data))
+            elif i == faulty and fault == "earlier":
+                text = draw(earlier_label(i, data))
             else:
                 text = draw(line(i, fault if i == faulty and fault != "repeat" else None))
             data.append(text)

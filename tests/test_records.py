@@ -1,11 +1,13 @@
-"""The hot records are slotted classes that behave as the frozen dataclasses they replaced.
+"""The hot records are slotted dataclasses that behave as the frozen dataclasses they replaced.
 
-`BoundingBox` and `Detection` are hand-written `__slots__` classes; `GtEntry`,
-`FrameGt`, `DetLabel` and `TrackState` are `@dataclass(slots=True)`.  None is
-frozen, so immutability is a convention: no code assigns to a field after
-construction, which the AST scan below checks.  Their `==`, `hash` and `repr`
-are the frozen dataclasses' (compared against `make_dataclass` copies), and
-every constructor check keeps its message.
+`BoundingBox`, `Detection`, `GtEntry`, `FrameGt`, `DetLabel` and `TrackState`
+are `@dataclass(slots=True, unsafe_hash=True)`; `BoundingBox` and `Detection`
+keep hand-written constructors (`init=False`).  None is frozen, so
+immutability is a convention: no code assigns to a field after construction,
+which the AST scan below checks.  Their `==`, `hash` and `repr` are generated,
+and equal the frozen dataclasses' (compared against `make_dataclass` copies);
+no class in the package writes them by hand.  Every constructor check keeps
+its message.
 """
 
 import ast
@@ -16,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import trackcascade
-from trackcascade.geometry import BoundingBox, Detection
-from trackcascade.metrics import DetLabel, FrameGt, GtEntry
+from trackcascade.cascade import PipelineConfig
+from trackcascade.geometry import BoundingBox, Detection, RegionMask
+from trackcascade.metrics import DetLabel, DifficultyFilter, FrameGt, GtEntry
 from trackcascade.tracker import TrackState
 
 SRC = Path(trackcascade.__file__).parent
@@ -44,7 +47,57 @@ def test_records_are_slotted_with_the_old_fields():
         assert cls.__slots__ == FIELDS[name], name
         sample = SAMPLES[name][0]
         assert not hasattr(sample, "__dict__"), name
-        assert dataclasses.is_dataclass(cls) == (name not in ("BoundingBox", "Detection")), name
+        assert dataclasses.is_dataclass(cls), name
+
+
+def hand_written_dunders(tree: ast.AST) -> list[str]:
+    """`Class.name` of each `__eq__`, `__hash__` or `__repr__` a class body defines or assigns."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{node.name}.{name}" for name in names
+                      if name in ("__eq__", "__hash__", "__repr__")]
+    return found
+
+
+def test_no_class_hand_writes_eq_hash_or_repr():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}: {name}" for name in hand_written_dunders(tree)]
+    assert found == []
+
+
+def test_the_dunder_scan_sees_definitions():
+    code = (
+        "class A:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "def f():\n"
+        "    class B:\n"
+        "        def __repr__(self):\n"
+        "            return ''\n"
+        "        async def __hash__(self):\n"
+        "            return 0\n"
+        "        __eq__ = object.__eq__\n"
+        "class C:\n"
+        "    __hash__ = None\n"
+        "    width = 3\n"
+        "def __hash__(x):\n"
+        "    return 0\n"
+    )
+    assert sorted(hand_written_dunders(ast.parse(code))) == [
+        "A.__eq__", "B.__eq__", "B.__hash__", "B.__repr__", "C.__hash__"]
 
 
 def field_stores(tree: ast.AST, fields: set[str]):
@@ -201,6 +254,11 @@ def test_box_corners_become_floats():
          "confidence and misses must be >= 0"),
         (lambda: TrackState((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 1.0, 1, 0, 1, misses=-1),
          "confidence and misses must be >= 0"),
+        # The knobs these records are built under refuse NaN like a negative value.
+        (lambda: PipelineConfig(margin=math.nan), "margin must be >= 0"),
+        (lambda: PipelineConfig(t_thresh=math.nan), "t_thresh must be >= 0"),
+        (lambda: DifficultyFilter("x", min_size=math.nan), "min_size must be >= 0"),
+        (lambda: RegionMask.from_boxes([BOX], 10.0, 10.0, math.nan), "margin must be >= 0"),
     ],
 )
 def test_constructor_checks_keep_their_messages(build, message):
