@@ -88,7 +88,6 @@ class PipelineConfig:
     margin: float = 30.0  # region dilation in pixels
     nms_iou: float = 0.5
     proposal_dedup_iou: float = 0.7
-    class_agnostic_nms: bool = False
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     cost: CostModelConfig = field(default_factory=CostModelConfig)
 
@@ -235,7 +234,7 @@ class Pipeline:
 
         if cfg.mode == "single":
             raw = self._known(self.refine_source.detect(frame_index))
-            final = nms(raw, cfg.nms_iou, cfg.class_agnostic_nms)
+            final = nms(raw, cfg.nms_iou)
             return FrameResult(frame_index, final, RegionMask.full_frame(w, h), cfg)
 
         proposal_raw = self._known(self.proposal_source.detect(frame_index))
@@ -248,7 +247,7 @@ class Pipeline:
         mask = RegionMask.from_boxes((d.box for d in refine_proposals), w, h, cfg.margin)
 
         refined = self._known(self.refine_source.detect(frame_index, mask=mask))
-        final = nms(refined, cfg.nms_iou, cfg.class_agnostic_nms)
+        final = nms(refined, cfg.nms_iou)
         result = FrameResult(
             frame_index, final, mask, cfg, tracker_boxes, proposal_boxes, refine_proposals
         )

@@ -157,6 +157,9 @@ def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settin
     tracker = build(TrackerConfig, "tracker", values["tracker"])
     cost = build(CostModelConfig, "cost", values["cost"])
     pipeline = build(PipelineConfig, "pipeline", values["pipeline"], tracker=tracker, cost=cost)
+    classes = list(values["pipeline"]["classes"])
+    if all(name == DONTCARE for name in classes):  # DontCare regions are no class
+        raise ConfigError("pipeline.classes must name at least one class", files.get("pipeline"))
 
     eval_classes = sorted(values["match_iou"]) + sorted(values["dontcare"])
     class_map = ClassMap(eval_classes)
@@ -191,7 +194,6 @@ def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settin
             )
 
     snapshot = {s: dict(kv) for s, kv in sorted(values.items())}
-    classes = list(values["pipeline"]["classes"])
     difficulties = [known[name] for name in names]
     return Settings(snapshot, classes, pipeline, eval_classes, eval_config, difficulties)
 

@@ -106,7 +106,7 @@ class RegionMask:
 
     def __post_init__(self):
         w, h = self.frame_w, self.frame_h
-        if w <= 0 or h <= 0:
+        if not (w > 0 and h > 0):
             raise ValueError("frame dimensions must be positive")
         kept = []
         for r in self.regions:
@@ -259,25 +259,21 @@ def score_order(d: Detection) -> tuple:
     return (-d.score, box.x1, box.y1, box.area, d.class_id, box.x2, box.y2)
 
 
-def nms(
-    detections: Sequence[Detection],
-    iou_threshold: float,
-    class_agnostic: bool = False,
-) -> list[Detection]:
-    """Greedy non-maximum suppression.
+def nms(detections: Sequence[Detection], iou_threshold: float) -> list[Detection]:
+    """Greedy non-maximum suppression within each class.
 
     Detections are visited in descending score order; one is kept iff its IoU
-    with every already-kept detection of the same class (or any class when
-    `class_agnostic`) is <= `iou_threshold`. Output is in visit order.
+    with every already-kept detection of the same class is <= `iou_threshold`.
+    Output is in visit order.
     """
     kept: list[Detection] = []
-    # Kept boxes as (x1, y1, x2, y2, box), per class unless class-agnostic.
-    by_class: dict[int | None, list[tuple[float, float, float, float, BoundingBox]]] = {}
+    # Kept boxes as (x1, y1, x2, y2, box), per class.
+    by_class: dict[int, list[tuple[float, float, float, float, BoundingBox]]] = {}
     # A rival strictly apart on x or y has IoU 0.0, which only a negative or
     # NaN threshold suppresses on; any other pair, NaN IoUs included, gets `iou`.
     skip_apart = iou_threshold >= 0.0
     for d in sorted(detections, key=score_order):
-        rivals = by_class.setdefault(None if class_agnostic else d.class_id, [])
+        rivals = by_class.setdefault(d.class_id, [])
         box = d.box
         x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
         for kx1, ky1, kx2, ky2, k in rivals:

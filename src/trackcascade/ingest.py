@@ -37,6 +37,7 @@ class ClassMap:
 
     def __init__(self, names: Sequence[str]):
         self._ids: dict[str, int] = {}
+        self._tokens: dict[str, int] = {}  # raw token -> id, for every token id_of has seen
         self._names: dict[int, str] = {DONTCARE_ID: DONTCARE}
         for name in names:
             canon = name.strip().lower()
@@ -53,13 +54,18 @@ class ClassMap:
         return class_id
 
     def id_of(self, name: str) -> int:
-        canon = name.strip().lower()
-        if canon == DONTCARE:
-            return DONTCARE_ID
-        if canon not in self._ids:
-            self.flagged.add(canon)
-            return self._register(canon)
-        return self._ids[canon]
+        found = self._tokens.get(name)
+        if found is None:
+            canon = name.strip().lower()
+            if canon == DONTCARE:
+                found = DONTCARE_ID
+            elif canon in self._ids:
+                found = self._ids[canon]
+            else:
+                self.flagged.add(canon)
+                found = self._register(canon)
+            self._tokens[name] = found
+        return found
 
     def name_of(self, class_id: int) -> str:
         return self._names[class_id]
@@ -181,19 +187,6 @@ def _parse_int(token: str, what: str, path: Path, lineno: int) -> int:
         raise DataError(f"bad {what} {token!r}", str(path), lineno) from None
 
 
-def _class_lookup(class_map: ClassMap) -> Callable[[str], int]:
-    """`class_map.id_of`, called once per distinct token: the ids and `flagged` stay the same."""
-    ids: dict[str, int] = {}
-
-    def class_id(token: str) -> int:
-        found = ids.get(token)
-        if found is None:
-            found = ids[token] = class_map.id_of(token)
-        return found
-
-    return class_id
-
-
 def _check_detection(
     fields: list[str], class_map: ClassMap, frame_count: int | None, path: Path, lineno: int
 ) -> Detection:
@@ -228,7 +221,7 @@ def parse_detections(
     """
     path = Path(path)
     limit = math.inf if frame_count is None else frame_count
-    class_id = _class_lookup(class_map)
+    class_id = class_map.id_of
     isfinite = math.isfinite
     by_frame: dict[int, list[Detection]] = {}
     for lineno, fields in _data_lines(path):
@@ -307,7 +300,7 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
     `parse_detections`, with `_check_label` for a refused line.
     """
     path = Path(path)
-    class_id_of = _class_lookup(class_map)
+    class_id_of = class_map.id_of
     isfinite = math.isfinite
     entries: dict[int, list[GtEntry]] = {}
     track_class: dict[int, int] = {}

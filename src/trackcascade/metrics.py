@@ -72,22 +72,20 @@ class DifficultyFilter:
 
     name: str
     min_size: float = 0.0
-    size_axis: str = "height"  # or "width"
     max_occlusion: int = 99
     max_truncation: float = 1.0
 
     def __post_init__(self):
-        if self.size_axis not in ("height", "width"):
-            raise ValueError(f"size_axis must be height or width, got {self.size_axis!r}")
         if not self.min_size >= 0.0:
             raise ValueError("min_size must be >= 0")
+        if not self.max_occlusion >= 0:
+            raise ValueError("max_occlusion must be >= 0")
         if not 0.0 <= self.max_truncation <= 1.0:
             raise ValueError("max_truncation must be in [0, 1]")
 
     def qualifies(self, entry: GtEntry) -> bool:
-        size = entry.box.height if self.size_axis == "height" else entry.box.width
         return (
-            size >= self.min_size
+            entry.box.height >= self.min_size
             and entry.occluded <= self.max_occlusion
             and entry.truncated <= self.max_truncation
         )

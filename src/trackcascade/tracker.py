@@ -20,23 +20,24 @@ _MIN_TRACK_WIDTH = 1e-9  # keeps extrapolated widths positive; such tracks die v
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Knobs for association, motion smoothing, confidence and emission filters."""
+    """Knobs for association, motion smoothing, confidence and emission filters.
+
+    Confidence rises by 1 per match, up to `confidence_cap`, and falls by 1 per miss.
+    """
 
     iou_threshold_beta: float = 0.0
     decay_eta: float = 0.7
     min_width: float = 10.0
     boundary_chop_fraction: float = 0.5
     confidence_cap: int = 3
-    match_gain: int = 1
-    miss_cost: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.decay_eta <= 1.0:
             raise ValueError("decay_eta must be in [0, 1]")
         if not 0.0 <= self.iou_threshold_beta < 1.0:
             raise ValueError("iou_threshold_beta must be in [0, 1)")
-        if self.confidence_cap < 0 or self.match_gain < 1 or self.miss_cost < 1:
-            raise ValueError("confidence constants must be positive")
+        if not self.confidence_cap >= 0:
+            raise ValueError("confidence_cap must be >= 0")
         if not 0.0 <= self.boundary_chop_fraction <= 1.0:
             raise ValueError("boundary_chop_fraction must be in [0, 1]")
         if not self.min_width >= 0.0:
@@ -56,13 +57,12 @@ class TrackState:
     confidence: int
     class_id: int
     track_id: int
-    misses: int = 0
 
     def __post_init__(self):
         if self.position[2] <= 0 or self.aspect <= 0:
             raise ValueError("track width and aspect must be positive")
-        if self.confidence < 0 or self.misses < 0:
-            raise ValueError("confidence and misses must be >= 0")
+        if self.confidence < 0:
+            raise ValueError("confidence must be >= 0")
 
 
 def _observation(box: BoundingBox) -> tuple[Vec3, float]:
@@ -90,7 +90,7 @@ def update_motion(
 
     Motion becomes a decay-weighted blend of the old motion and the observed
     displacement; position and aspect snap to the observation; confidence
-    gains `match_gain` up to the cap and the miss counter resets.
+    gains 1 up to the cap.
     """
     eta = config.decay_eta
     obs = 1.0 - eta
@@ -100,7 +100,7 @@ def update_motion(
         position=matched_position,
         motion=(eta * mx + obs * (nx - px), eta * my + obs * (ny - py), eta * mw + obs * (nw - pw)),
         aspect=matched_aspect,
-        confidence=min(state.confidence + config.match_gain, config.confidence_cap),
+        confidence=min(state.confidence + 1, config.confidence_cap),
         class_id=state.class_id,
         track_id=state.track_id,
     )
@@ -220,7 +220,7 @@ class Tracker:
                 survivors.append(update_motion(by_id[track_id], position, aspect, cfg))
             for track_id in lost:
                 t = by_id[track_id]
-                confidence = t.confidence - cfg.miss_cost
+                confidence = t.confidence - 1
                 if confidence < 0:
                     continue  # discarded
                 # Coast: advance by the frozen motion so that re-association
@@ -234,7 +234,6 @@ class Tracker:
                         confidence=confidence,
                         class_id=class_id,
                         track_id=track_id,
-                        misses=t.misses + 1,
                     )
                 )
             for det_index in emerging:
@@ -244,7 +243,7 @@ class Tracker:
                         position=position,
                         motion=(0.0, 0.0, 0.0),
                         aspect=aspect,
-                        confidence=min(cfg.match_gain, cfg.confidence_cap),
+                        confidence=min(1, cfg.confidence_cap),
                         class_id=class_id,
                         track_id=self._next_id,
                     )

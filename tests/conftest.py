@@ -227,11 +227,11 @@ def reference_iou(a, b):
     return inter / (area_a + area_b - inter)
 
 
-def reference_nms(dets, threshold, class_agnostic):
-    """NMS rebuilding each candidate's rival list from everything kept so far."""
+def reference_nms(dets, threshold):
+    """NMS rebuilding each candidate's rival list from everything of its class kept so far."""
     kept = []
     for d in sorted(dets, key=score_order):
-        rivals = kept if class_agnostic else [k for k in kept if k.class_id == d.class_id]
+        rivals = [k for k in kept if k.class_id == d.class_id]
         if all(reference_iou(d.box, k.box) <= threshold for k in rivals):
             kept.append(d)
     return kept

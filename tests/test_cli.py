@@ -464,7 +464,7 @@ class TestEval:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("size_axis", "banana", "size_axis must be height or width"),
+            ("max_occlusion", "-1", "max_occlusion must be >= 0"),
             ("min_size", "-1", "min_size must be >= 0"),
             ("max_truncation", "1.5", "max_truncation must be in [0, 1]"),
             ("max_truncation", "-0.1", "max_truncation must be in [0, 1]"),
@@ -685,8 +685,8 @@ class TestConfigCheckedByEveryCommand:
         "config, overrides, message",
         [
             (None, ["eval.beta=2"], "bad [eval] value: beta must be in (0, 1)"),
-            (None, ["difficulty.x.size_axis=diagonal", "eval.difficulties=x"],
-             "bad [difficulty.x] value: size_axis must be height or width"),
+            (None, ["difficulty.x.max_truncation=2", "eval.difficulties=x"],
+             "bad [difficulty.x] value: max_truncation must be in [0, 1]"),
             ("[eval]\nbeta = 3\n", [], "bad [eval] value: beta must be in (0, 1)"),
             (None, ["cost.alpha=1"], "bad [cost] value: alpha and b must be set together"),
             (None, ["pipeline.c_thresh=7"], "bad [pipeline] value: c_thresh must be in [0, 1]"),
@@ -705,6 +705,22 @@ class TestConfigCheckedByEveryCommand:
              "[eval.dontcare] van = carr: 'carr' is not an [eval.match_iou] class"),
             ("[eval.dontcare]\nvan = carr\n", [],
              "[eval.dontcare] van = carr: 'carr' is not an [eval.match_iou] class"),
+            # A run with no class would drop every detection
+            (None, ["pipeline.classes="], "pipeline.classes must name at least one class"),
+            (None, ["pipeline.classes=DontCare"], "pipeline.classes must name at least one class"),
+            # Keys removed from the config: each rule they chose is fixed at their old default
+            (None, ["pipeline.class_agnostic_nms=false"],
+             "unknown key pipeline.class_agnostic_nms"),
+            ("[pipeline]\nclass_agnostic_nms = false\n", [],
+             "unknown key pipeline.class_agnostic_nms"),
+            (None, ["tracker.match_gain=1"], "unknown key tracker.match_gain"),
+            ("[tracker]\nmatch_gain = 1\n", [], "unknown key tracker.match_gain"),
+            (None, ["tracker.miss_cost=1"], "unknown key tracker.miss_cost"),
+            ("[tracker]\nmiss_cost = 1\n", [], "unknown key tracker.miss_cost"),
+            (None, ["difficulty.x.size_axis=height", "eval.difficulties=x"],
+             "unknown key difficulty.x.size_axis"),
+            ("[difficulty.x]\nsize_axis = height\n[eval]\ndifficulties = x\n", [],
+             "unknown key difficulty.x.size_axis"),
         ],
     )
     def test_run_and_eval_refuse_alike(self, seq_dir, tmp_path, capsys, config, overrides,

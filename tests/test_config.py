@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from trackcascade import ConfigError, PipelineConfig
-from trackcascade.config import load_settings
+from trackcascade.config import _DIFFICULTY_KEYS, load_settings
 from trackcascade.metrics import DifficultyFilter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,6 +83,17 @@ class TestDefaults:
                     assert got[section][key] == pytest.approx(value), f"{section}.{key}"
                 else:
                     assert got[section][key] == value, f"{section}.{key}"
+
+    def test_readme_difficulty_block(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Configuration", 1)[1].split("```ini\n", 2)[2].split("```", 1)[0]
+        p = tmp_path / "readme.cfg"
+        p.write_text(block)
+        keys = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line]
+        assert keys == list(_DIFFICULTY_KEYS) == ["min_size", "max_occlusion", "max_truncation"]
+        s = load_settings(p, ["eval.difficulties=<name>"])
+        assert s.values["difficulty"] == {"<name>": {k: d for k, (_, d) in _DIFFICULTY_KEYS.items()}}
+        assert s.difficulties == [DifficultyFilter("<name>")]
 
 
 class TestFileLoading:
@@ -213,6 +224,7 @@ class TestRanges:
             (["tracker.boundary_chop_fraction=-1"], r"boundary_chop_fraction must be in \[0, 1\]"),
             (["tracker.boundary_chop_fraction=2"], r"boundary_chop_fraction must be in \[0, 1\]"),
             (["tracker.min_width=-0.5"], "min_width must be >= 0"),
+            (["tracker.confidence_cap=-1"], "confidence_cap must be >= 0"),
         ],
     )
     def test_pipeline_values_rejected(self, overrides, message):
@@ -250,6 +262,13 @@ class TestRanges:
     def test_two_recall_points_accepted(self):
         s = load_settings(None, ["eval.ap_recall_points=2"])
         assert s.eval.ap_recall_points == 2
+
+    def test_empty_class_list_in_file_names_the_file(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[pipeline]\nclasses = ,\n")
+        with pytest.raises(ConfigError, match="pipeline.classes must name at least one class") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
 
 
 class TestNames:
@@ -333,5 +352,5 @@ class TestDifficulties:
         assert s.values["difficulty"]["x"]["min_size"] == 0.0
 
     def test_unlisted_custom_difficulty_is_checked(self):
-        with pytest.raises(ConfigError, match=r"bad \[difficulty\.x\] value: size_axis"):
-            load_settings(None, ["difficulty.x.size_axis=diagonal"])
+        with pytest.raises(ConfigError, match=r"bad \[difficulty\.x\] value: max_occlusion"):
+            load_settings(None, ["difficulty.x.max_occlusion=-1"])

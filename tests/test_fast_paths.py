@@ -226,15 +226,14 @@ class TestIouAndNms:
     @given(
         box_lists(max_size=10),
         st.sampled_from([0.0, 1 / 3, 0.5, 0.7, 1.0, -0.0, -0.5, -INF, math.nan]),
-        st.booleans(),
         st.lists(st.sampled_from(FAR_BOXES), max_size=3),
     )
-    def test_nms_same_list_as_rival_rescan(self, boxes, threshold, class_agnostic, far):
+    def test_nms_same_list_as_rival_rescan(self, boxes, threshold, far):
         # `nms` takes any threshold. The IoU of boxes apart is 0.0, which a
         # negative or NaN threshold suppresses on; that of two boxes whose
         # areas are inf or NaN is NaN, which suppresses on every threshold.
         dets = detections(boxes + far)
-        assert nms(dets, threshold, class_agnostic) == reference_nms(dets, threshold, class_agnostic)
+        assert nms(dets, threshold) == reference_nms(dets, threshold)
 
     @pytest.mark.parametrize(
         "threshold, iou_calls, kept", [(0.5, 1, 4), (0.0, 1, 4), (-0.5, 3, 1), (math.nan, 3, 1)]
@@ -246,7 +245,7 @@ class TestIouAndNms:
         with mock.patch.object(geometry, "iou", wraps=geometry.iou) as spy:
             got = nms(dets, threshold)
         assert spy.call_count == iou_calls
-        assert got == dets[:kept] == reference_nms(dets, threshold, False)
+        assert got == dets[:kept] == reference_nms(dets, threshold)
 
 
 def twin(box, signed_zero):
@@ -405,8 +404,7 @@ def reference_update_motion(state, matched_position, matched_aspect, config):
         position=matched_position,
         motion=motion,
         aspect=matched_aspect,
-        confidence=min(state.confidence + config.match_gain, config.confidence_cap),
-        misses=0,
+        confidence=min(state.confidence + 1, config.confidence_cap),
     )
 
 
@@ -416,11 +414,10 @@ class TestMotion:
         st.lists(st.floats(-50.0, 50.0), min_size=9, max_size=9),
         st.sampled_from([0.0, 0.3, 0.7, 1.0, 1 / 3]),
         st.integers(0, 3),
-        st.integers(0, 2),
     )
-    def test_update_motion_same_floats_as_replace(self, xs, eta, confidence, misses):
+    def test_update_motion_same_floats_as_replace(self, xs, eta, confidence):
         state = TrackState((xs[0], xs[1], abs(xs[2]) + 1.0), (xs[3], xs[4], xs[5]), 1.5,
-                           confidence, 1, 7, misses)
+                           confidence, 1, 7)
         config = TrackerConfig(decay_eta=eta)
         observed = (xs[6], xs[7], abs(xs[8]) + 1.0)
         got = update_motion(state, observed, 0.8, config)

@@ -187,7 +187,6 @@ class TestNms:
     def test_classes_do_not_suppress_each_other(self):
         a, b = det(0, 0, 10, 10, 0.9, class_id=0), det(0, 0, 10, 10, 0.8, class_id=1)
         assert nms([a, b], 0.5) == [a, b]
-        assert nms([a, b], 0.5, class_agnostic=True) == [a]
 
     def test_against_oracle(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,23 @@ def rand_box(rng, span=100.0):
     x1 = rng.uniform(0, span)
     y1 = rng.uniform(0, span)
     return BoundingBox(x1, y1, x1 + rng.uniform(5, 40), y1 + rng.uniform(5, 40))
+
+
+class TestDifficultyFilter:
+    @pytest.mark.parametrize("name", ["easy", "moderate", "hard"])
+    def test_qualifies_up_to_each_bound(self, name):
+        f = DIFFICULTY_PRESETS[name]
+
+        def entry(width=10.0, height=f.min_size, truncated=f.max_truncation,
+                  occluded=f.max_occlusion):
+            return GtEntry(0, BoundingBox(0.0, 0.0, width, height), truncated, occluded)
+
+        assert f.qualifies(entry())  # every value at its bound
+        assert not f.qualifies(entry(height=math.nextafter(f.min_size, 0.0)))
+        # The rule reads the height: a box wider than min_size but shorter fails.
+        assert not f.qualifies(entry(width=2 * f.min_size, height=f.min_size - 1.0))
+        assert not f.qualifies(entry(occluded=f.max_occlusion + 1))
+        assert not f.qualifies(entry(truncated=math.nextafter(f.max_truncation, 1.0)))
 
 
 class TestMatchFrame:

@@ -21,7 +21,7 @@ import trackcascade
 from trackcascade.cascade import PipelineConfig
 from trackcascade.geometry import BoundingBox, Detection, RegionMask
 from trackcascade.metrics import DetLabel, DifficultyFilter, FrameGt, GtEntry
-from trackcascade.tracker import TrackState
+from trackcascade.tracker import TrackerConfig, TrackState
 
 SRC = Path(trackcascade.__file__).parent
 
@@ -31,9 +31,7 @@ FIELDS = {
     "GtEntry": ("frame_index", "box", "truncated", "occluded"),
     "FrameGt": ("track_id", "box", "qualifying", "region"),
     "DetLabel": ("score", "is_tp", "track_id", "frame_index"),
-    "TrackState": (
-        "position", "motion", "aspect", "confidence", "class_id", "track_id", "misses"
-    ),
+    "TrackState": ("position", "motion", "aspect", "confidence", "class_id", "track_id"),
 }
 RECORDS = {cls.__name__: cls for cls in (BoundingBox, Detection, GtEntry, FrameGt, DetLabel,
                                          TrackState)}
@@ -198,7 +196,7 @@ SAMPLES = {  # two or more records of each class; the first two differ
     "DetLabel": [DetLabel(0.9, True, 4, 2), DetLabel(0.9, False, None, 2),
                  DetLabel(0.9, True, 4, 2)],
     "TrackState": [TrackState((1.0, 2.0, 3.0), (0.0, 0.0, 0.0), 0.5, 1, 0, 1),
-                   TrackState((1.0, 2.0, 3.0), (0.0, 0.0, 0.0), 0.5, 1, 0, 1, misses=2),
+                   TrackState((1.0, 2.0, 3.0), (0.0, 0.0, 0.0), 0.5, 2, 0, 1),
                    TrackState((1.0, 2.0, 3.0), (-0.0, 0.0, 0.0), 0.5, 1, 0, 1)],
 }
 
@@ -251,14 +249,18 @@ def test_box_corners_become_floats():
         (lambda: TrackState((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 0.0, 1, 0, 1),
          "track width and aspect must be positive"),
         (lambda: TrackState((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 1.0, -1, 0, 1),
-         "confidence and misses must be >= 0"),
-        (lambda: TrackState((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 1.0, 1, 0, 1, misses=-1),
-         "confidence and misses must be >= 0"),
+         "confidence must be >= 0"),
         # The knobs these records are built under refuse NaN like a negative value.
         (lambda: PipelineConfig(margin=math.nan), "margin must be >= 0"),
         (lambda: PipelineConfig(t_thresh=math.nan), "t_thresh must be >= 0"),
         (lambda: DifficultyFilter("x", min_size=math.nan), "min_size must be >= 0"),
         (lambda: RegionMask.from_boxes([BOX], 10.0, 10.0, math.nan), "margin must be >= 0"),
+        (lambda: RegionMask.from_boxes([BOX], math.nan, 10.0), "frame dimensions must be positive"),
+        (lambda: RegionMask(10.0, math.nan, ()), "frame dimensions must be positive"),
+        (lambda: DifficultyFilter("x", max_occlusion=math.nan), "max_occlusion must be >= 0"),
+        (lambda: DifficultyFilter("x", max_occlusion=-1), "max_occlusion must be >= 0"),
+        (lambda: TrackerConfig(confidence_cap=-1), "confidence_cap must be >= 0"),
+        (lambda: TrackerConfig(confidence_cap=math.nan), "confidence_cap must be >= 0"),
     ],
 )
 def test_constructor_checks_keep_their_messages(build, message):

@@ -140,11 +140,11 @@ class TestMotion:
                 lo, hi = min(m_old, displacement), max(m_old, displacement)
                 assert lo - 1e-9 <= m_new <= hi + 1e-9
 
-    def test_confidence_capped_and_misses_reset(self):
-        cfg = TrackerConfig(confidence_cap=3, match_gain=2)
-        s = TrackState((0, 0, 10), (0, 0, 0), 1.0, 2, 0, 1, misses=4)
+    def test_confidence_capped(self):
+        cfg = TrackerConfig(confidence_cap=3)
+        s = TrackState((0, 0, 10), (0, 0, 0), 1.0, 3, 0, 1)
         out = update_motion(s, (0, 0, 10), 1.0, cfg)
-        assert out.confidence == 3 and out.misses == 0
+        assert out.confidence == 3
 
 
 class TestPredict:
@@ -204,8 +204,7 @@ class TestStep:
         assert preds_before[0].box.x1 == pytest.approx(13 + 3)
 
     def test_track_dies_after_conf_plus_one_misses(self):
-        cfg = dict(confidence_cap=3, match_gain=1, miss_cost=1)
-        tracker = simple_tracker(**cfg)
+        tracker = simple_tracker(confidence_cap=3)
         tracker.step(0, [det(0, 0, 50, 50)])  # confidence 1
         tracker.step(1, [det(0, 0, 50, 50)])  # confidence 2
         tracker.step(2, [])  # 1
