@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .costmodel import CostModelConfig, WorkReport, estimate_time, greedy_merge, refine_cost, total_work
 from .errors import MissingFrameError
-from .geometry import Detection, RegionMask, grown_rects, mask_overlap_fraction, nms, rects_union_area
+from .geometry import Detection, RegionMask, grown_rects, left_sum, mask_overlap_fraction, nms, rects_union_area
 from .ingest import DetectionStore, SequenceMeta
 from .tracker import Tracker, TrackerConfig
 
@@ -143,7 +143,7 @@ class FrameResult:
             merged = greedy_merge(mask.regions, cost, mask.frame_w, mask.frame_h)
             merged_count = len(merged)
             frame_area = mask.frame_w * mask.frame_h
-            estimated = sum(
+            estimated = left_sum(
                 estimate_time(cost.refine_feature_fullframe_ops * r.area / frame_area, cost)
                 for r in merged
             )

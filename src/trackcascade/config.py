@@ -160,6 +160,11 @@ def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settin
     classes = list(values["pipeline"]["classes"])
     if all(name == DONTCARE for name in classes):  # DontCare regions are no class
         raise ConfigError("pipeline.classes must name at least one class", files.get("pipeline"))
+    if DONTCARE in classes:
+        raise ConfigError(
+            f"bad name {DONTCARE!r} in pipeline.classes: it names KITTI's DontCare regions",
+            files.get("pipeline"),
+        )
 
     eval_classes = sorted(values["match_iou"]) + sorted(values["dontcare"])
     class_map = ClassMap(eval_classes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .geometry import BoundingBox, RegionMask
+from .geometry import BoundingBox, RegionMask, left_sum
 
 # Reference full-frame op counts (Gops) for stock proposal-net choices.
 PROPOSAL_MODEL_OPS = {
@@ -88,14 +88,14 @@ def _sum_optional(values: list[float | None]) -> float | None:
     present = [v for v in values if v is not None]
     if not present:
         return None
-    return sum(present)
+    return left_sum(present)
 
 
 def total_work(reports: Sequence[WorkReport]) -> WorkReport:
     """Field-wise sum; an optional field stays None when absent everywhere."""
     return WorkReport(
-        proposal_ops=sum(r.proposal_ops for r in reports),
-        refine_ops=sum(r.refine_ops for r in reports),
+        proposal_ops=left_sum(r.proposal_ops for r in reports),
+        refine_ops=left_sum(r.refine_ops for r in reports),
         refine_from_tracker_ops=_sum_optional([r.refine_from_tracker_ops for r in reports]),
         refine_from_proposal_ops=_sum_optional([r.refine_from_proposal_ops for r in reports]),
         estimated_time=_sum_optional([r.estimated_time for r in reports]),

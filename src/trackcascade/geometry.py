@@ -1,4 +1,7 @@
-"""Axis-aligned box algebra: IoU, dilation, clipping, NMS and region-mask coverage."""
+"""Axis-aligned box algebra: IoU, dilation, clipping, NMS and region-mask coverage.
+
+It also holds `left_sum`, the package's one rule for adding floats.
+"""
 
 from __future__ import annotations
 
@@ -285,3 +288,16 @@ def nms(detections: Sequence[Detection], iou_threshold: float) -> list[Detection
             kept.append(d)
             rivals.append((x1, y1, x2, y2, box))
     return kept
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The values added one by one, left to right, from 0.0.
+
+    This is what the builtin `sum` does with floats up to Python 3.11; 3.12
+    compensates the rounding (gh-100425), and the outputs print full `repr`
+    floats, so every float sum in the package calls this one.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total

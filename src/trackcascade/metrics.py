@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .geometry import BoundingBox, Detection, iou, score_order
+from .geometry import BoundingBox, Detection, iou, left_sum, score_order
 
 _RECALL_EPS = 1e-9
 
@@ -341,10 +341,11 @@ def average_precision(data: ClassEvalData, recall_points: int | None = 11) -> fl
     envelope = list(accumulate((data.precision(row) for row in reversed(rows)), max))[::-1]
     if recall_points is None:  # integrate the envelope over recall
         steps = zip(recalls, [0.0] + recalls, envelope)
-        return sum(((r - prev) * p for r, prev, p in steps), 0.0)
+        return left_sum((r - prev) * p for r, prev, p in steps)
     grid = [i / (recall_points - 1) for i in range(recall_points)]
     envelope.append(0.0)  # past the last operating point
-    return sum(envelope[bisect.bisect_left(recalls, r - _RECALL_EPS)] for r in grid) / len(grid)
+    points = (envelope[bisect.bisect_left(recalls, r - _RECALL_EPS)] for r in grid)
+    return left_sum(points) / len(grid)
 
 
 def precision_recall_at(data: ClassEvalData, threshold: float) -> tuple[float | None, float]:
@@ -374,7 +375,7 @@ def find_t_beta(per_class: Sequence[ClassEvalData], beta: float) -> float:
     best_mean = None
     for t in scores:
         # A class with no detection at this threshold raises no false alarm.
-        mean = sum(d.precision(d.row_at(t), empty=1.0) for d in per_class) / len(per_class)
+        mean = left_sum(d.precision(d.row_at(t), empty=1.0) for d in per_class) / len(per_class)
         if mean >= beta:
             return t
         if best_mean is None or mean > best_mean:
@@ -420,7 +421,7 @@ def mean_delay(per_class: Sequence[ClassEvalData], beta: float) -> DelayReport:
     for data in counted:
         delay, never = delay_from_labels(data, t)
         report[data.class_id] = ClassDelay(delay, len(data.tracks), never)
-    md = sum(c.mean_delay for c in report.values()) / len(report)
+    md = left_sum(c.mean_delay for c in report.values()) / len(report)
     return DelayReport(beta, t, report, md)
 
 
@@ -499,7 +500,7 @@ def evaluate_classes(
         )
 
     defined = [r.ap for r in reports.values() if r.ap is not None]
-    mean_ap = sum(defined) / len(defined) if defined else None
+    mean_ap = left_sum(defined) / len(defined) if defined else None
 
     delay_report = None
     delay_error = None

@@ -7,7 +7,8 @@ import datetime
 import hashlib
 import json
 import os
-from operator import itemgetter
+from math import isfinite
+from operator import add, eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -56,8 +57,62 @@ def parse_work_total(path: str | Path) -> tuple[WorkReport, int]:
     A row needs 12 fields, an integer frame, finite ops or "/", and a
     total_ops exactly equal to proposal_ops + refine_ops.  Frame rows are
     numbered 0, 1, ... in order, and one totals row comes last.
+
+    The file is checked column by column in one pass; only a file that pass
+    does not recognise goes to `_check_work_rows`, which raises its located
+    DataError or, for a valid file, returns the same result.
     """
     path = Path(path)
+    text = read_text(path, "file")
+    try:
+        return _work_total_by_column(text)
+    except ValueError:  # not the plain form `write_work_records` writes
+        return _check_work_rows(path)
+
+
+def _work_total_by_column(text: str) -> tuple[WorkReport, int]:
+    """`parse_work_total` of a file in the plain form, or a ValueError for any other file.
+
+    The plain form is an optional "#" header line, then rows of 12 fields
+    with no "#": frames written 0, 1, ... and one "total" row last, finite
+    ops, and each optional column either all "/" or all finite.
+    """
+    header, _, body = text.partition("\n")
+    if not header.startswith("#"):
+        body = text
+    if "#" in body:
+        raise ValueError("a comment")
+    rows = list(filter(None, map(str.split, body.split("\n"))))
+    columns = list(zip(*rows, strict=True))  # a ValueError for rows of unequal length
+    if len(columns) != 12:
+        raise ValueError("not 12 fields")
+    frames = columns[0]
+    n = len(frames) - 1
+    if frames[n] != "total" or frames[:n] != tuple(map(str, range(n))):
+        raise ValueError("frames not written 0, 1, ..., total")
+    proposal, refine, total = (list(map(float, c)) for c in columns[1:4])
+    # A finite total equal to proposal + refine makes both of them finite, but an
+    # inf total equals a proposal + refine that overflows.
+    if not (all(map(isfinite, total)) and all(map(eq, total, map(add, proposal, refine)))):
+        raise ValueError("ops not finite or not adding up")
+
+    def optional(column: tuple[str, ...]) -> float | None:
+        if column.count("/") == len(column):
+            return None
+        values = list(map(float, column))  # "/" beside numbers is a ValueError too
+        if not all(map(isfinite, values)):
+            raise ValueError("non-finite ops")
+        return values[n]
+
+    report = WorkReport(
+        proposal[n], refine[n], optional(columns[4]), optional(columns[5]),
+        optional(columns[11]), int(columns[10][n]),
+    )
+    return report, n
+
+
+def _check_work_rows(path: Path) -> tuple[WorkReport, int]:
+    """`parse_work_total` row by row and field by field, locating the first fault."""
     total: WorkReport | None = None
     frame_rows = 0
 

@@ -1,3 +1,6 @@
+import builtins
+import contextlib
+import io
 import math
 from pathlib import Path
 
@@ -7,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from trackcascade import ClassMap
 from trackcascade.cascade import MASK_MIN_OVERLAP
+from trackcascade.cli import main
 from trackcascade.costmodel import WorkReport, estimate_time, greedy_merge, refine_cost
 from trackcascade.errors import DataError
 from trackcascade.geometry import (
@@ -14,6 +18,7 @@ from trackcascade.geometry import (
     Detection,
     RegionMask,
     iou,
+    left_sum,
     mask_overlap_fraction,
     score_order,
 )
@@ -36,6 +41,28 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+# The `run` arguments of each mode whose work.txt the tests read; "timed" has the timing model.
+WORK_MODES = {
+    "single": ["--mode", "single"],
+    "cascaded": ["--mode", "cascaded"],
+    "catdet": ["--mode", "catdet"],
+    "timed": ["--mode", "catdet", "--set", "cost.alpha=0.001", "--set", "cost.b=0.005"],
+}
+
+
+@pytest.fixture(scope="session")
+def scenario_runs(tmp_path_factory) -> dict[str, Path]:
+    """One run of benchmark_scenario.cfg's sequence per `WORK_MODES` mode; copy before editing."""
+    root = tmp_path_factory.mktemp("scenario_runs")
+    seq = root / "seq"
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg")]
+        assert main([*argv, "--out", str(seq)]) == 0
+        for mode, args in WORK_MODES.items():
+            assert main(["run", "--sequence", str(seq), *args, "--out", str(root / mode)]) == 0
+    return {mode: root / mode for mode in WORK_MODES}
 
 
 def make_store(records) -> DetectionStore:
@@ -62,6 +89,57 @@ def write_sequence(
     if labels_text is not None:
         (seq / "labels.txt").write_text(labels_text)
     return seq
+
+
+def sum_312(iterable, /, start=0):
+    """A Python model of CPython 3.12's builtin `sum` (`builtin_sum_impl` in
+    Python/bltinmodule.c, gh-100425).
+
+    Exact ints are added as ints.  From the first float on, floats are added
+    with Neumaier's compensated summation, and the compensation is added
+    once at the end (or before an item that is neither a float nor an int),
+    unless it is zero or not finite.  Everything else is added with `+`.
+    """
+    result, items = start, iter(iterable)
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(result) is not int:
+                break
+        else:
+            return result
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif isinstance(item, int) and -(2**63) <= item < 2**63:  # a C long
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                result = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+@contextlib.contextmanager
+def python312_sum():
+    """The builtin `sum` replaced by `sum_312` inside the block."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(builtins, "sum", sum_312)
+        yield
 
 
 def source_costs(tracker_mask, proposal_mask, union_mask, config, n_tracker, n_proposal):
@@ -106,7 +184,7 @@ def reference_work(config, frame_w, frame_h, result):
         merged = greedy_merge(mask.regions, cost, mask.frame_w, mask.frame_h)
         merged_count = len(merged)
         frame_area = mask.frame_w * mask.frame_h
-        estimated = sum(
+        estimated = left_sum(
             estimate_time(cost.refine_feature_fullframe_ops * r.area / frame_area, cost)
             for r in merged
         )

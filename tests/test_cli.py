@@ -24,6 +24,7 @@ from trackcascade import (
     parse_detections,
     parse_meta,
 )
+from trackcascade import cli, runio
 from trackcascade.cli import _check_out, main
 from trackcascade.costmodel import CostModelConfig
 from trackcascade.geometry import nms
@@ -35,7 +36,7 @@ from trackcascade.runio import (
     write_work_records,
 )
 
-from conftest import DATA, make_store, write_sequence
+from conftest import DATA, WORK_MODES, make_store, python312_sum, write_sequence
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -87,6 +88,18 @@ def all_files(root: Path) -> dict[str, bytes | None]:
     """Every path under `root`, with a file's bytes and None for a directory."""
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
             for p in sorted(root.rglob("*"))}
+
+
+def spy_on_row_reader(monkeypatch) -> list[Path]:
+    """The paths `runio._check_work_rows` is called with from now on; it still runs."""
+    check_work_rows, calls = runio._check_work_rows, []
+
+    def spy(path):
+        calls.append(path)
+        return check_work_rows(path)
+
+    monkeypatch.setattr(runio, "_check_work_rows", spy)
+    return calls
 
 
 def run_on_cpus(monkeypatch, capsys, cpus: int, argv: list[str]):
@@ -216,6 +229,16 @@ class TestRun:
             "catdet/work.txt": "1b9e05fe74bd6c7731c84acecb7bf7863520f874200e38445ad9c6f6f48638b4",
             "catdet/detections.txt": "ee8bf265c6a089dbfa5091d9ce580a944c9395e10766dc2d32162c7635de4d19",
         }
+
+    @pytest.mark.parametrize("pinned", [
+        "test_merge_heavy_timed_run_is_pinned",
+        "test_partial_merge_timed_run_is_pinned",
+        "test_cascade_outputs_are_pinned",
+    ])
+    def test_pinned_runs_hold_under_the_312_sum(self, tmp_path, pinned):
+        # CPython 3.12's float sum rounds differently; the package's sums must not follow it.
+        with python312_sum():
+            getattr(self, pinned)(tmp_path)
 
     def test_manifest_contents(self, seq_dir, tmp_path):
         out = tmp_path / "out"
@@ -708,6 +731,9 @@ class TestConfigCheckedByEveryCommand:
             # A run with no class would drop every detection
             (None, ["pipeline.classes="], "pipeline.classes must name at least one class"),
             (None, ["pipeline.classes=DontCare"], "pipeline.classes must name at least one class"),
+            (None, ["pipeline.classes=car,DontCare"], "bad name 'dontcare' in pipeline.classes"),
+            (None, ["pipeline.classes= DONTCARE ,pedestrian"],
+             "bad name 'dontcare' in pipeline.classes"),
             # Keys removed from the config: each rule they chose is fixed at their old default
             (None, ["pipeline.class_agnostic_nms=false"],
              "unknown key pipeline.class_agnostic_nms"),
@@ -967,6 +993,77 @@ class TestCostReport:
         captured = capsys.readouterr()
         assert captured.err == f"error: {work}:{line}: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("sequence", ["seq_dir", "benchmark_scenario"])
+    def test_run_outputs_take_the_column_path(self, seq_dir, tmp_path, capsys, monkeypatch,
+                                              scenario_runs, sequence):
+        if sequence == "benchmark_scenario":
+            runs = list(scenario_runs.values())
+        else:
+            runs = [tmp_path / mode for mode in WORK_MODES]
+            for run, args in zip(runs, WORK_MODES.values()):
+                assert run_cli("run", "--sequence", str(seq_dir), *args, "--out", str(run)) == 0
+        check_work_rows = runio._check_work_rows
+        calls = spy_on_row_reader(monkeypatch)
+        capsys.readouterr()
+        assert run_cli("cost-report", *map(str, runs)) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * len(runs)
+        for run in runs:
+            work = run / "work.txt"
+            assert repr(parse_work_total(work)) == repr(check_work_rows(work))
+        assert calls == []
+
+    # Edits of the benchmark scenario's catdet work.txt: {frame: {column: token}} or a
+    # named edit; the "line: message" of the error, or None for a valid file; and whether
+    # the column pass refuses the file, leaving it to the row-by-row reader.
+    @pytest.mark.parametrize("case, edit, error, refused", [
+        ("inf_total_beside_overflow", {3: {1: "1e308", 2: "1e308", 3: "inf"}},
+         "5: non-finite ops 'inf'", True),
+        ("nan_from_proposal", {3: {5: "nan"}}, "5: non-finite ops 'nan'", True),
+        ("overflowing_refine", {3: {2: "1e309"}}, "5: non-finite ops '1e309'", True),
+        ("eleven_then_thirteen_fields", "ragged", "5: expected 12 fields, got 11", True),
+        ("slash_in_one_from_tracker", {3: {4: "/"}}, None, True),
+        ("frame_written_007", {7: {0: "007"}}, None, True),
+        ("comment_after_the_last_row", "comment", None, True),
+        ("crlf_and_a_blank_line", "crlf", None, False),
+    ])
+    def test_edited_work_gives_the_row_readers_outcome(self, scenario_runs, tmp_path, capsys,
+                                                       monkeypatch, case, edit, error, refused):
+        run = tmp_path / "catdet"
+        shutil.copytree(scenario_runs["catdet"], run)
+        work = run / "work.txt"
+        rows = [line.split(" ") for line in work.read_text().splitlines()]
+        assert len(rows) == 52 and rows[51][0] == "total"
+        if isinstance(edit, dict):
+            for frame, fields in edit.items():
+                for column, token in fields.items():
+                    rows[frame + 1][column] = token
+        elif edit == "ragged":  # frame 3 gives frame 4 its last field: 11 then 13 fields
+            rows[5].insert(0, rows[4].pop())
+        lines, newline = [" ".join(row) for row in rows], "\n"
+        if edit == "comment":
+            lines.append("# the run ends here")
+        elif edit == "crlf":
+            lines.insert(20, "")
+            newline = "\r\n"
+        work.write_bytes("".join(line + newline for line in lines).encode())
+
+        def cost_report():
+            capsys.readouterr()
+            code = run_cli("cost-report", str(run))
+            return code, *capsys.readouterr()
+
+        calls = spy_on_row_reader(monkeypatch)
+        got = cost_report()
+        assert calls == ([work] if refused else [])
+        with monkeypatch.context() as m:  # the row-by-row reader alone, as before the fast path
+            m.setattr(cli, "parse_work_total", runio._check_work_rows)
+            assert got == cost_report()
+        if error is None:
+            shutil.copy(scenario_runs["catdet"] / "work.txt", work)
+            assert got == cost_report()  # the totals are the unedited file's
+        else:
+            assert got == (2, "", f"error: {work}:{error}\n")
 
     def test_rejects_config_options(self, seq_dir, tmp_path):
         out = tmp_path / "out"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackcascade.geometry import BoundingBox, Detection, iou
+from trackcascade.geometry import BoundingBox, Detection, iou, left_sum
 from trackcascade.metrics import (
     DIFFICULTY_PRESETS,
     ClassEvalData,
@@ -25,7 +25,7 @@ from trackcascade.metrics import (
     precision_recall_at,
 )
 
-from conftest import reference_delay_from_labels, reference_precision_recall_at
+from conftest import python312_sum, reference_delay_from_labels, reference_precision_recall_at
 
 ALL = DIFFICULTY_PRESETS["all"]
 
@@ -509,7 +509,7 @@ def t_beta_bruteforce(per_class, beta):
     best = None
     for t in sorted({l.score for d in per_class for l in d.labels}):
         precisions = [reference_precision_recall_at(d, t)[0] for d in per_class]
-        mean = sum(1.0 if p is None else p for p in precisions) / len(per_class)
+        mean = left_sum(1.0 if p is None else p for p in precisions) / len(per_class)
         if mean >= beta:
             return t, None
         best = mean if best is None else max(best, mean)
@@ -590,7 +590,7 @@ class TestSweepOracle:
             c = report.per_class[d.class_id]
             assert (c.mean_delay, c.never_detected) == reference_delay_from_labels(d, t)
             assert c.counted_tracks == len(d.tracks)
-        assert report.mean_delay == sum(
+        assert report.mean_delay == left_sum(
             reference_delay_from_labels(d, t)[0] for d in counted
         ) / len(counted)
 
@@ -600,6 +600,14 @@ class TestSweepOracle:
         assert average_precision(data, recall_points) == ap_bruteforce_envelope(
             data, recall_points
         )
+
+    @PROPERTY
+    @given(class_data(), st.sampled_from([None, 11, 2]))
+    def test_ap_equals_envelope_bruteforce_under_the_312_sum(self, data, recall_points):
+        with python312_sum():
+            assert average_precision(data, recall_points) == ap_bruteforce_envelope(
+                data, recall_points
+            )
 
 
 @st.composite
