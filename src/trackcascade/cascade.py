@@ -210,14 +210,13 @@ class Pipeline:
         if config.mode == "catdet":
             # run_frame drops unknown classes before anything reaches the tracker.
             self._tracker = Tracker(config.tracker, meta.frame_w, meta.frame_h)
-        self._pending_predictions: list[Detection] = []
-        self._next_frame: int | None = None
+        self.reset()
 
     def reset(self) -> None:
         if self._tracker is not None:
             self._tracker.reset()
-        self._pending_predictions = []
-        self._next_frame = None
+        self._pending_predictions: list[Detection] = []
+        self._next_frame: int | None = None
 
     def _known(self, dets: list[Detection]) -> list[Detection]:
         if self.known_classes is None:

@@ -40,6 +40,7 @@ from .runio import (
     parse_mask_dump,  # noqa: F401
     parse_work_total,
     read_manifest,
+    source_date_epoch,
     write_manifest,
     write_mask_dump,
     write_work_records,
@@ -121,8 +122,10 @@ def _check_out(out: Path, force: bool, inputs=()) -> None:
     """Refuse an --out that publishing would refuse, before any input is read.
 
     Publishing with --force deletes `out` first, so an `out` that is, or
-    holds, the working directory or one of `inputs` is refused even so.
+    holds, the working directory or one of `inputs` is refused even so. So is
+    a malformed SOURCE_DATE_EPOCH, which the manifest's timestamp reads.
     """
+    source_date_epoch()
     where = Path(os.path.realpath(out))
     kept = [("the working directory", ".")] + [(f"input {p}", p) for p in inputs if p is not None]
     for what, path in kept:

@@ -134,10 +134,10 @@ def greedy_merge(
 ) -> list[BoundingBox]:
     """Merge regions while merging saves estimated execution time.
 
-    Each region costs one launch (`b`) plus time proportional to its feature
-    work; a pair is replaced by its bounding hull whenever the hull's
-    estimated time undercuts the pair's total, largest saving first, ties to
-    the earliest pair. The result is a fixed point: re-merging changes nothing.
+    A region is priced as work.txt prices it: one launch (`b`) plus time
+    proportional to its feature work. A pair is replaced by its bounding hull
+    whenever the hull's estimated time undercuts the pair's total, largest
+    saving first, ties to the earliest pair. The result is a fixed point.
 
     The pairs with a positive saving wait in a heap keyed (-saving, i, j), so
     "largest saving, ties to the earliest pair" is its pop order. A merge
@@ -153,21 +153,22 @@ def greedy_merge(
     frame_area = frame_w * frame_h
 
     def launch_time(x1, y1, x2, y2):
-        return alpha * (feature * (((x2 - x1) * (y2 - y1)) / frame_area)) + b
+        # FrameResult.work's estimate_time(feature * area / frame_area), op for op.
+        return alpha * (feature * ((x2 - x1) * (y2 - y1)) / frame_area) + b
 
     def hull(i, j):
         (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = corners[i], corners[j]
         return min(ax1, bx1), min(ay1, by1), max(ax2, bx2), max(ay2, by2)
 
     def saving(i, j):  # i < j
-        # times[i] + times[j] - launch_time(*hull(i, j)), written out: the
-        # calls cost more than the arithmetic. `v if v < u else u` is min(u, v).
+        # times[i] + times[j] - launch_time(*hull(i, j)), op for op, written out:
+        # the calls cost more than the arithmetic. `v if v < u else u` is min(u, v).
         (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = corners[i], corners[j]
         x1 = bx1 if bx1 < ax1 else ax1
         y1 = by1 if by1 < ay1 else ay1
         x2 = bx2 if bx2 > ax2 else ax2
         y2 = by2 if by2 > ay2 else ay2
-        hull_time = alpha * (feature * (((x2 - x1) * (y2 - y1)) / frame_area)) + b
+        hull_time = alpha * (feature * ((x2 - x1) * (y2 - y1)) / frame_area) + b
         return times[i] + times[j] - hull_time
 
     # Indexed by position in `regions`; a region merged away becomes None in

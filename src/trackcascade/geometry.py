@@ -189,25 +189,19 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def union_area(boxes: Sequence[BoundingBox]) -> float:
     """Exact area of the union of boxes, counting overlapped regions once."""
-    rects = [(b.x1, b.y1, b.y2, b.x2) for b in boxes if (b.x2 - b.x1) * (b.y2 - b.y1) > 0]
-    rects.sort()
-    return _sweep(rects)
+    return rects_union_area((b.x1, b.y1, b.x2, b.y2) for b in boxes)
 
 
 def rects_union_area(rects: Iterable[tuple[float, float, float, float]]) -> float:
-    """`union_area` of (x1, y1, x2, y2) tuples, with no box built for them."""
-    kept = [(x1, y1, y2, x2) for x1, y1, x2, y2 in rects if (x2 - x1) * (y2 - y1) > 0]
-    kept.sort()
-    return _sweep(kept)
-
-
-def _sweep(rects: list[tuple[float, float, float, float]]) -> float:
-    """Union area of positive-area (x1, y1, y2, x2) tuples, sorted.
+    """`union_area` of (x1, y1, x2, y2) tuples, with no box built for them.
 
     Coordinate sweep over x-slabs with merged y-intervals; resolution
     independent, no rasterisation. The boxes spanning a slab are kept sorted
     by (y1, y2) as the sweep enters and leaves them.
     """
+    # The positive-area rects as (x1, y1, y2, x2): sorted, they enter the sweep in order.
+    rects = [(x1, y1, y2, x2) for x1, y1, x2, y2 in rects if (x2 - x1) * (y2 - y1) > 0]
+    rects.sort()
     if len(rects) < 2:
         if not rects:
             return 0.0

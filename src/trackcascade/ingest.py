@@ -215,9 +215,9 @@ def parse_detections(
 ) -> DetectionStore:
     """Read a detection file; a malformed record, or one past `frame_count`, is a located error.
 
-    Each line is converted once and tested against every rule in one
-    expression; only a line that fails goes to `_check_detection`, which
-    finds the first rule it breaks.
+    Each line is converted, tested for what the records do not check (the
+    frame limit, finite fields) and built in one `try`; only a line that
+    fails goes to `_check_detection`, which finds the first rule it breaks.
     """
     path = Path(path)
     limit = math.inf if frame_count is None else frame_count
@@ -225,21 +225,15 @@ def parse_detections(
     isfinite = math.isfinite
     by_frame: dict[int, list[Detection]] = {}
     for lineno, fields in _data_lines(path):
+        det = None
         try:
             f, name, s, a, b, c, d = fields
             frame, score, x1, y1, x2, y2 = int(f), float(s), float(a), float(b), float(c), float(d)
-            valid = (
-                0 <= frame < limit
-                and 0.0 <= score <= 1.0
-                and x1 <= x2
-                and y1 <= y2
-                and isfinite(score + x1 + y1 + x2 + y2)
-            )
-        except ValueError:  # a bad number, or not 7 fields
-            valid = False
-        if valid:
-            det = Detection(BoundingBox(x1, y1, x2, y2), class_id(name), score, frame)
-        else:
+            if frame < limit and isfinite(score + x1 + y1 + x2 + y2):
+                det = Detection(BoundingBox(x1, y1, x2, y2), class_id(name), score, frame)
+        except ValueError:  # a bad number, not 7 fields, or a record's own check
+            pass
+        if det is None:
             det = _check_detection(fields, class_map, frame_count, path, lineno)
         by_frame.setdefault(det.frame_index, []).append(det)
     return DetectionStore(by_frame)
@@ -306,23 +300,17 @@ def parse_kitti_tracking_labels(path: str | Path, class_map: ClassMap) -> KittiL
     track_class: dict[int, int] = {}
     dontcare: dict[int, list[BoundingBox]] = {}
     for lineno, fields in _data_lines(path):
+        entry = None
         try:
             frame, track_id, occluded = int(fields[0]), int(fields[1]), int(fields[4])
             truncated, x1, y1 = float(fields[3]), float(fields[6]), float(fields[7])
             x2, y2 = float(fields[8]), float(fields[9])
-            valid = (
-                len(fields) >= 17
-                and frame >= 0
-                and x1 <= x2
-                and y1 <= y2
-                and isfinite(truncated + x1 + y1 + x2 + y2)
-            )
-        except (ValueError, IndexError):  # a bad number, or too few fields
-            valid = False
-        if valid:
-            class_id = class_id_of(fields[2])
-            entry = GtEntry(frame, BoundingBox(x1, y1, x2, y2), truncated, occluded)
-        else:
+            if len(fields) >= 17 and isfinite(truncated + x1 + y1 + x2 + y2):
+                class_id = class_id_of(fields[2])
+                entry = GtEntry(frame, BoundingBox(x1, y1, x2, y2), truncated, occluded)
+        except (ValueError, IndexError):  # a bad number, too few fields, or a record's own check
+            pass
+        if entry is None:
             track_id, class_id, entry = _check_label(fields, class_map, path, lineno)
             frame = entry.frame_index
         if class_id == DONTCARE_ID:

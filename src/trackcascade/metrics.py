@@ -120,76 +120,42 @@ class EvalConfig:
             raise ValueError("ap_recall_points must be >= 2 or all")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FrameGt:
-    """A ground truth as seen by the per-frame matcher; slotted, treated as immutable.
-
-    `qualifying` entries can be claimed as true positives; non-qualifying
-    box entries absorb at most one detection each; `region` entries are
-    area-style don't-cares that absorb any detection mostly inside them.
-    """
-
-    track_id: int
-    box: BoundingBox
-    qualifying: bool
-    region: bool = False
-
-
-@dataclass
-class FrameMatch:
-    """One frame's labels; a detection absorbed by a don't-care is in neither list."""
-
-    tp: list[tuple[Detection, int]]  # detection and the track id it claimed
-    fp: list[Detection]
-
-
 def match_frame(
-    gts: Sequence[FrameGt],
+    qualifying: Sequence[tuple[int, BoundingBox]],
+    ignored: Sequence[BoundingBox],
+    regions: Sequence[BoundingBox],
     dets: Sequence[Detection],
     iou_threshold: float,
-) -> FrameMatch:
-    """Greedy one-to-one matching of a single frame and class.
+) -> tuple[list[tuple[Detection, int]], list[Detection]]:
+    """Greedy one-to-one matching of a single frame and class: (tp, fp).
 
     Each detection, in descending score order, claims the unclaimed
-    qualifying ground truth of highest IoU >= threshold. Failing that it may
-    match a don't-care (non-qualifying box by the same IoU rule, or a region
-    by intersection-over-detection-area), which makes it neither TP nor FP.
+    `qualifying` (track id, box) of highest IoU >= threshold, and is a true
+    positive with that track id. Failing that it may match a don't-care (an
+    unclaimed `ignored` box by the same IoU rule, or a region by
+    intersection-over-detection-area), which makes it neither TP nor FP.
     """
-    qualifying = [g for g in gts if g.qualifying]
-    ignored_boxes = [g for g in gts if not g.qualifying and not g.region]
-    regions = [g for g in gts if g.region]
-
-    claimed: set[int] = set()
-    claimed_ignored: set[int] = set()
-    result = FrameMatch([], [])
+    unclaimed, free_ignored = list(qualifying), list(ignored)
+    tp, fp = [], []
     for d in sorted(dets, key=score_order):
         best = None
-        for idx, g in enumerate(qualifying):
-            if idx in claimed:
-                continue
-            v = iou(d.box, g.box)
+        for idx, (_, box) in enumerate(unclaimed):
+            v = iou(d.box, box)
             if v >= iou_threshold and (best is None or v > best[0]):
                 best = (v, idx)
         if best is not None:
-            claimed.add(best[1])
-            result.tp.append((d, qualifying[best[1]].track_id))
+            tp.append((d, unclaimed.pop(best[1])[0]))
             continue
-
-        absorbed = False
-        for idx, g in enumerate(ignored_boxes):
-            if idx not in claimed_ignored and iou(d.box, g.box) >= iou_threshold:
-                claimed_ignored.add(idx)
-                absorbed = True
+        for idx, box in enumerate(free_ignored):
+            if iou(d.box, box) >= iou_threshold:
+                del free_ignored[idx]  # absorbed; the box absorbs no other detection
                 break
-        if not absorbed and d.box.area > 0:
-            for g in regions:
-                inter = d.box.intersect(g.box)
-                if inter is not None and inter.area / d.box.area >= iou_threshold:
-                    absorbed = True
-                    break
-        if not absorbed:
-            result.fp.append(d)
-    return result
+        else:  # no ignored box absorbed it: a region may
+            area = d.box.area
+            inters = (d.box.intersect(region) for region in regions)  # None where apart
+            if not (area > 0 and any(i and i.area / area >= iou_threshold for i in inters)):
+                fp.append(d)
+    return tp, fp
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -284,8 +250,9 @@ def label_class_detections(
     When `labeled_frames` is given (sparse annotation), detections on other
     frames are discarded before matching.
     """
-    # Each entry is qualified once; a frame lists tracks in input order, then regions.
-    by_frame: dict[int, list[FrameGt]] = {}
+    # Each entry is qualified once. A frame holds match_frame's qualifying,
+    # ignored and region lists; tracks are in input order, then the regions.
+    by_frame: dict[int, tuple[list, list, list]] = {}
     n_pos = 0
     track_infos: list[TrackDelayInfo] = []
     for t in tracks:
@@ -294,17 +261,17 @@ def label_class_detections(
             continue
         qualifying = []
         for e in t.frames:
-            q = own and difficulty.qualifies(e)
-            if q:
+            if own and difficulty.qualifies(e):
                 qualifying.append(e.frame_index)
-            by_frame.setdefault(e.frame_index, []).append(FrameGt(t.track_id, e.box, q))
+                by_frame.setdefault(e.frame_index, ([], [], []))[0].append((t.track_id, e.box))
+            else:
+                by_frame.setdefault(e.frame_index, ([], [], []))[1].append(e.box)
         n_pos += len(qualifying)
         if qualifying:
             span = qualifying[-1] - qualifying[0] + 1
             track_infos.append(TrackDelayInfo(t.track_id, qualifying[0], span))
     for frame, boxes in (dontcare_regions or {}).items():
-        for b in boxes:
-            by_frame.setdefault(frame, []).append(FrameGt(-1, b, qualifying=False, region=True))
+        by_frame.setdefault(frame, ([], [], []))[2].extend(boxes)
 
     dets_by_frame: dict[int, list[Detection]] = {}
     for d in detections:
@@ -315,11 +282,12 @@ def label_class_detections(
         dets_by_frame.setdefault(d.frame_index, []).append(d)
 
     labels: list[DetLabel] = []
-    for frame in sorted(set(by_frame) | set(dets_by_frame)):
-        match = match_frame(by_frame.get(frame, []), dets_by_frame.get(frame, []), iou_threshold)
-        for det, track_id in match.tp:
+    for frame in sorted(dets_by_frame):  # a frame without detections labels nothing
+        gts = by_frame.get(frame, ((), (), ()))
+        tp, fp = match_frame(*gts, dets_by_frame[frame], iou_threshold)
+        for det, track_id in tp:
             labels.append(DetLabel(det.score, True, track_id, frame))
-        for det in match.fp:
+        for det in fp:
             labels.append(DetLabel(det.score, False, None, frame))
     labels.sort(key=lambda l: (-l.score, l.frame_index))
     return ClassEvalData(class_id, labels, n_pos, track_infos)

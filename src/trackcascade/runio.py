@@ -211,12 +211,25 @@ def parse_mask_dump(path: str | Path) -> dict[int, dict[str, list[BoundingBox]]]
     return frames
 
 
-def _timestamp() -> str:
+def source_date_epoch() -> datetime.datetime | None:
+    """The moment SOURCE_DATE_EPOCH pins the manifest timestamp to, or None when it is unset.
+
+    A value `int` refuses, the empty one included, or one `datetime` cannot
+    represent is a DataError.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
-    else:
-        moment = datetime.datetime.now(tz=datetime.timezone.utc)
+    if epoch is None:
+        return None
+    try:
+        return datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise DataError(
+            f"SOURCE_DATE_EPOCH={epoch!r} is not a whole number of seconds that a date can hold"
+        ) from None
+
+
+def _timestamp() -> str:
+    moment = source_date_epoch() or datetime.datetime.now(tz=datetime.timezone.utc)
     return moment.isoformat(timespec="seconds")
 
 

@@ -175,17 +175,15 @@ class Tracker:
         self.config = config
         self.frame_w = frame_w
         self.frame_h = frame_h
-        self._tracks: list[TrackState] = []
-        self._predicted: dict[int, BoundingBox] = {}  # track id -> predict(track), set by _emit
-        self._next_id = 1
+        self.reset()
 
     @property
     def tracks(self) -> tuple[TrackState, ...]:
         return tuple(self._tracks)
 
     def reset(self) -> None:
-        self._tracks = []
-        self._predicted = {}
+        self._tracks: list[TrackState] = []
+        self._predicted: dict[int, BoundingBox] = {}  # track id -> predict(track), set by _emit
         self._next_id = 1
 
     def step(self, frame_index: int, detections: Sequence[Detection]) -> list[Detection]:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -208,8 +209,8 @@ def reference_greedy_merge(regions, config, frame_w, frame_h):
     """
     frame_area = frame_w * frame_h
 
-    def region_time(region):
-        return estimate_time(config.refine_feature_fullframe_ops * (region.area / frame_area), config)
+    def region_time(region):  # as FrameResult.work prices a region for work.txt
+        return estimate_time(config.refine_feature_fullframe_ops * region.area / frame_area, config)
 
     boxes = list(regions)
     times = [region_time(r) for r in boxes]
@@ -313,6 +314,66 @@ def reference_nms(dets, threshold):
         if all(reference_iou(d.box, k.box) <= threshold for k in rivals):
             kept.append(d)
     return kept
+
+
+class ReferenceGt(NamedTuple):
+    """A ground truth flagged as `qualifying`, an ignored box, or a don't-care `region`."""
+
+    track_id: int
+    box: BoundingBox
+    qualifying: bool
+    region: bool = False
+
+
+def split_gts(gts):
+    """`match_frame`'s qualifying (track id, box) pairs, ignored boxes and regions, in order."""
+    return (
+        [(g.track_id, g.box) for g in gts if g.qualifying],
+        [g.box for g in gts if not g.qualifying and not g.region],
+        [g.box for g in gts if g.region],
+    )
+
+
+def reference_match_frame(gts, dets, iou_threshold):
+    """`match_frame` as it was on one flagged list: it re-splits the list, then matches.
+
+    Returns (tp, fp) as `match_frame` does.
+    """
+    qualifying = [g for g in gts if g.qualifying]
+    ignored_boxes = [g for g in gts if not g.qualifying and not g.region]
+    regions = [g for g in gts if g.region]
+
+    claimed: set[int] = set()
+    claimed_ignored: set[int] = set()
+    tp, fp = [], []
+    for d in sorted(dets, key=score_order):
+        best = None
+        for idx, g in enumerate(qualifying):
+            if idx in claimed:
+                continue
+            v = iou(d.box, g.box)
+            if v >= iou_threshold and (best is None or v > best[0]):
+                best = (v, idx)
+        if best is not None:
+            claimed.add(best[1])
+            tp.append((d, qualifying[best[1]].track_id))
+            continue
+
+        absorbed = False
+        for idx, g in enumerate(ignored_boxes):
+            if idx not in claimed_ignored and iou(d.box, g.box) >= iou_threshold:
+                claimed_ignored.add(idx)
+                absorbed = True
+                break
+        if not absorbed and d.box.area > 0:
+            for g in regions:
+                inter = d.box.intersect(g.box)
+                if inter is not None and inter.area / d.box.area >= iou_threshold:
+                    absorbed = True
+                    break
+        if not absorbed:
+            fp.append(d)
+    return tp, fp
 
 
 def reference_associate(predictions, detections, beta):

@@ -1176,6 +1176,33 @@ class TestBadOut:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
+class TestSourceDateEpoch:
+    """A SOURCE_DATE_EPOCH the manifest timestamp cannot use is refused before any work."""
+
+    @pytest.mark.parametrize("value", ["abc", "1e9", "99999999999999999", ""])
+    @pytest.mark.parametrize("command", ["run", "eval", "gen-synthetic"])
+    def test_malformed_value_is_refused_first(self, seq_dir, tmp_path, capsys, monkeypatch,
+                                              command, value):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        out = tmp_path / "out"
+        assert run_cli(*_command_argv(command, seq_dir, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no note, no report: nothing was read
+        assert captured.err == (
+            f"error: SOURCE_DATE_EPOCH={value!r} is not a whole number of seconds "
+            "that a date can hold\n"
+        )
+        assert not out.exists()
+
+    def test_commands_without_a_manifest_ignore_it(self, seq_dir, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        assert run_cli(*_command_argv("run", seq_dir, run)) == 0
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("cost-report", str(run)) == 0
+            assert run_cli(*_command_argv("eval", seq_dir, run)[:-2]) == 0  # no --out
+
+
 class TestOutKeepsInputs:
     """--out may not be, or hold, the working directory or an input; --force or not.
 

@@ -176,6 +176,25 @@ class TestGreedyMerge:
             assert total_time(merged, cfg) <= total_time(regions, cfg) + 1e-12
             assert greedy_merge(merged, cfg, FRAME_W, FRAME_H) == merged
 
+    @pytest.mark.parametrize(
+        "a, b, intercept, saving, kept",
+        [
+            ((261, 189, 353, 325), (357, 189, 477, 325), 0.00011880983360171768,
+             8.673617379884035e-19, 1),
+            ((323, 47, 447, 168), (538, 47, 584, 168), 0.0024048071282877083, 0.0, 2),
+        ],
+        ids=["tiny-saving-merges", "zero-saving-keeps"],
+    )
+    def test_merges_on_the_sign_of_the_reported_saving(self, a, b, intercept, saving, kept):
+        # Near break-even, pricing a region as feature * (area / frame_area)
+        # rounds differently from work.txt's feature * area / frame_area and
+        # flips the decision; only a positive saving of the reported estimate merges.
+        cfg = CostModelConfig(alpha=0.001, b=intercept)
+        regions = [BoundingBox(*a), BoundingBox(*b)]
+        merged = BoundingBox(a[0], a[1], b[2], b[3])
+        assert total_time(regions, cfg) - total_time([merged], cfg) == saving
+        assert len(greedy_merge(regions, cfg, FRAME_W, FRAME_H)) == kept
+
     def test_requires_timing(self):
         with pytest.raises(ValueError):
             greedy_merge([BoundingBox(0, 0, 1, 1)], CostModelConfig(), 10, 10)

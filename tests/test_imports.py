@@ -1,5 +1,6 @@
 """What a CLI call imports: only `gen-synthetic` needs numpy, nothing needs scipy,
-and only a run of several sequences loads the process pool.
+and only a run of several sequences loads the process pool; `eval` and
+`cost-report` load none of them.
 
 Importing numpy and scipy costs most of a short CLI call's wall time and
 about half its peak memory, and `multiprocessing` with `concurrent.futures`
@@ -10,6 +11,8 @@ package imports from the root but `__version__`, so `__init__` stays a leaf.
 """
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -20,9 +23,10 @@ import pytest
 
 import trackcascade
 from trackcascade import ClassMap
+from trackcascade.cli import main
 from trackcascade.ingest import SequenceMeta
 
-from conftest import make_store, write_sequence
+from conftest import DATA, make_store, write_sequence
 
 SRC = Path(trackcascade.__file__).resolve().parents[1]
 
@@ -71,6 +75,21 @@ def test_single_sequence_run_loads_neither_numpy_nor_a_process_pool(tmp_path, mo
     argv = ["run", "--sequence", str(seq), "--mode", mode, "--out", str(out), *extra]
     assert loaded_modules(argv) == ""
     assert (out / "masks.txt").exists() == bool(extra)
+
+
+def test_eval_and_cost_report_load_neither_numpy_nor_a_process_pool(tmp_path):
+    argv = ["eval", "--gt", str(DATA / "fig4_labels.txt"),
+            "--det", str(DATA / "fig4_detections.txt"), "--out", str(tmp_path / "eval")]
+    assert loaded_modules(argv) == ""
+    assert (tmp_path / "eval" / "manifest.json").exists()
+
+    cmap = ClassMap(["car", "pedestrian"])
+    store = make_store([(f, 0, 0.9, 100, 100, 200, 200) for f in range(3)])
+    seq = write_sequence(tmp_path, SequenceMeta("seq0", 3, 1000.0, 400.0), store, store, cmap)
+    run = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--sequence", str(seq), "--mode", "catdet", "--out", str(run)]) == 0
+    assert loaded_modules(["cost-report", str(run)]) == ""
 
 
 # The README's "Library use" imports, the two errors a caller catches, and the version.

@@ -11,7 +11,6 @@ from trackcascade.metrics import (
     ClassEvalData,
     DetLabel,
     EvalConfig,
-    FrameGt,
     GroundTruthTrack,
     GtEntry,
     TrackDelayInfo,
@@ -25,7 +24,14 @@ from trackcascade.metrics import (
     precision_recall_at,
 )
 
-from conftest import python312_sum, reference_delay_from_labels, reference_precision_recall_at
+from conftest import (
+    ReferenceGt,
+    python312_sum,
+    reference_delay_from_labels,
+    reference_match_frame,
+    reference_precision_recall_at,
+    split_gts,
+)
 
 ALL = DIFFICULTY_PRESETS["all"]
 
@@ -35,7 +41,12 @@ def det(x1, y1, x2, y2, score=0.9, class_id=0, frame=0):
 
 
 def gt(x1, y1, x2, y2, track_id=1, qualifying=True, region=False):
-    return FrameGt(track_id, BoundingBox(x1, y1, x2, y2), qualifying, region)
+    return ReferenceGt(track_id, BoundingBox(x1, y1, x2, y2), qualifying, region)
+
+
+def match(gts, dets, iou_threshold):
+    """`match_frame` of flagged ground truths: (tp, fp)."""
+    return match_frame(*split_gts(gts), dets, iou_threshold)
 
 
 def track(track_id, frames, class_id=0, box=(100, 100, 200, 200), step=(0, 0)):
@@ -72,32 +83,32 @@ class TestDifficultyFilter:
 
 class TestMatchFrame:
     def test_single_perfect_match(self):
-        m = match_frame([gt(0, 0, 10, 10)], [det(0, 0, 10, 10)], 0.7)
-        assert len(m.tp) == 1 and m.fp == [] and _fn(m, [gt(0, 0, 10, 10)]) == 0
+        tp, fp = match([gt(0, 0, 10, 10)], [det(0, 0, 10, 10)], 0.7)
+        assert len(tp) == 1 and fp == [] and _fn(tp, [gt(0, 0, 10, 10)]) == 0
 
     def test_second_detection_is_fp(self):
         dets = [det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
-        m = match_frame([gt(0, 0, 10, 10)], dets, 0.7)
-        assert len(m.tp) == 1 and m.tp[0][0].score == 0.9
-        assert len(m.fp) == 1 and m.fp[0].score == 0.8
+        tp, fp = match([gt(0, 0, 10, 10)], dets, 0.7)
+        assert len(tp) == 1 and tp[0][0].score == 0.9
+        assert len(fp) == 1 and fp[0].score == 0.8
 
     def test_dontcare_absorbs_without_tp_or_fp(self):
         gts, dets = [gt(0, 0, 10, 10, qualifying=False)], [det(0, 0, 10, 10)]
-        m = match_frame(gts, dets, 0.5)
-        assert m.tp == [] and m.fp == [] and _ignored(m, dets) == 1 and _fn(m, gts) == 0
+        tp, fp = match(gts, dets, 0.5)
+        assert tp == [] and fp == [] and _ignored(tp, fp, dets) == 1 and _fn(tp, gts) == 0
 
     def test_region_absorbs_by_intersection_over_area(self):
         region = gt(0, 0, 100, 100, qualifying=False, region=True)
         inside = det(10, 10, 20, 20)
         outside = det(200, 200, 220, 220)
-        m = match_frame([region], [inside, outside], 0.5)
-        assert _ignored(m, [inside, outside]) == 1 and len(m.fp) == 1
+        tp, fp = match([region], [inside, outside], 0.5)
+        assert _ignored(tp, fp, [inside, outside]) == 1 and len(fp) == 1
 
     def test_never_double_claims(self):
         gts = [gt(0, 0, 10, 10, track_id=1), gt(20, 0, 30, 10, track_id=2)]
         dets = [det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
-        m = match_frame(gts, dets, 0.5)
-        assert len(m.tp) == 1 and len(m.fp) == 1 and _fn(m, gts) == 1
+        tp, fp = match(gts, dets, 0.5)
+        assert len(tp) == 1 and len(fp) == 1 and _fn(tp, gts) == 1
 
     def test_against_greedy_oracle(self):
         rng = np.random.default_rng(30)
@@ -107,22 +118,58 @@ class TestMatchFrame:
                 det(*_c(rand_box(rng)), score=float(rng.uniform(0.1, 1)))
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            m = match_frame(gts, dets, 0.5)
-            assert len(m.tp) == _greedy_tp_oracle(gts, dets, 0.5)
+            tp, _ = match(gts, dets, 0.5)
+            assert len(tp) == _greedy_tp_oracle(gts, dets, 0.5)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_flagged_record_matcher(self, data):
+        # Every box comes from a small pool of lattice boxes, so equal boxes
+        # (tied IoUs, contested ignored boxes), zero-area boxes and IoUs of
+        # exactly a threshold are common; scores from a short list tie.
+        coord = st.integers(0, 4).map(lambda v: v * 5.0)
+        lattice = st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+                            coord, coord, coord, coord)
+        box = st.sampled_from(data.draw(st.lists(lattice, min_size=1, max_size=4)))
+        kinds = data.draw(st.lists(st.sampled_from(["qualifying", "ignored", "region"]),
+                                   max_size=6))
+        gts = [ReferenceGt(i, data.draw(box), kind == "qualifying", kind == "region")
+               for i, kind in enumerate(kinds)]
+        score = st.sampled_from([0.3, 0.5, 0.9, 1.0])
+        dets = data.draw(st.lists(st.builds(Detection, box, st.just(0), score, st.just(0)),
+                                  max_size=7))
+        threshold = data.draw(st.sampled_from([0.5, 0.75, 1.0]))
+
+        tp, fp = match(gts, dets, threshold)
+        want_tp, want_fp = reference_match_frame(gts, dets, threshold)
+        assert [(id(d), t) for d, t in tp] == [(id(d), t) for d, t in want_tp]
+        assert [id(d) for d in fp] == [id(d) for d in want_fp]
+
+    def test_tied_scores_an_iou_at_the_threshold_and_a_zero_area_box(self):
+        # Tied scores visit the smaller box first; it claims the track at an
+        # IoU of exactly 0.5, the ignored box absorbs the exact match, and a
+        # zero-area detection is never inside a region.
+        small, exact, flat = det(0, 0, 10, 5, 0.5), det(0, 0, 10, 10, 0.5), det(5, 5, 5, 10)
+        gts = [gt(0, 0, 10, 10), gt(0, 0, 10, 10, qualifying=False),
+               gt(0, 0, 10, 10, qualifying=False, region=True)]
+        assert iou(small.box, gts[0].box) == 0.5
+        tp, fp = match(gts, [exact, flat, small], 0.5)
+        assert tp == [(small, 1)] and fp == [flat]
+        assert (tp, fp) == reference_match_frame(gts, [exact, flat, small], 0.5)
 
 
 def _c(b):
     return b.x1, b.y1, b.x2, b.y2
 
 
-def _fn(m, gts):
+def _fn(tp, gts):
     """Qualifying ground truths left unclaimed: each true positive claims one."""
-    return sum(g.qualifying for g in gts) - len(m.tp)
+    return sum(g.qualifying for g in gts) - len(tp)
 
 
-def _ignored(m, dets):
+def _ignored(tp, fp, dets):
     """Detections that matched only don't-care ground truth: neither TP nor FP."""
-    return len(dets) - len(m.tp) - len(m.fp)
+    return len(dets) - len(tp) - len(fp)
 
 
 def _greedy_tp_oracle(gts, dets, thr):

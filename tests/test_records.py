@@ -1,7 +1,7 @@
 """The hot records are slotted dataclasses that behave as the frozen dataclasses they replaced.
 
-`BoundingBox`, `Detection`, `GtEntry`, `FrameGt`, `DetLabel` and `TrackState`
-are `@dataclass(slots=True, unsafe_hash=True)`; `BoundingBox` and `Detection`
+`BoundingBox`, `Detection`, `GtEntry`, `DetLabel` and `TrackState` are
+`@dataclass(slots=True, unsafe_hash=True)`; `BoundingBox` and `Detection`
 keep hand-written constructors (`init=False`).  None is frozen, so
 immutability is a convention: no code assigns to a field after construction,
 which the AST scan below checks.  Their `==`, `hash` and `repr` are generated,
@@ -20,7 +20,7 @@ import pytest
 import trackcascade
 from trackcascade.cascade import PipelineConfig
 from trackcascade.geometry import BoundingBox, Detection, RegionMask
-from trackcascade.metrics import DetLabel, DifficultyFilter, FrameGt, GtEntry
+from trackcascade.metrics import DetLabel, DifficultyFilter, GtEntry
 from trackcascade.tracker import TrackerConfig, TrackState
 
 SRC = Path(trackcascade.__file__).parent
@@ -29,12 +29,10 @@ FIELDS = {
     "BoundingBox": ("x1", "y1", "x2", "y2"),
     "Detection": ("box", "class_id", "score", "frame_index"),
     "GtEntry": ("frame_index", "box", "truncated", "occluded"),
-    "FrameGt": ("track_id", "box", "qualifying", "region"),
     "DetLabel": ("score", "is_tp", "track_id", "frame_index"),
     "TrackState": ("position", "motion", "aspect", "confidence", "class_id", "track_id"),
 }
-RECORDS = {cls.__name__: cls for cls in (BoundingBox, Detection, GtEntry, FrameGt, DetLabel,
-                                         TrackState)}
+RECORDS = {cls.__name__: cls for cls in (BoundingBox, Detection, GtEntry, DetLabel, TrackState)}
 # The frozen dataclasses these records were: same names, fields and order.
 FROZEN = {name: dataclasses.make_dataclass(name, fields, frozen=True)
           for name, fields in FIELDS.items()}
@@ -192,7 +190,6 @@ SAMPLES = {  # two or more records of each class; the first two differ
     "Detection": [Detection(BOX, 0, 0.5, 3), Detection(BOX, 1, 0.5, 3),
                   Detection(BoundingBox(1.0, 2.0, 3.5, 4.0), 0, 0.5, 3)],
     "GtEntry": [GtEntry(0, BOX), GtEntry(0, BOX, 0.25, 2), GtEntry(0, BOX, 0.0, 0)],
-    "FrameGt": [FrameGt(7, BOX, True), FrameGt(-1, BOX, False, True), FrameGt(7, BOX, True)],
     "DetLabel": [DetLabel(0.9, True, 4, 2), DetLabel(0.9, False, None, 2),
                  DetLabel(0.9, True, 4, 2)],
     "TrackState": [TrackState((1.0, 2.0, 3.0), (0.0, 0.0, 0.0), 0.5, 1, 0, 1),
