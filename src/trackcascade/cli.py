@@ -60,16 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return seed
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trackcascade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -112,7 +102,6 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic sequence")
     gen.add_argument("--scenario", required=True, help="scenario file")
-    gen.add_argument("--seed", type=_seed, help="override the scenario seed (an integer >= 0)")
     gen.add_argument("--out", required=True, help="output sequence directory")
     gen.add_argument("--force", action="store_true")
     return parser
@@ -448,8 +437,6 @@ def cmd_gen_synthetic(args) -> int:
     out = Path(args.out)
     _check_out(out, args.force, [args.scenario])
     scenario = parse_scenario(args.scenario)
-    if args.seed is not None:
-        scenario.seed = args.seed
     data = generate_synthetic(scenario)
     with _atomic_dir(out, args.force) as tmp:
         write_sequence_dir(data, tmp)

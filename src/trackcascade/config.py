@@ -56,16 +56,14 @@ _DIFFICULTY_KEYS = _keys(DifficultyFilter)
 _DEFAULT_MATCH_IOU = {"car": 0.7, "pedestrian": 0.5}
 _DEFAULT_DONTCARE = {"van": "car", "person_sitting": "pedestrian"}
 
-# eval.match_iou / eval.dontcare are accepted as section aliases
-_SECTION_ALIASES = {"eval.match_iou": "match_iou", "eval.dontcare": "dontcare"}
 # Sections whose values are checked when another section's config is built
-_CHECKED_WITH = {"match_iou": "eval", "dontcare": "eval"}
+_CHECKED_WITH = {"eval.match_iou": "eval", "eval.dontcare": "eval"}
 
 
 def _convert(kind: str, raw: str, where: str) -> Any:
     text = raw.strip()
     try:
-        if kind == "optfloat" and text.lower() in ("none", ""):
+        if kind == "optfloat" and text.lower() == "none":
             return None
         if kind in ("float", "optfloat"):
             value = float(text)
@@ -75,15 +73,13 @@ def _convert(kind: str, raw: str, where: str) -> Any:
         if kind == "int":
             return int(text)
         if kind == "bool":
-            if text.lower() in ("true", "yes", "on", "1"):
-                return True
-            if text.lower() in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(text)
+            if text.lower() not in ("true", "false"):
+                raise ValueError(text)
+            return text.lower() == "true"
         if kind == "strlist":
             return [t.strip().lower() for t in text.split(",") if t.strip()]
         if kind == "recall":
-            return None if text.lower() in ("all", "all-points") else int(text)
+            return None if text.lower() == "all" else int(text)
         return text
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for {where}") from None
@@ -106,8 +102,8 @@ def _defaults() -> dict[str, dict[str, Any]]:
         section: {k: default for k, (_, default) in keys.items()}
         for section, keys in _SCHEMA.items()
     }
-    values["match_iou"] = dict(_DEFAULT_MATCH_IOU)
-    values["dontcare"] = dict(_DEFAULT_DONTCARE)
+    values["eval.match_iou"] = dict(_DEFAULT_MATCH_IOU)
+    values["eval.dontcare"] = dict(_DEFAULT_DONTCARE)
     values["difficulty"] = {}
     return values
 
@@ -117,6 +113,8 @@ def _declare(values: dict[str, dict[str, Any]], section: str, where: str) -> dic
     if section.startswith("difficulty."):
         name = section.split(".", 1)[1]
         _check_name(name, where, ConfigError)
+        if name.lower() in DIFFICULTY_PRESETS:
+            raise ConfigError(f"[{section}] may not redefine the preset {name.lower()!r}")
         return values["difficulty"].setdefault(
             name, {k: d for k, (_, d) in _DIFFICULTY_KEYS.items()}
         )
@@ -128,11 +126,11 @@ def _declare(values: dict[str, dict[str, Any]], section: str, where: str) -> dic
 def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: str) -> None:
     where = f"{section}.{key}"
     target = _declare(values, section, where)
-    if section in ("match_iou", "dontcare"):
+    if section in ("eval.match_iou", "eval.dontcare"):
         name = key.lower()
         if name == DONTCARE:
             raise ConfigError(f"bad name {name!r} in {where}: it names KITTI's DontCare regions")
-        if section == "match_iou":
+        if section == "eval.match_iou":
             _check_name(name, where, ConfigError)
             target[name] = _convert("float", raw, where)
         else:
@@ -165,14 +163,18 @@ def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settin
             f"bad name {DONTCARE!r} in pipeline.classes: it names KITTI's DontCare regions",
             files.get("pipeline"),
         )
+    if len(set(classes)) < len(classes):
+        raise ConfigError(
+            f"pipeline.classes must name each class once; got {classes}", files.get("pipeline")
+        )
 
-    eval_classes = sorted(values["match_iou"]) + sorted(values["dontcare"])
+    eval_classes = sorted(values["eval.match_iou"]) + sorted(values["eval.dontcare"])
     class_map = ClassMap(eval_classes)
     ids = {name: class_map.id_of(name) for name in eval_classes}
-    match_iou = {ids[name]: thr for name, thr in values["match_iou"].items()}
+    match_iou = {ids[name]: thr for name, thr in values["eval.match_iou"].items()}
     dontcare: dict[int, frozenset[int]] = {}
-    for alias, target in values["dontcare"].items():
-        if target not in values["match_iou"]:
+    for alias, target in values["eval.dontcare"].items():
+        if target not in values["eval.match_iou"]:
             raise ConfigError(
                 f"[eval.dontcare] {alias} = {target}: {target!r} is not an [eval.match_iou] class",
                 files.get("eval"),
@@ -215,11 +217,13 @@ def load_settings(
         parser = read_ini(path, "config", lambda name: True, ConfigError)
         try:
             for section in parser.sections():
-                target = _SECTION_ALIASES.get(section, section)
-                _declare(values, target, f"[{section}]")
+                _declare(values, section, f"[{section}]")
                 for key, raw in parser[section].items():
-                    _apply(values, target, key, raw)
-                files[_CHECKED_WITH.get(target, target)] = str(path)
+                    _apply(values, section, key, raw)
+                # Only class names, which _apply lowercases, pass in two spellings.
+                if len({key.lower() for key in parser[section]}) < len(parser[section]):
+                    raise ConfigError(f"[{section}] names a class twice")
+                files[_CHECKED_WITH.get(section, section)] = str(path)
         except ConfigError as exc:
             raise ConfigError(str(exc), str(path)) from None
     for item in overrides or []:
@@ -227,7 +231,6 @@ def load_settings(
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         section, key = dotted.rsplit(".", 1)
-        target = _SECTION_ALIASES.get(section, section)
-        _apply(values, target, key, raw)
-        files.pop(_CHECKED_WITH.get(target, target), None)
+        _apply(values, section, key, raw)
+        files.pop(_CHECKED_WITH.get(section, section), None)
     return _resolve(values, files)

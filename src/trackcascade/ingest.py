@@ -137,12 +137,13 @@ def _data_lines(path: Path) -> Iterator[tuple[int, list[str]]]:
 def read_ini(
     path: str | Path, what: str, known: Callable[[str], bool], error: type[DataError] = DataError
 ) -> configparser.ConfigParser:
-    """An INI file whose values are literal text (no `%` interpolation).
+    """An INI file whose keys keep their case and whose values are literal text (no `%`).
 
     A syntax error, a non-empty [DEFAULT] section, or a section that `known`
     refuses is an `error` naming the file.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
     try:
         parser.read_string(read_text(path, what, error), source=str(path))
     except configparser.Error as exc:

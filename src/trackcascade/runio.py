@@ -7,6 +7,7 @@ import datetime
 import hashlib
 import json
 import os
+import re
 from math import isfinite
 from operator import add, eq, itemgetter
 from pathlib import Path
@@ -214,13 +215,16 @@ def parse_mask_dump(path: str | Path) -> dict[int, dict[str, list[BoundingBox]]]
 def source_date_epoch() -> datetime.datetime | None:
     """The moment SOURCE_DATE_EPOCH pins the manifest timestamp to, or None when it is unset.
 
-    A value `int` refuses, the empty one included, or one `datetime` cannot
-    represent is a DataError.
+    A value other than ASCII digits after an optional `-` (the empty one
+    included), or one `datetime` cannot represent, is a DataError.
     """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
     try:
+        # The form `date +%s` prints; int() also reads "1_0", " +1" and non-ASCII digits.
+        if not re.fullmatch(r"-?[0-9]+", epoch):
+            raise ValueError(epoch)
         return datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
     except (ValueError, OverflowError, OSError):
         raise DataError(

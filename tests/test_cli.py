@@ -355,6 +355,8 @@ class TestRun:
         "line, message",
         [
             ("frame_rat = 3", "[sequence] unknown key 'frame_rat'"),
+            # Keys are case-sensitive: this line replaces frame_count
+            ("FRAME_COUNT = 4", "[sequence] unknown key 'FRAME_COUNT'"),
             ("frame_w = nan", "[sequence] frame dimensions must be finite and positive"),
             ("frame_h = inf", "[sequence] frame dimensions must be finite and positive"),
             ("frame_rate = nan", "[sequence] frame_rate must be finite and > 0"),
@@ -368,9 +370,9 @@ class TestRun:
         ],
     )
     def test_bad_meta_is_data_error(self, seq_dir, tmp_path, capsys, line, message):
-        # A line is set in place of its key's line; a bare key is left out.
+        # A line is set in place of its key's line, in any case; a bare key is left out.
         meta = seq_dir / "meta.cfg"
-        key = line.split(" = ")[0]
+        key = line.split(" = ")[0].lower()
         kept = [l for l in meta.read_text().splitlines() if not l.startswith(f"{key} =")]
         meta.write_text("\n".join(kept + [line] * ("=" in line)) + "\n")
         out = tmp_path / "out"
@@ -717,13 +719,14 @@ class TestConfigCheckedByEveryCommand:
              "eval.difficulties must name at least one difficulty, each once"),
             (None, ["eval.difficulties="], "eval.difficulties must name at least one difficulty"),
             # Names that eval --out would make part of a curve file name
-            (None, ["match_iou.a/b=0.5"], "bad name 'a/b' in match_iou.a/b"),
+            (None, ["eval.match_iou.a/b=0.5"], "bad name 'a/b' in eval.match_iou.a/b"),
             (None, ["difficulty.x/y.min_size=1", "eval.difficulties=x/y"],
              "bad name 'x/y' in difficulty.x/y.min_size"),
             # Sections are judged by name, keys or not
             ("[bogus]\n[difficulty.x]\n", [], "unknown config section 'bogus'"),
             # KITTI's DontCare regions are no class, and an alias needs an evaluated class
-            (None, ["match_iou.dontcare=0.5"], "bad name 'dontcare' in match_iou.dontcare"),
+            (None, ["eval.match_iou.dontcare=0.5"],
+             "bad name 'dontcare' in eval.match_iou.dontcare"),
             (None, ["eval.dontcare.van=carr"],
              "[eval.dontcare] van = carr: 'carr' is not an [eval.match_iou] class"),
             ("[eval.dontcare]\nvan = carr\n", [],
@@ -747,6 +750,37 @@ class TestConfigCheckedByEveryCommand:
              "unknown key difficulty.x.size_axis"),
             ("[difficulty.x]\nsize_axis = height\n[eval]\ndifficulties = x\n", [],
              "unknown key difficulty.x.size_axis"),
+            # Each setting has one spelling: the eval class sections have one name ...
+            (None, ["match_iou.car=0.6"], "unknown config section 'match_iou'"),
+            ("[match_iou]\ncar = 0.6\n", [], "unknown config section 'match_iou'"),
+            (None, ["dontcare.van=car"], "unknown config section 'dontcare'"),
+            ("[dontcare]\nvan = car\n", [], "unknown config section 'dontcare'"),
+            # ... each value one form ...
+            (None, ["cost.alpha=", "cost.b=0"], "bad value '' for cost.alpha"),
+            ("[cost]\nalpha =\nb = 0\n", [], "bad value '' for cost.alpha"),
+            (None, ["eval.ap_recall_points=all-points"],
+             "bad value 'all-points' for eval.ap_recall_points"),
+            ("[eval]\nap_recall_points = all-points\n", [],
+             "bad value 'all-points' for eval.ap_recall_points"),
+            (None, ["eval.sparse_annotations=yes"], "bad value 'yes' for eval.sparse_annotations"),
+            ("[eval]\nsparse_annotations = yes\n", [],
+             "bad value 'yes' for eval.sparse_annotations"),
+            # ... and each key one case, in a file as in --set
+            (None, ["pipeline.C_Thresh=0.4"], "unknown key pipeline.C_Thresh"),
+            ("[pipeline]\nC_Thresh = 0.4\n", [], "unknown key pipeline.C_Thresh"),
+            # Class names are case-insensitive, so a file may not give one twice
+            ("[eval.match_iou]\nCar = 0.6\ncar = 0.7\n", [], "[eval.match_iou] names a class twice"),
+            # A class is run once
+            (None, ["pipeline.classes=car,Car"],
+             "pipeline.classes must name each class once; got ['car', 'car']"),
+            # A KITTI preset keeps its definition, even one restated key of it
+            (None, ["difficulty.moderate.min_size=25"],
+             "[difficulty.moderate] may not redefine the preset 'moderate'"),
+            ("[difficulty.hard]\nmin_size = 10\n", [],
+             "[difficulty.hard] may not redefine the preset 'hard'"),
+            ("[difficulty.All]\n", [], "[difficulty.All] may not redefine the preset 'all'"),
+            (None, ["difficulty.easy.max_occlusion=0", "eval.difficulties=easy"],
+             "[difficulty.easy] may not redefine the preset 'easy'"),
         ],
     )
     def test_run_and_eval_refuse_alike(self, seq_dir, tmp_path, capsys, config, overrides,
@@ -1179,7 +1213,12 @@ class TestBadOut:
 class TestSourceDateEpoch:
     """A SOURCE_DATE_EPOCH the manifest timestamp cannot use is refused before any work."""
 
-    @pytest.mark.parametrize("value", ["abc", "1e9", "99999999999999999", ""])
+    # int() reads the last three, but they are not the ASCII form `date +%s` prints.
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", "1e9", "99999999999999999", "", "1_700_000_000", " +1700000000 ",
+         "\u0661\u0667\u0660\u0660\u0660\u0660\u0660\u0660\u0660\u0660"],
+    )
     @pytest.mark.parametrize("command", ["run", "eval", "gen-synthetic"])
     def test_malformed_value_is_refused_first(self, seq_dir, tmp_path, capsys, monkeypatch,
                                               command, value):
@@ -1270,7 +1309,9 @@ class TestOutKeepsInputs:
             _check_out(Path("/"), force)
 
     def test_gen_synthetic_may_replace_a_sequence(self, tree, capsys):
-        argv = self.COMMANDS["gen-synthetic"] + ["--out", "seq", "--seed", "5", "--force"]
+        scenario = tree / "scen" / "s.cfg"
+        scenario.write_text(scenario.read_text().replace("seed = 11\n", "seed = 5\n"))
+        argv = self.COMMANDS["gen-synthetic"] + ["--out", "seq", "--force"]
         assert run_cli(*argv) == 0
         manifest = json.loads((tree / "work" / "seq" / "manifest.json").read_text())
         assert manifest["config"]["scenario"]["seed"] == 5
@@ -1423,18 +1464,18 @@ class TestGenSynthetic:
                        "--out", str(run_out)) == 0
         assert (run_out / "detections.txt").exists()
 
-    def test_seed_override_changes_output(self, tmp_path):
-        scenario = tmp_path / "s.cfg"
-        scenario.write_text(
-            "[scenario]\nname = gen\nframes = 4\nframe_w = 500\nframe_h = 300\nseed = 1\n\n"
-            "[object.a]\nclass = car\nentry = 0\nexit = 3\nbox = 50 50 150 120\n\n"
-            "[source.proposal]\njitter = 3\nscore_sigma = 0.2\n\n[source.refine]\njitter = 1\n"
-        )
+    def test_scenario_seed_changes_output(self, tmp_path):
         outs = []
-        for seed, name in ((1, "s1"), (2, "s2")):
-            out = tmp_path / name
-            run_cli("gen-synthetic", "--scenario", str(scenario), "--seed", str(seed),
-                    "--out", str(out))
+        for seed in (1, 2):
+            scenario = tmp_path / f"s{seed}.cfg"
+            scenario.write_text(
+                "[scenario]\nname = gen\nframes = 4\nframe_w = 500\nframe_h = 300\n"
+                f"seed = {seed}\n\n"
+                "[object.a]\nclass = car\nentry = 0\nexit = 3\nbox = 50 50 150 120\n\n"
+                "[source.proposal]\njitter = 3\nscore_sigma = 0.2\n\n[source.refine]\njitter = 1\n"
+            )
+            out = tmp_path / f"g{seed}"
+            assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 0
             outs.append((out / "proposal.txt").read_bytes())
         assert outs[0] != outs[1]
 
@@ -1452,13 +1493,13 @@ class TestGenSynthetic:
                        "--out", str(tmp_path / "r")) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("run 50%: 3 frames")
 
-    @pytest.mark.parametrize("seed", ["-1", "x"])
-    def test_bad_seed_option_is_usage_error(self, tmp_path, capsys, seed):
+    def test_seed_option_is_usage_error(self, tmp_path, capsys):
+        # The scenario's seed key is the only seed.
         with pytest.raises(SystemExit) as err:
             run_cli("gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg"),
-                    "--seed", seed, "--out", str(tmp_path / "g"))
+                    "--seed", "5", "--out", str(tmp_path / "g"))
         assert err.value.code == 1
-        assert f"--seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
 
@@ -1553,6 +1594,9 @@ class TestGenSynthetic:
             ("frame_rate = 0", "", "[scenario] frame_rate must be finite and > 0"),
             ("frame_rate = -10", "", "[scenario] frame_rate must be finite and > 0"),
             ("seed = -1", "", "[scenario] seed must be >= 0"),
+            ("seed = x", "", "[scenario] invalid literal for int() with base 10: 'x'"),
+            # Keys are case-sensitive: this line replaces frames
+            ("Frames = 2", "", "[scenario] unknown key 'Frames'"),
             ("", "class =", "[object.a] class must be one word without '#'"),
             ("", "class = big car", "[object.a] class must be one word without '#'"),
             ("", "class = DontCare", "[object.a] class 'DontCare' names KITTI's DontCare regions"),
@@ -1575,10 +1619,10 @@ class TestGenSynthetic:
     def test_bad_scenario_is_data_error(
         self, tmp_path, capsys, scenario_line, object_line, message
     ):
-        # A line is set in place of its key's line; a bare key is left out.
+        # A line is set in place of its key's line, in any case; a bare key is left out.
         scenario = tmp_path / "s.cfg"
         scenario_lines = ["name = gen", "frames = 2", "frame_w = 500", "frame_h = 300"]
-        key = scenario_line.split(" = ")[0]
+        key = scenario_line.split(" = ")[0].lower()
         scenario_lines = [l for l in scenario_lines if not l.startswith(f"{key} =")]
         object_lines = ["class = car", "entry = 0", "exit = 1", "box = 50 50 150 120"]
         key = object_line.split("=")[0].strip()

@@ -48,8 +48,8 @@ class TestDefaults:
         assert s.values["pipeline"]["margin"] == 30.0
         assert s.values["eval"]["beta"] == 0.8
         assert s.values["cost"]["baseline_proposal_count"] == 300
-        assert s.values["match_iou"] == {"car": 0.7, "pedestrian": 0.5}
-        assert s.values["dontcare"] == {"van": "car", "person_sitting": "pedestrian"}
+        assert s.values["eval.match_iou"] == {"car": 0.7, "pedestrian": 0.5}
+        assert s.values["eval.dontcare"] == {"van": "car", "person_sitting": "pedestrian"}
 
     def test_default_mode_and_classes(self):
         s = load_settings()
@@ -108,8 +108,8 @@ class TestFileLoading:
         assert s.pipeline.cost.alpha == 0.001
         assert s.values["eval"]["ap_recall_points"] is None  # "all"
         # match_iou section replaces keys but keeps unmentioned defaults
-        assert s.values["match_iou"]["cyclist"] == 0.5
-        assert s.values["match_iou"]["pedestrian"] == 0.5
+        assert s.values["eval.match_iou"]["cyclist"] == 0.5
+        assert s.values["eval.match_iou"]["pedestrian"] == 0.5
 
     def test_custom_difficulty(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -139,7 +139,7 @@ class TestOverrides:
 
     def test_match_iou_override(self):
         s = load_settings(None, ["eval.match_iou.car=0.6"])
-        assert s.values["match_iou"]["car"] == 0.6
+        assert s.values["eval.match_iou"]["car"] == 0.6
         assert s.eval.match_iou[0] == 0.6
 
     def test_unknown_key_rejected(self):
@@ -169,12 +169,51 @@ class TestOverrides:
     @pytest.mark.parametrize(
         "override",
         ["pipeline.margin=nan", "pipeline.t_thresh=NaN", "cost.alpha=nan",
-         "match_iou.car=nan", "difficulty.x.min_size=nan"],
+         "eval.match_iou.car=nan", "difficulty.x.min_size=nan"],
     )
     def test_nan_rejected(self, override):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"bad value .* for {key}"):
             load_settings(None, [override])
+
+    def test_one_spelling_per_value_in_any_case(self):
+        others = ["cost.alpha=1", "cost.b=1", "eval.ap_recall_points=11",
+                  "eval.sparse_annotations=true"]
+        s = load_settings(None, others + ["cost.alpha=None", "cost.b=NONE",
+                                          "eval.ap_recall_points=All",
+                                          "eval.sparse_annotations=False"])
+        assert s.values["cost"]["alpha"] is None and s.values["cost"]["b"] is None
+        assert s.values["eval"]["ap_recall_points"] is None
+        assert s.values["eval"]["sparse_annotations"] is False
+        assert load_settings(None, ["eval.sparse_annotations=TRUE"]).eval.sparse_annotations
+
+    @pytest.mark.parametrize(
+        "override",
+        ["cost.alpha=", "cost.b= ", "eval.ap_recall_points=all-points",
+         *(f"eval.sparse_annotations={v}" for v in ("yes", "on", "1", "no", "off", "0"))],
+    )
+    def test_other_spellings_rejected(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"bad value .* for {key}"):
+            load_settings(None, [override])
+
+    def test_keys_are_case_sensitive_in_files(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[pipeline]\nC_Thresh = 0.4\n")
+        with pytest.raises(ConfigError, match="unknown key pipeline.C_Thresh") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
+
+    def test_class_names_are_case_insensitive_in_files(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[eval.match_iou]\nCyclist = 0.5\n\n[eval.dontcare]\nTram = CYCLIST\n")
+        s = load_settings(p)
+        assert s.values["eval.match_iou"]["cyclist"] == 0.5
+        assert s.values["eval.dontcare"]["tram"] == "cyclist"
+        p.write_text("[eval.match_iou]\ncar = 0.5\nCAR = 0.6\n")
+        with pytest.raises(ConfigError, match=r"\[eval.match_iou\] names a class twice") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
 
     def test_infinity_allowed(self):
         s = load_settings(None, ["pipeline.t_thresh=inf"])
@@ -208,7 +247,7 @@ class TestEvalConfigBuild:
     def test_snapshot_is_plain_data(self):
         snap = load_settings().values
         assert snap["pipeline"]["mode"] == "catdet"
-        assert isinstance(snap["match_iou"], dict)
+        assert isinstance(snap["eval.match_iou"], dict)
 
 
 class TestRanges:
@@ -270,6 +309,17 @@ class TestRanges:
             load_settings(p)
         assert err.value.path == str(p)
 
+    @pytest.mark.parametrize("listed", ["car,car", "car, Pedestrian, CAR"])
+    def test_repeated_class_rejected(self, tmp_path, listed):
+        with pytest.raises(ConfigError, match="pipeline.classes must name each class once") as err:
+            load_settings(None, [f"pipeline.classes={listed}"])
+        assert err.value.path is None
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[pipeline]\nclasses = {listed}\n")
+        with pytest.raises(ConfigError, match="pipeline.classes must name each class once") as err:
+            load_settings(p)
+        assert err.value.path == str(p)
+
 
 class TestNames:
     """Class and difficulty names become part of eval's curve file names.
@@ -280,21 +330,22 @@ class TestNames:
 
     @pytest.mark.parametrize(
         "override",
-        ["match_iou.a/b=0.5", "match_iou.a\\b=0.5", "match_iou.a b=0.5", "match_iou.=0.5",
-         "eval.match_iou.x/y=0.5", "difficulty.x/y.min_size=1", "difficulty.x\\y.min_size=1",
-         "difficulty.x y.min_size=1", "difficulty..min_size=1",
+        ["eval.match_iou.a/b=0.5", "eval.match_iou.a\\b=0.5", "eval.match_iou.a b=0.5",
+         "eval.match_iou.=0.5", "eval.match_iou.x\ty=0.5", "difficulty.x/y.min_size=1",
+         "difficulty.x\\y.min_size=1", "difficulty.x y.min_size=1", "difficulty..min_size=1",
          # KITTI's DontCare regions are no class
-         "match_iou.dontcare=0.5", "eval.match_iou.DontCare=0.5", "eval.dontcare.dontcare=car"],
+         "eval.match_iou.dontcare=0.5", "eval.match_iou.DontCare=0.5",
+         "eval.dontcare.dontcare=car"],
     )
     def test_name_that_is_no_file_name_part_rejected(self, override):
-        where = override.split("=")[0].removeprefix("eval.")
+        where = override.split("=")[0]
         with pytest.raises(ConfigError, match="bad name") as err:
             load_settings(None, [override, "eval.difficulties=all"])
         assert where in str(err.value) and err.value.path is None
 
     @pytest.mark.parametrize(
         "text",
-        ["[eval.match_iou]\na\\b = 0.5\n", "[match_iou]\na b = 0.5\n",
+        ["[eval.match_iou]\na\\b = 0.5\n", "[eval.match_iou]\na b = 0.5\n",
          "[difficulty.a\0b]\nmin_size = 1\n", "[difficulty.a/b]\nmin_size = 1\n",
          "[difficulty.a b]\n", "[eval.match_iou]\ndontcare = 0.5\n"],
     )
@@ -319,12 +370,12 @@ class TestNames:
         assert err.value.path == str(p)
 
     def test_alias_of_an_added_class_accepted(self):
-        s = load_settings(None, ["match_iou.cyclist=0.5", "eval.dontcare.tram=cyclist"])
+        s = load_settings(None, ["eval.match_iou.cyclist=0.5", "eval.dontcare.tram=cyclist"])
         ids = {name: i for i, name in enumerate(s.eval_classes)}
         assert s.eval.dontcare_classes[ids["cyclist"]] == frozenset({ids["tram"]})
 
     def test_plain_names_accepted(self):
-        s = load_settings(None, ["match_iou.cyclist=0.5", "difficulty.my-size_2.min_size=1",
+        s = load_settings(None, ["eval.match_iou.cyclist=0.5", "difficulty.my-size_2.min_size=1",
                                  "eval.difficulties=my-size_2, all"])
         assert "cyclist" in s.eval_classes
         assert [d.name for d in s.difficulties] == ["my-size_2", "all"]
@@ -350,6 +401,18 @@ class TestDifficulties:
         s = load_settings(p, ["eval.difficulties=x"])
         assert s.difficulties == [DifficultyFilter("x")]
         assert s.values["difficulty"]["x"]["min_size"] == 0.0
+
+    @pytest.mark.parametrize("name", ["all", "easy", "moderate", "hard", "Moderate"])
+    def test_preset_may_not_be_redefined(self, tmp_path, name):
+        message = rf"\[difficulty.{name}\] may not redefine the preset '{name.lower()}'"
+        with pytest.raises(ConfigError, match=message) as err:
+            load_settings(None, [f"difficulty.{name}.min_size=25"])
+        assert err.value.path is None
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[difficulty.{name}]\n")
+        with pytest.raises(ConfigError, match=message) as err:
+            load_settings(p)
+        assert err.value.path == str(p)
 
     def test_unlisted_custom_difficulty_is_checked(self):
         with pytest.raises(ConfigError, match=r"bad \[difficulty\.x\] value: max_occlusion"):

@@ -99,7 +99,7 @@ beta = 0.8
 ap_recall_points = 11
 difficulties = moderate, mine
 
-[match_iou]
+[eval.match_iou]
 car = 0.7
 
 [difficulty.mine]
@@ -198,6 +198,27 @@ def _check(argv: list[str], spoiled: Path) -> int:
 
 
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+
+
+def test_seed_texts_are_valid():
+    """Unmutated, every seed text runs cleanly, so a mutation is what a failure checks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = _sequence(Path(tmp))
+        config = Path(tmp) / "c.cfg"
+        config.write_text(CONFIG)
+        scenario = Path(tmp) / "s.cfg"
+        scenario.write_text(SCENARIO)
+        for argv in (
+            ["run", "--sequence", str(seq), "--config", str(config), "--out", f"{tmp}/run"],
+            ["eval", "--gt", str(seq / "labels.txt"), "--det", str(seq / "refine.txt"),
+             "--config", str(config), "--out", f"{tmp}/ev"],
+            ["gen-synthetic", "--scenario", str(scenario), "--out", f"{tmp}/g"],
+            ["cost-report", f"{tmp}/run"],
+        ):
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code == 0, (argv[0], err.getvalue())
 
 
 @pytest.mark.parametrize("name", ["meta.cfg", "refine.txt", "proposal.txt"])
