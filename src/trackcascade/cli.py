@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import math
 import os
 import shutil
@@ -60,50 +61,76 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
+COMMANDS = ("run", "eval", "cost-report", "gen-synthetic")
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser; given one of `COMMANDS`, it builds only that command's subparser.
+
+    A call that names no command, or names it wrongly, gets every subparser,
+    so that help and errors list them all. With one subparser, the metavar
+    keeps the top-level usage line as it is with all four.
+    """
+    names = [command] if command in COMMANDS else COMMANDS
     parser = _Parser(prog="trackcascade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config",
-        default=os.environ.get(CONFIG_ENV),
-        help=f"config file (default: ${CONFIG_ENV})",
-    )
-    common.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=VALUE",
-        help="override a config value; repeatable",
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=_Parser,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None,
     )
 
-    run = sub.add_parser("run", parents=[common], help="run the cascade over sequences")
-    run.add_argument("--sequence", action="append", required=True, help="sequence directory")
-    run.add_argument(
-        "--mode",
-        choices=MODES,
-        help="same as --set pipeline.mode=MODE, and applied after every --set",
-    )
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--dump-masks", action="store_true", help="also dump per-frame region boxes")
-    run.add_argument("--force", action="store_true", help="overwrite an existing output directory")
+    if "run" in names or "eval" in names:
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument(
+            "--config",
+            default=os.environ.get(CONFIG_ENV),
+            help=f"config file (default: ${CONFIG_ENV})",
+        )
+        common.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="SECTION.KEY=VALUE",
+            help="override a config value; repeatable",
+        )
 
-    ev = sub.add_parser("eval", parents=[common], help="evaluate detections against ground truth")
-    ev.add_argument("--gt", required=True, help="KITTI tracking label file")
-    ev.add_argument("--det", required=True, help="detections file")
-    ev.add_argument("--out", help="directory for curve data and manifest")
-    ev.add_argument("--force", action="store_true")
+    if "run" in names:
+        run = sub.add_parser("run", parents=[common], help="run the cascade over sequences")
+        run.add_argument("--sequence", action="append", required=True, help="sequence directory")
+        run.add_argument(
+            "--mode",
+            choices=MODES,
+            help="same as --set pipeline.mode=MODE, and applied after every --set",
+        )
+        run.add_argument("--out", required=True, help="output directory")
+        run.add_argument(
+            "--dump-masks", action="store_true", help="also dump per-frame region boxes"
+        )
+        run.add_argument(
+            "--force", action="store_true", help="overwrite an existing output directory"
+        )
 
-    cr = sub.add_parser("cost-report", help="op break-down from run outputs")
-    cr.add_argument("runs", nargs="+", help="run output directories")
+    if "eval" in names:
+        ev = sub.add_parser(
+            "eval", parents=[common], help="evaluate detections against ground truth"
+        )
+        ev.add_argument("--gt", required=True, help="KITTI tracking label file")
+        ev.add_argument("--det", required=True, help="detections file")
+        ev.add_argument("--out", help="directory for curve data and manifest")
+        ev.add_argument("--force", action="store_true")
 
-    gen = sub.add_parser("gen-synthetic", help="generate a synthetic sequence")
-    gen.add_argument("--scenario", required=True, help="scenario file")
-    gen.add_argument("--out", required=True, help="output sequence directory")
-    gen.add_argument("--force", action="store_true")
+    if "cost-report" in names:
+        cr = sub.add_parser("cost-report", help="op break-down from run outputs")
+        cr.add_argument("runs", nargs="+", help="run output directories")
+
+    if "gen-synthetic" in names:
+        gen = sub.add_parser("gen-synthetic", help="generate a synthetic sequence")
+        gen.add_argument("--scenario", required=True, help="scenario file")
+        gen.add_argument("--out", required=True, help="output sequence directory")
+        gen.add_argument("--force", action="store_true")
     return parser
 
 
@@ -240,8 +267,7 @@ def _run_sequences(tasks: list[tuple]) -> list[tuple]:
 def cmd_run(args) -> int:
     out_root = Path(args.out)
     _check_out(out_root, args.force, [*args.sequence, args.config])
-    mode_override = [f"pipeline.mode={args.mode}"] if args.mode else []
-    settings = load_settings(args.config, args.overrides + mode_override)
+    settings = load_settings(args.config, args.overrides, args.mode)
     sequences = [Path(s) for s in args.sequence]
     metas = [parse_meta(seq / "meta.cfg") for seq in sequences]
     # A lone sequence writes into --out itself, each of several into its own subdirectory.
@@ -456,7 +482,9 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command == "eval" and args.force and args.out is None:
         parser.error("eval --force needs --out: without it nothing is written")
@@ -466,11 +494,19 @@ def main(argv: list[str] | None = None) -> int:
         "cost-report": cmd_cost_report,
         "gen-synthetic": cmd_gen_synthetic,
     }
+    # A command leaves a few hundred objects in cycles, so the cyclic
+    # collector's passes cost time and free almost nothing. The caller's
+    # collector state comes back however the command ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

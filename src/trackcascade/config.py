@@ -115,6 +115,8 @@ def _declare(values: dict[str, dict[str, Any]], section: str, where: str) -> dic
         _check_name(name, where, ConfigError)
         if name.lower() in DIFFICULTY_PRESETS:
             raise ConfigError(f"[{section}] may not redefine the preset {name.lower()!r}")
+        if name != name.lower():  # eval.difficulties lowercases the names it lists
+            raise ConfigError(f"[{section}]: difficulty name {name!r} must be lower case")
         return values["difficulty"].setdefault(
             name, {k: d for k, (_, d) in _DIFFICULTY_KEYS.items()}
         )
@@ -206,9 +208,14 @@ def _resolve(values: dict[str, dict[str, Any]], files: dict[str, str]) -> Settin
 
 
 def load_settings(
-    path: str | Path | None = None, overrides: list[str] | None = None
+    path: str | Path | None = None, overrides: list[str] | None = None, mode: str | None = None
 ) -> Settings:
-    """Defaults, then file values, then `section.key=value` overrides; then every check."""
+    """Defaults, then file values, then `section.key=value` overrides; then every check.
+
+    `mode`, given, is `pipeline.mode`, applied last. It is `run --mode`, which
+    argparse limits to `cascade.MODES`; so unlike an override, it can never be
+    the bad value, and a `[pipeline]` error still names the config file.
+    """
     values = _defaults()
     # section -> the config file, when only that file set values in it
     files: dict[str, str] = {}
@@ -233,4 +240,6 @@ def load_settings(
         section, key = dotted.rsplit(".", 1)
         _apply(values, section, key, raw)
         files.pop(_CHECKED_WITH.get(section, section), None)
+    if mode is not None:
+        values["pipeline"]["mode"] = mode
     return _resolve(values, files)

@@ -1,7 +1,9 @@
+import argparse
 import builtins
 import contextlib
 import io
 import math
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from trackcascade import ClassMap
+from trackcascade import ClassMap, cli
 from trackcascade.cascade import MASK_MIN_OVERLAP
 from trackcascade.cli import main
 from trackcascade.costmodel import WorkReport, estimate_time, greedy_merge, refine_cost
@@ -627,3 +629,51 @@ def reference_write_mask_dump(results, path):
             for kind, boxes in per_kind:
                 for b in sorted(boxes, key=_reference_box_order):
                     fh.write(f"{r.frame_index} {kind} {b.x1} {b.y1} {b.x2} {b.y2}\n")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser with all four subparsers: the oracle of `cli._build_parser`."""
+    parser = cli._Parser(prog="trackcascade", description=cli.__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {cli.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=cli._Parser)
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--config",
+        default=os.environ.get(cli.CONFIG_ENV),
+        help=f"config file (default: ${cli.CONFIG_ENV})",
+    )
+    common.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override a config value; repeatable",
+    )
+
+    run = sub.add_parser("run", parents=[common], help="run the cascade over sequences")
+    run.add_argument("--sequence", action="append", required=True, help="sequence directory")
+    run.add_argument(
+        "--mode",
+        choices=cli.MODES,
+        help="same as --set pipeline.mode=MODE, and applied after every --set",
+    )
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--dump-masks", action="store_true", help="also dump per-frame region boxes")
+    run.add_argument("--force", action="store_true", help="overwrite an existing output directory")
+
+    ev = sub.add_parser("eval", parents=[common], help="evaluate detections against ground truth")
+    ev.add_argument("--gt", required=True, help="KITTI tracking label file")
+    ev.add_argument("--det", required=True, help="detections file")
+    ev.add_argument("--out", help="directory for curve data and manifest")
+    ev.add_argument("--force", action="store_true")
+
+    cr = sub.add_parser("cost-report", help="op break-down from run outputs")
+    cr.add_argument("runs", nargs="+", help="run output directories")
+
+    gen = sub.add_parser("gen-synthetic", help="generate a synthetic sequence")
+    gen.add_argument("--scenario", required=True, help="scenario file")
+    gen.add_argument("--out", required=True, help="output sequence directory")
+    gen.add_argument("--force", action="store_true")
+    return parser

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -36,7 +38,14 @@ from trackcascade.runio import (
     write_work_records,
 )
 
-from conftest import DATA, WORK_MODES, make_store, python312_sum, write_sequence
+from conftest import (
+    DATA,
+    WORK_MODES,
+    make_store,
+    python312_sum,
+    reference_parser,
+    write_sequence,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -333,6 +342,29 @@ class TestRun:
         manifest = json.loads(trees[1]["manifest.json"])
         assert manifest["config"]["pipeline"]["mode"] == "catdet"
 
+    def test_mode_option_wins_over_the_config_file(self, seq_dir, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("[pipeline]\nmode = single\nmargin = 12.5\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq_dir), "--config", str(config),
+                       "--mode", "cascaded", "--out", str(out)) == 0
+        pipeline = json.loads((out / "manifest.json").read_text())["config"]["pipeline"]
+        assert (pipeline["mode"], pipeline["margin"]) == ("cascaded", 12.5)
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "catdet"], ["--mode", "single"]])
+    def test_pipeline_error_names_the_config_file_with_or_without_mode(
+        self, seq_dir, tmp_path, capsys, mode
+    ):
+        config = tmp_path / "c7.cfg"
+        config.write_text("[pipeline]\nc_thresh = 7\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq_dir), "--config", str(config), *mode,
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        message = "bad [pipeline] value: c_thresh must be in [0, 1]"
+        assert captured.err == f"error: {config}: {message}\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("source", ["refine", "proposal"])
     def test_detection_past_last_frame_is_data_error(self, seq_dir, tmp_path, capsys, source):
         path = seq_dir / f"{source}.txt"
@@ -573,6 +605,27 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "--force needs --out" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--gt", "g", "--det", "d", "--force"],
+             "eval --force needs --out: without it nothing is written"),
+            (["cost-report", "r", "--force"], "unrecognized arguments: --force"),
+            (["run", "--sequence", "s", "--out", "o", "--version"],
+             "unrecognized arguments: --version"),
+        ],
+    )
+    def test_top_level_usage_lists_every_command(self, capsys, argv, message):
+        # Only the named command's subparser is built, yet the usage is the full parser's.
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        usage = reference_parser().format_usage()
+        assert "{run,eval,cost-report,gen-synthetic}" in usage
+        assert captured.err == f"{usage}trackcascade: error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-5", "2"])
     def test_jobs_is_usage_error(self, seq_dir, tmp_path, jobs):
         with pytest.raises(SystemExit) as err:
@@ -703,6 +756,165 @@ class TestUsageErrors:
         assert trees[0] == trees[1]
 
 
+# The CLI's vocabulary: every command and two near misses, the help and version
+# flags, every option, a few option values, "--", a stray positional and "".
+VOCABULARY = [
+    *cli.COMMANDS, "bogus", "RUN", "-h", "--help", "--version",
+    "--config", "--set", "--sequence", "--mode", "--out", "--dump-masks", "--force",
+    "--gt", "--det", "--scenario", "catdet", "pipeline.mode=single", "--", "stray", "",
+]
+
+cli_argvs = st.one_of(
+    st.lists(st.sampled_from(VOCABULARY), max_size=7),
+    st.tuples(st.sampled_from(cli.COMMANDS), st.lists(st.sampled_from(VOCABULARY), max_size=6))
+    .map(lambda drawn: [drawn[0], *drawn[1]]),
+)
+
+
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]):
+    """(exit code or None, stdout, stderr, parsed namespace or None) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, parsed = None, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code, parsed = exc.code, None
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def subcommands(parser: argparse.ArgumentParser) -> list[str]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+class TestParser:
+    """`main` builds only the named command's subparser, and parses as the full parser does."""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_command_builds_its_subparser_only(self, command):
+        assert subcommands(cli._build_parser(command)) == [command]
+
+    @pytest.mark.parametrize("command", [None, "", "bogus", "RUN", "-h", "--version", "--"])
+    def test_anything_else_builds_every_subparser(self, command):
+        assert subcommands(cli._build_parser(command)) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("env_config", [None, "env.cfg"])
+    @settings(max_examples=500, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_argvs)
+    def test_parses_as_the_full_parser(self, monkeypatch, env_config, argv):
+        # --config's default is read from the environment when the parser is built.
+        if env_config is None:
+            monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.CONFIG_ENV, env_config)
+        built = cli._build_parser(argv[0] if argv else None)
+        assert parse_outcome(built, argv) == parse_outcome(reference_parser(), argv)
+
+
+def scaled_scenario(frames: int) -> str:
+    """Eight still objects in view throughout `frames` frames, seen by both sources."""
+    objects = "".join(
+        f"[object.o{i}]\nclass = {'pedestrian' if i % 3 == 0 else 'car'}\n"
+        f"entry = 0\nexit = {frames - 1}\nbox = {60 + 110 * i} {100 + 10 * i} "
+        f"{140 + 110 * i} {180 + 10 * i}\n\n"
+        for i in range(8)
+    )
+    sources = "".join(
+        f"[source.{name}]\nmiss_prob = {miss}\nfp_per_frame = {fp}\njitter = 2.0\n"
+        f"score_mean = {score}\nscore_sigma = 0.1\nfp_score_mean = 0.4\nfp_score_sigma = 0.1\n\n"
+        for name, miss, fp, score in [("proposal", 0.25, 1.2, 0.55), ("refine", 0.05, 0.3, 0.88)]
+    )
+    return (f"[scenario]\nname = s{frames}\nframes = {frames}\nframe_w = 1000\nframe_h = 400\n"
+            f"seed = 3\n\n{objects}{sources}")
+
+
+def set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_kept():
+    """Put the collector's state back after the test, whatever it did."""
+    enabled = gc.isenabled()
+    yield
+    set_collector(enabled)
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused, and `main` gives back its state."""
+
+    @staticmethod
+    def eval_argv(*extra):
+        return ["eval", "--gt", str(DATA / "fig4_labels.txt"),
+                "--det", str(DATA / "fig4_detections.txt"), *extra]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--set", "eval.difficulties=all"], 0),
+            (["--bogus"], 1),
+            (["--force"], 1),  # refused after parsing
+            (["--set", "eval.beta=2"], 2),
+            (["--set", "eval.difficulties=all", "--set", "eval.sparse_annotations=true"], 3),
+        ],
+    )
+    def test_state_comes_back_on_every_exit(self, collector_kept, capsys, enabled, argv, code):
+        set_collector(enabled)
+        try:
+            assert run_cli(*self.eval_argv(*argv)) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_state_comes_back_when_the_command_raises(self, collector_kept, monkeypatch, enabled,
+                                                      error):
+        seen = []
+
+        def broken(args):
+            seen.append(gc.isenabled())
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_eval", broken)
+        set_collector(enabled)
+        with pytest.raises(error):
+            run_cli(*self.eval_argv())
+        assert seen == [False]  # the command ran with the collector paused
+        assert gc.isenabled() is enabled
+
+    def test_no_cycle_grows_with_the_sequence(self, tmp_path, capsys):
+        # While the collector is paused, a cycle made per frame would stay in
+        # memory until the command ends; so `run` and `eval` must leave as many
+        # cyclic objects behind on a sequence 4 times longer. gen-synthetic is
+        # left out: configparser's own cycles grow with a scenario's sections.
+        def cyclic_after(argv: list[str]) -> int:
+            gc.collect()
+            assert main(argv) == 0
+            return gc.collect()
+
+        counts = []
+        for i, frames in enumerate([25, 25, 100]):  # the first round warms up
+            root = tmp_path / str(i)
+            root.mkdir()
+            seq, run = root / "seq", root / "run"
+            scenario = root / "s.cfg"
+            scenario.write_text(scaled_scenario(frames))
+            assert main(["gen-synthetic", "--scenario", str(scenario), "--out", str(seq)]) == 0
+            counts.append((
+                cyclic_after(["run", "--sequence", str(seq), "--mode", "catdet", "--dump-masks",
+                              "--out", str(run)]),
+                cyclic_after(["eval", "--gt", str(seq / "labels.txt"),
+                              "--det", str(run / "detections.txt")]),
+            ))
+        assert counts[1] == counts[2], counts
+
+
 class TestConfigCheckedByEveryCommand:
     """run and eval build every config section, so they refuse the same configs."""
 
@@ -781,6 +993,11 @@ class TestConfigCheckedByEveryCommand:
             ("[difficulty.All]\n", [], "[difficulty.All] may not redefine the preset 'all'"),
             (None, ["difficulty.easy.max_occlusion=0", "eval.difficulties=easy"],
              "[difficulty.easy] may not redefine the preset 'easy'"),
+            # eval.difficulties lowercases the names it lists, so a difficulty has one spelling
+            (None, ["difficulty.Strict.min_size=10", "eval.difficulties=Strict"],
+             "[difficulty.Strict]: difficulty name 'Strict' must be lower case"),
+            ("[difficulty.Strict]\nmin_size = 10\n[eval]\ndifficulties = strict\n", [],
+             "[difficulty.Strict]: difficulty name 'Strict' must be lower case"),
         ],
     )
     def test_run_and_eval_refuse_alike(self, seq_dir, tmp_path, capsys, config, overrides,

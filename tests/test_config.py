@@ -137,6 +137,17 @@ class TestOverrides:
         assert s.values["pipeline"]["mode"] == "single"
         assert s.values["eval"]["beta"] == 0.9
 
+    def test_mode_applies_last_and_keeps_the_file_named(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[pipeline]\nmode = single\nmargin = 12.5\n")
+        s = load_settings(p, ["pipeline.mode=cascaded"], "catdet")
+        assert (s.pipeline.mode, s.values["pipeline"]["mode"], s.pipeline.margin) == (
+            "catdet", "catdet", 12.5)
+        p.write_text("[pipeline]\nc_thresh = 7\n")
+        with pytest.raises(ConfigError, match=r"bad \[pipeline\] value: c_thresh") as err:
+            load_settings(p, [], "catdet")
+        assert err.value.path == str(p)
+
     def test_match_iou_override(self):
         s = load_settings(None, ["eval.match_iou.car=0.6"])
         assert s.values["eval.match_iou"]["car"] == 0.6
@@ -417,3 +428,17 @@ class TestDifficulties:
     def test_unlisted_custom_difficulty_is_checked(self):
         with pytest.raises(ConfigError, match=r"bad \[difficulty\.x\] value: max_occlusion"):
             load_settings(None, ["difficulty.x.max_occlusion=-1"])
+
+    @pytest.mark.parametrize("name", ["Strict", "STRICT", "sTrict"])
+    def test_name_must_be_lower_case(self, tmp_path, name):
+        # eval.difficulties lowercases the names it lists, so only a lower-case
+        # section could ever be selected.
+        message = rf"\[difficulty.{name}\]: difficulty name '{name}' must be lower case"
+        with pytest.raises(ConfigError, match=message) as err:
+            load_settings(None, [f"difficulty.{name}.min_size=10"])
+        assert err.value.path is None
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[difficulty.{name}]\n")
+        with pytest.raises(ConfigError, match=message) as err:
+            load_settings(p)
+        assert err.value.path == str(p)
