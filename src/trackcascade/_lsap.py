@@ -6,8 +6,12 @@ A pure-Python port of the algorithm scipy's `linear_sum_assignment` uses
 remaining columns are scanned in reverse initial order, and among columns of
 equal path cost an unassigned one is preferred. On the same finite matrix it
 returns the same pairs as scipy. The tracker solves matrices of at most a few
-dozen entries a side, once per class and frame; for those, this saves the
-import of scipy and numpy, which costs more than all the solving.
+dozen entries a side, and only for a class and frame whose best partners
+collide on both sides: when each track's (or each detection's) best relevant
+IoU is strict and no two share a partner, no assignment totals more than the
+sum of those maxima and only those pairs reach it, so `tracker.associate`
+takes them without a solve. For the matrices left, this port saves the import
+of scipy and numpy, which costs more than all the solving.
 """
 
 from __future__ import annotations

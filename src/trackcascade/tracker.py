@@ -3,6 +3,13 @@
 Associates detections to tracks with an optimal assignment on IoU, smooths
 per-frame motion with an exponential decay, and emits each live track's
 predicted next-frame box as a proposal.
+
+Most frames need no assignment solver. When each track's best relevant
+detection is strictly best and no two tracks share it, no assignment can
+total more than the sum of those best IoUs, and only these pairs reach it,
+so every optimal assignment holds exactly these relevant pairs. The same
+argument runs over the detections' best tracks. Only when both sides have a
+tie or a shared best does `associate` call the solver.
 """
 
 from __future__ import annotations
@@ -106,18 +113,35 @@ def update_motion(
     )
 
 
-def _canonical_det_order(detections: Sequence[Detection]) -> list[int]:
+def _detection_key(d: Detection) -> tuple[float, float, float, float, float]:
     # Box-geometry order makes association independent of input permutation.
-    return sorted(
-        range(len(detections)),
-        key=lambda i: (
-            detections[i].box.x1,
-            detections[i].box.y1,
-            detections[i].box.x2,
-            detections[i].box.y2,
-            detections[i].score,
-        ),
-    )
+    box = d.box
+    return box.x1, box.y1, box.x2, box.y2, d.score
+
+
+def _canonical_det_order(detections: Sequence[Detection]) -> list[int]:
+    return sorted(range(len(detections)), key=lambda i: _detection_key(detections[i]))
+
+
+def _strict_best_pairs(
+    relevant: list[tuple[int, int, float]], side: int
+) -> list[tuple[int, int]] | None:
+    """(row, column) of each row's (`side` 0) or column's (`side` 1) best relevant pair.
+
+    None unless every best is strict and no two of them share a partner.
+    """
+    best: dict[int, tuple[float, tuple[int, int, float] | None]] = {}
+    for pair in relevant:
+        key, v = pair[side], pair[2]
+        held = best.get(key)
+        if held is None or v > held[0]:
+            best[key] = (v, pair)
+        elif v == held[0]:
+            best[key] = (v, None)  # a tie: no strict best unless a larger IoU follows
+    partners = {pair[1 - side] for _, pair in best.values() if pair is not None}
+    if len(partners) < len(best):
+        return None  # a tie, or two bests that share a partner
+    return [(r, c) for _, (r, c, _) in best.values()]
 
 
 def associate(
@@ -131,40 +155,49 @@ def associate(
     nothing to the objective and any such assigned pair is severed afterwards.
     Returns (matches, lost, emerging): matches as (track_id, detection index),
     lost as track ids, emerging as detection indices; every track and
-    detection lands in exactly one bucket.
+    detection lands in exactly one bucket. New tracks take their ids in the
+    order of `emerging`, which is box-geometry order whenever there are tracks.
+
+    The solver runs only when the best partners collide on both sides. If
+    every track with a relevant pair has a strict best IoU and those best
+    detections are distinct, the sum of the row maxima bounds every
+    assignment's total and only these pairs reach it, so they are the
+    relevant pairs of every optimal assignment. The same holds for the
+    detections' best tracks.
     """
     if not predictions or not detections:
         return [], [tid for tid, _ in predictions], list(range(len(detections)))
 
     beta = max(beta, 0.0)  # an IoU of 0 is never relevant
-    det_order = _canonical_det_order(detections)
-    det_boxes = [detections[di].box for di in det_order]
-    relevant: list[tuple[int, int, float]] = []  # (track row, detection column, IoU > beta)
+    det_boxes = [d.box for d in detections]
+    relevant: list[tuple[int, int, float]] = []  # (track row, detection index, IoU > beta)
     for ti, (_, box) in enumerate(predictions):
         x1, x2 = box.x1, box.x2
-        for ci, det_box in enumerate(det_boxes):
+        for di, det_box in enumerate(det_boxes):
             if det_box.x1 >= x2 or det_box.x2 <= x1:
                 continue  # apart along x: IoU 0 (NaN for infinite boxes), never relevant
             v = iou(box, det_box)
             if v > beta:
-                relevant.append((ti, ci, v))
+                relevant.append((ti, di, v))
 
-    if len({r for r, _, _ in relevant}) == len(relevant) == len({c for _, c, _ in relevant}):
-        # No track and no detection has two relevant partners: every optimal
-        # assignment holds exactly the relevant pairs, so skip the solver.
-        pairs = [(r, c) for r, c, _ in relevant]
-    else:
+    pairs = _strict_best_pairs(relevant, 0)
+    if pairs is None:
+        pairs = _strict_best_pairs(relevant, 1)
+    if pairs is None:
         # A relevant pair costs -IoU < 0; every other pair costs 0.
-        cost = [[0.0] * len(det_boxes) for _ in predictions]
-        for r, c, v in relevant:
-            cost[r][c] = -v
+        det_order = _canonical_det_order(detections)
+        column = {di: ci for ci, di in enumerate(det_order)}
+        cost = [[0.0] * len(detections) for _ in predictions]
+        for r, di, v in relevant:
+            cost[r][column[di]] = -v
         rows, cols = linear_sum_assignment(cost)
-        pairs = [(r, c) for r, c in zip(rows, cols) if cost[r][c] < 0]
+        pairs = [(r, det_order[c]) for r, c in zip(rows, cols) if cost[r][c] < 0]
     matched_tracks = {r for r, _ in pairs}
-    matched_dets = {c for _, c in pairs}
-    matches = sorted((predictions[r][0], det_order[c]) for r, c in pairs)
-    lost = sorted(predictions[r][0] for r in range(len(predictions)) if r not in matched_tracks)
-    emerging = [det_order[c] for c in range(len(detections)) if c not in matched_dets]
+    matched_dets = {di for _, di in pairs}
+    matches = sorted([(predictions[r][0], di) for r, di in pairs])
+    lost = sorted([tid for r, (tid, _) in enumerate(predictions) if r not in matched_tracks])
+    emerging = [di for di in range(len(detections)) if di not in matched_dets]
+    emerging.sort(key=lambda di: _detection_key(detections[di]))
     return matches, lost, emerging
 
 
@@ -196,19 +229,25 @@ class Tracker:
         its predicted next-frame box unless the prediction is narrower than
         `min_width` or hangs more than `boundary_chop_fraction` outside the
         frame. Predictions carry a sentinel score of 1.0: they are proposals,
-        not detections.
+        not detections. A detection of zero area, or whose height / width
+        underflows to 0, is ignored.
         """
         cfg = self.config
-        usable = [d for d in detections if d.box.width > 0 and d.box.height > 0]
-        by_class: dict[int, list[Detection]] = {}
-        for d in usable:
-            by_class.setdefault(d.class_id, []).append(d)
+        dets_by_class: dict[int, list[Detection]] = {}
+        for d in detections:
+            box = d.box
+            width = box.x2 - box.x1
+            # `_observation`'s aspect, which a track needs > 0: it underflows for a flat box.
+            if width > 0 and (box.y2 - box.y1) / width > 0:
+                dets_by_class.setdefault(d.class_id, []).append(d)
+        tracks_by_class: dict[int, list[TrackState]] = {}
+        for t in self._tracks:
+            tracks_by_class.setdefault(t.class_id, []).append(t)
 
         survivors: list[TrackState] = []
-        class_ids = sorted(set(by_class) | {t.class_id for t in self._tracks})
-        for class_id in class_ids:
-            tracks_c = [t for t in self._tracks if t.class_id == class_id]
-            dets_c = by_class.get(class_id, [])
+        for class_id in sorted(dets_by_class.keys() | tracks_by_class.keys()):
+            tracks_c = tracks_by_class.get(class_id, [])
+            dets_c = dets_by_class.get(class_id, [])
             preds = [(t.track_id, self._predicted[t.track_id]) for t in tracks_c]
             matches, lost, emerging = associate(preds, dets_c, cfg.iou_threshold_beta)
             by_id = {t.track_id: t for t in tracks_c}

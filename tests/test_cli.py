@@ -249,6 +249,17 @@ class TestRun:
         with python312_sum():
             getattr(self, pinned)(tmp_path)
 
+    def test_detection_whose_aspect_underflows_is_written_not_tracked(self, tmp_path, cmap):
+        # The refinement box's height / width underflows to 0.0, so the tracker skips it.
+        meta = SequenceMeta("seq0", 3, 200.0, 100.0)
+        proposal = make_store([(0, 0, 0.9, 10, 0, 60, 50)])
+        refine = make_store([(0, 0, 0.9, 10, 0, 20, 5e-324)])
+        seq = write_sequence(tmp_path, meta, proposal, refine, cmap)
+        out = tmp_path / "out"
+        assert run_cli("run", "--sequence", str(seq), "--mode", "catdet", "--out", str(out)) == 0
+        lines = (out / "detections.txt").read_text().splitlines()
+        assert lines[1:] == ["0 car 0.9 10.0 0.0 20.0 5e-324"]
+
     def test_manifest_contents(self, seq_dir, tmp_path):
         out = tmp_path / "out"
         run_cli("run", "--sequence", str(seq_dir), "--mode", "catdet", "--out", str(out))

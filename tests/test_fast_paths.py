@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from conftest import (
+    DATA,
     hull,
     reference_associate,
     reference_clip_regions,
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 from trackcascade import FileBackedSource, PipelineConfig, cascade, geometry
 from trackcascade._lsap import linear_sum_assignment
 from trackcascade.cascade import FrameResult
+from trackcascade.cli import main
 from trackcascade.geometry import (
     BoundingBox,
     Detection,
@@ -120,6 +122,26 @@ def edge_boxes(draw, regions):
 
 def corners(boxes):
     return repr([(b.x1, b.y1, b.x2, b.y2) for b in boxes])
+
+
+@st.composite
+def crowded_frames(draw):
+    """Tracks in a row, touching or overlapping their neighbours, each seen again a
+    little moved off the lattice, plus clutter: (predictions, detections)."""
+    step = draw(st.sampled_from([6.0, 8.0, 10.0]))
+    offset = st.floats(0.0, 3.0)
+    tracks = []
+    for i in range(draw(st.integers(1, 8))):
+        x, y = i * step + draw(offset), draw(offset)
+        tracks.append(BoundingBox(x, y, x + 10.0 + draw(offset), y + 10.0 + draw(offset)))
+    shift = st.floats(-4.0, 4.0)
+    boxes = []
+    for b in draw(st.lists(st.sampled_from(tracks), max_size=8)):
+        dx, dy = draw(shift), draw(shift)
+        boxes.append(BoundingBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy))
+    boxes += draw(box_lists(max_size=2, lo=0, hi=60))
+    ids = draw(st.permutations(range(1, len(tracks) + 1)))
+    return list(zip(ids, tracks)), detections(draw(st.permutations(boxes)))
 
 
 def detections(boxes, frame=0):
@@ -359,6 +381,38 @@ class TestAssignment:
         assert linear_sum_assignment(matrix) == scipy_assignment(matrix, n, m) == ([], [])
 
 
+def strict_distinct_maxima(matrix, beta) -> bool:
+    """Whether each line holding an IoU > `beta` has one strict maximum, no two at one index."""
+    tops = []
+    for line in matrix:
+        top = max((v for v in line if v > beta), default=None)
+        if top is not None:
+            at = [j for j, v in enumerate(line) if v == top]
+            if len(at) > 1:
+                return False
+            tops += at
+    return len(set(tops)) == len(tops)
+
+
+def solver_needed(preds, dets, beta) -> bool:
+    """Whether neither the tracks nor the detections have strict, distinct best partners."""
+    matrix = [[iou(b, det.box) for det in dets] for _, b in preds]
+    return not (strict_distinct_maxima(matrix, beta) or strict_distinct_maxima(zip(*matrix), beta))
+
+
+def associate_and_count_solves(preds, dets, beta):
+    """`associate`'s result and how many times it called the assignment solver."""
+    solved = []
+
+    def spy(cost):
+        solved.append(cost)
+        return linear_sum_assignment(cost)
+
+    with mock.patch("trackcascade.tracker.linear_sum_assignment", spy):
+        got = associate(preds, dets, beta)
+    return got, len(solved)
+
+
 class TestAssociate:
     @PROPERTY
     @given(st.data(), lattice(), st.sampled_from([0.0, 0.1, 1 / 3, 0.5]))
@@ -376,20 +430,70 @@ class TestAssociate:
         preds = list(zip(ids, track_boxes))
         dets = detections(det_boxes)
 
-        solved = []
-
-        def spy(cost):
-            solved.append(cost)
-            return real(cost)
-
-        real = linear_sum_assignment
-        with mock.patch("trackcascade.tracker.linear_sum_assignment", spy):
-            got = associate(preds, dets, beta)
+        got, solved = associate_and_count_solves(preds, dets, beta)
         assert got == reference_associate(preds, dets, beta)
-        # The solver runs only when a track or a detection has two relevant partners.
-        relevant = [(t, d) for t, b in preds for d, det in enumerate(dets) if iou(b, det.box) > beta]
-        contested = len(relevant) > min(len({t for t, _ in relevant}), len({d for _, d in relevant}))
-        assert bool(solved) == contested
+        # The solver runs only when the best partners collide on both sides.
+        assert bool(solved) == solver_needed(preds, dets, beta)
+
+    @PROPERTY
+    @given(crowded_frames(), st.sampled_from([0.0, 0.1, 1 / 3]))
+    def test_crowded_frames_same_buckets_as_scipy_oracle(self, frame, beta):
+        # Off the lattice ties are rare, so most contested frames skip the solver here.
+        preds, dets = frame
+        got, solved = associate_and_count_solves(preds, dets, beta)
+        assert got == reference_associate(preds, dets, beta)
+        assert bool(solved) == solver_needed(preds, dets, beta)
+
+    @pytest.mark.parametrize("track_boxes, det_boxes", [
+        # Each track overlaps both detections, but their best detections differ.
+        ([BoundingBox(0, 0, 10, 10), BoundingBox(8, 0, 18, 10)],
+         [BoundingBox(1, 0, 11, 10), BoundingBox(9, 0, 19, 10)]),
+        # Both tracks' best is the first detection, but the detections' best tracks differ.
+        ([BoundingBox(0, 0, 10, 10), BoundingBox(0, 0, 10, 14)],
+         [BoundingBox(0, 0, 10, 11), BoundingBox(0, 5, 10, 30)]),
+    ])
+    def test_contested_unique_maxima_skip_the_solver(self, track_boxes, det_boxes):
+        preds = list(enumerate(track_boxes, start=1))
+        dets = detections(det_boxes)
+        got, solved = associate_and_count_solves(preds, dets, 0.0)
+        assert solved == 0
+        assert got == reference_associate(preds, dets, 0.0) == ([(1, 0), (2, 1)], [], [])
+
+    @pytest.mark.parametrize("track_boxes, det_boxes", [
+        # A tie in the track's row: two equal detections, each of whose best is that one track.
+        ([BoundingBox(0, 0, 10, 10)], [BoundingBox(1, 0, 11, 10), BoundingBox(1, 0, 11, 10)]),
+        # Both tracks' best is the first detection, and both detections' best is the first
+        # track; the optimum pairs each track with the other detection.
+        ([BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10)],
+         [BoundingBox(1, 0, 11, 10), BoundingBox(-3, 0, 7, 10)]),
+    ])
+    def test_collisions_on_both_sides_reach_the_solver(self, track_boxes, det_boxes):
+        preds = list(enumerate(track_boxes, start=1))
+        dets = detections(det_boxes)
+        got, solved = associate_and_count_solves(preds, dets, 0.0)
+        assert solved == 1
+        assert got == reference_associate(preds, dets, 0.0)
+
+    def test_solver_runs_only_where_both_rules_fail_in_a_catdet_run(self, tmp_path):
+        # Every association of the benchmark scenario's run goes through the spies.
+        seq, calls, solves = tmp_path / "seq", [], []
+        argv = ["gen-synthetic", "--scenario", str(DATA / "benchmark_scenario.cfg")]
+        assert main([*argv, "--out", str(seq)]) == 0
+
+        def associate_spy(preds, dets, beta):
+            calls.append((list(preds), list(dets), beta))
+            return associate(preds, dets, beta)
+
+        def solver_spy(cost):
+            solves.append(cost)
+            return linear_sum_assignment(cost)
+
+        with mock.patch("trackcascade.tracker.associate", associate_spy), \
+                mock.patch("trackcascade.tracker.linear_sum_assignment", solver_spy):
+            argv = ["run", "--sequence", str(seq), "--mode", "catdet", "--out", str(tmp_path / "out")]
+            assert main(argv) == 0
+        assert len(calls) == 50
+        assert len(solves) == sum(solver_needed(*call) for call in calls)
 
 
 def reference_update_motion(state, matched_position, matched_aspect, config):

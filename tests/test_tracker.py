@@ -102,6 +102,17 @@ class TestAssociate:
             got = ({tid: shuffled[di] for tid, di in m2}, set(l2), {shuffled[i] for i in e2})
             assert got == base
 
+    def test_emerging_order_invariant_under_detection_permutation(self):
+        # Emerging detections take new track ids in this order, so the input order must not show.
+        preds = [(1, BoundingBox(0, 0, 10, 10))]
+        dets = [det(0, 0, 10, 10), det(50, 50, 60, 60, score=0.9),
+                det(50, 50, 60, 60, score=0.6), det(20, 0, 30, 10)]
+        orders = set()
+        for perm in itertools.permutations(dets):
+            _, _, emerging = associate(preds, perm, 0.0)
+            orders.add(tuple(perm[i] for i in emerging))
+        assert len(orders) == 1 and len(orders.pop()) == 3
+
 
 def _c(b):
     return b.x1, b.y1, b.x2, b.y2
@@ -218,6 +229,12 @@ class TestStep:
         for frame in range(50):
             tracker.step(frame, [det(0, 0, 50, 50, frame=frame)])
             assert len(tracker.tracks) == 1
+
+    def test_detection_whose_aspect_underflows_is_ignored(self):
+        # height / width = 5e-324 / 10 underflows to 0.0, an aspect no track can hold
+        tracker = simple_tracker()
+        assert tracker.step(0, [det(10, 0, 20, 5e-324)]) == []
+        assert tracker.tracks == ()
 
     def test_per_class_isolation(self):
         tracker = simple_tracker()
