@@ -9,7 +9,8 @@ generator.
 The package root holds what the README's library example imports and the
 two errors a caller catches. Every other name is imported from its module:
 `trackcascade.geometry`, `.cascade`, `.costmodel`, `.tracker`, `.metrics`,
-`.ingest` and `.errors`.
+`.ingest`, `.synthetic` and `.errors`. Importing the root loads neither the
+evaluator (`.metrics`) nor the generator (`.synthetic`).
 """
 
 __version__ = "0.1.0"

@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .costmodel import CostModelConfig, WorkReport, estimate_time, greedy_merge, refine_cost, total_work
+from .costmodel import MODES, CostModelConfig, WorkReport, estimate_time, greedy_merge, refine_cost, total_work
 from .errors import MissingFrameError
 from .geometry import Detection, RegionMask, grown_rects, left_sum, mask_overlap_fraction, nms, rects_union_area
 from .ingest import DetectionStore, SequenceMeta
 from .tracker import Tracker, TrackerConfig
 
-MODES = ("single", "cascaded", "catdet")
 MASK_MIN_OVERLAP = 0.5  # share of a detection's area that must lie inside the mask
 
 

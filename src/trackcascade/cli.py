@@ -17,27 +17,24 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .cascade import MODES, FileBackedSource, Pipeline, SequenceResult
+from .cascade import FileBackedSource, Pipeline, SequenceResult
 from .config import Settings, load_settings
 # refine_cost and parse_mask_dump are unused here since cost-report reads
 # work.txt; they stay importable from this module because perfbench/tracing.py
 # hooks them on it.
-from .costmodel import WorkReport, refine_cost  # noqa: F401
+from .costmodel import MODES, WorkReport, refine_cost  # noqa: F401
 from .errors import ConfigError, DataError
 from .ingest import (
     ClassMap,
     SequenceMeta,
-    generate_synthetic,
     parse_detections,
     parse_kitti_tracking_labels,
     parse_meta,
-    parse_scenario,
     write_detections,
-    write_sequence_dir,
 )
 from .metrics import DifficultyReport, evaluate_classes
 from .runio import (
-    _fmt_opt,
+    fmt_opt,
     parse_mask_dump,  # noqa: F401
     parse_work_total,
     read_manifest,
@@ -46,6 +43,7 @@ from .runio import (
     write_mask_dump,
     write_work_records,
 )
+from .synthetic import generate_synthetic, parse_scenario, write_sequence_dir
 
 CONFIG_ENV = "TRACKCASCADE_CONFIG"
 
@@ -306,10 +304,10 @@ def _print_difficulty_report(report: DifficultyReport, class_map: ClassMap) -> N
     for class_id in sorted(report.classes):
         c = report.classes[class_id]
         print(
-            f"{class_map.name_of(class_id):<14} {_fmt_opt(c.ap, '.4f'):>8} {c.n_pos:>9} "
+            f"{class_map.name_of(class_id):<14} {fmt_opt(c.ap, '.4f'):>8} {c.n_pos:>9} "
             f"{c.n_tracks:>7} {c.n_detections:>7}"
         )
-    print(f"mAP {_fmt_opt(report.mean_ap, '.4f')}")
+    print(f"mAP {fmt_opt(report.mean_ap, '.4f')}")
     if report.delay is not None:
         d = report.delay
         print(f"mD@{d.beta:.2f} {d.mean_delay:.2f} frames at t_beta {d.threshold}")
@@ -366,8 +364,8 @@ def cmd_eval(args) -> int:
     beta = settings.eval.beta
     print(f"{'difficulty':<12} {'mAP':>8} {f'mD@{beta:.2f}':>9}")
     for report in reports:
-        md_text = _fmt_opt(report.delay and report.delay.mean_delay, ".2f")
-        print(f"{report.difficulty:<12} {_fmt_opt(report.mean_ap, '.4f'):>8} {md_text:>9}")
+        md_text = fmt_opt(report.delay and report.delay.mean_delay, ".2f")
+        print(f"{report.difficulty:<12} {fmt_opt(report.mean_ap, '.4f'):>8} {md_text:>9}")
 
     if args.out is not None:
         out = Path(args.out)
@@ -379,7 +377,7 @@ def cmd_eval(args) -> int:
                     with open(tmp / name, "w", encoding="utf-8") as fh:
                         fh.write("# threshold precision recall delay\n")
                         for t, precision, recall, delay in c.curve:
-                            fh.write(f"{t} {precision} {recall} {_fmt_opt(delay)}\n")
+                            fh.write(f"{t} {precision} {recall} {fmt_opt(delay)}\n")
                     outputs.append(name)
             write_manifest(
                 tmp / "manifest.json",
@@ -446,15 +444,15 @@ def cmd_cost_report(args) -> int:
     for name, mode, _, t in rows:
         print(
             f"{name:<24} {mode:<9} {t.total_ops:>8.1f} {t.proposal_ops:>9.1f} "
-            f"{t.refine_ops:>8.1f} {_fmt_opt(t.refine_from_tracker_ops, '.1f'):>9} "
-            f"{_fmt_opt(t.refine_from_proposal_ops, '.1f'):>10}"
+            f"{t.refine_ops:>8.1f} {fmt_opt(t.refine_from_tracker_ops, '.1f'):>9} "
+            f"{fmt_opt(t.refine_from_proposal_ops, '.1f'):>10}"
         )
     for name, mode, frame_count, t in rows:
         print(
             f"record run={name} mode={mode} frames={frame_count} total_ops={t.total_ops} "
             f"proposal_ops={t.proposal_ops} refine_ops={t.refine_ops} "
-            f"from_tracker_ops={_fmt_opt(t.refine_from_tracker_ops)} "
-            f"from_proposal_ops={_fmt_opt(t.refine_from_proposal_ops)}"
+            f"from_tracker_ops={fmt_opt(t.refine_from_tracker_ops)} "
+            f"from_proposal_ops={fmt_opt(t.refine_from_proposal_ops)}"
         )
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from typing import Any
 from .cascade import PipelineConfig
 from .costmodel import CostModelConfig
 from .errors import ConfigError
-from .ingest import DONTCARE, ClassMap, _check_name, read_ini
+from .ingest import DONTCARE, ClassMap, check_name, read_ini
 from .metrics import DIFFICULTY_PRESETS, DifficultyFilter, EvalConfig
 from .tracker import TrackerConfig
 
@@ -112,7 +112,7 @@ def _declare(values: dict[str, dict[str, Any]], section: str, where: str) -> dic
     """The values of a known section; a new [difficulty.<name>] starts from the defaults."""
     if section.startswith("difficulty."):
         name = section.split(".", 1)[1]
-        _check_name(name, where, ConfigError)
+        check_name(name, where, ConfigError)
         if name.lower() in DIFFICULTY_PRESETS:
             raise ConfigError(f"[{section}] may not redefine the preset {name.lower()!r}")
         if name != name.lower():  # eval.difficulties lowercases the names it lists
@@ -133,7 +133,7 @@ def _apply(values: dict[str, dict[str, Any]], section: str, key: str, raw: str) 
         if name == DONTCARE:
             raise ConfigError(f"bad name {name!r} in {where}: it names KITTI's DontCare regions")
         if section == "eval.match_iou":
-            _check_name(name, where, ConfigError)
+            check_name(name, where, ConfigError)
             target[name] = _convert("float", raw, where)
         else:
             target[name] = _convert("str", raw, where).lower()
@@ -213,7 +213,7 @@ def load_settings(
     """Defaults, then file values, then `section.key=value` overrides; then every check.
 
     `mode`, given, is `pipeline.mode`, applied last. It is `run --mode`, which
-    argparse limits to `cascade.MODES`; so unlike an override, it can never be
+    argparse limits to `costmodel.MODES`; so unlike an override, it can never be
     the bad value, and a `[pipeline]` error still names the config file.
     """
     values = _defaults()

@@ -63,6 +63,10 @@ class CostModelConfig:
         return self.alpha is not None and self.b is not None
 
 
+# The pipeline modes; a mode decides which refinement attribution fields exist.
+MODES = ("single", "cascaded", "catdet")
+
+
 @dataclass(frozen=True)
 class WorkReport:
     """Per-frame (or aggregated) op accounting.

@@ -47,10 +47,6 @@ class BoundingBox:
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
-
     @classmethod
     def from_center(cls, cx: float, cy: float, width: float, height: float) -> "BoundingBox":
         return cls(cx - width / 2.0, cy - height / 2.0, cx + width / 2.0, cy + height / 2.0)

@@ -1,4 +1,4 @@
-"""Detection quality metrics: per-class AP/mAP and entry-delay statistics.
+"""Detection quality metrics over `ingest`'s label records: per-class AP/mAP and entry delay.
 
 Matching follows the greedy-by-score convention: detections claim ground
 truths in descending score order, one-to-one, at a per-class IoU threshold.
@@ -26,39 +26,9 @@ from itertools import accumulate, groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import BoundingBox, Detection, iou, left_sum, score_order
+from .ingest import GroundTruthTrack, GtEntry
 
 _RECALL_EPS = 1e-9
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class GtEntry:
-    """One annotated frame of a ground-truth track; slotted, treated as immutable."""
-
-    frame_index: int
-    box: BoundingBox
-    truncated: float = 0.0
-    occluded: int = 0
-
-    def __post_init__(self):
-        self.truncated = float(self.truncated)
-        if self.frame_index < 0:
-            raise ValueError(f"negative frame index {self.frame_index}")
-
-
-@dataclass
-class GroundTruthTrack:
-    """A labelled object sequence; frame indices are strictly increasing."""
-
-    track_id: int
-    class_id: int
-    frames: list[GtEntry]
-
-    def __post_init__(self):
-        for a, b in zip(self.frames, self.frames[1:]):
-            if b.frame_index <= a.frame_index:
-                raise ValueError(
-                    f"track {self.track_id}: frame indices must be strictly increasing"
-                )
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,16 @@ import re
 from math import isfinite
 from operator import add, eq, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import __version__
-from .cascade import FrameResult
 from .costmodel import WorkReport
 from .errors import DataError
 from .geometry import BoundingBox
-from .ingest import SequenceMeta, _data_lines, _parse_float, _parse_int, read_text
+from .ingest import SequenceMeta, data_lines, parse_float, parse_int, read_text
+
+if TYPE_CHECKING:
+    from .cascade import FrameResult
 
 MASK_KINDS = ("tracker", "proposal", "refine", "mask")
 
@@ -28,7 +30,7 @@ _WORK_COLUMNS = (
 )
 
 
-def _fmt_opt(value: float | None, spec: str = "") -> str:
+def fmt_opt(value: float | None, spec: str = "") -> str:
     """A value formatted with `spec`, or "/" for None."""
     return "/" if value is None else format(value, spec)
 
@@ -40,15 +42,15 @@ def write_work_records(results: Iterable[FrameResult], total: WorkReport, path: 
             w = r.work
             fh.write(
                 f"{r.frame_index} {w.proposal_ops} {w.refine_ops} {w.total_ops} "
-                f"{_fmt_opt(w.refine_from_tracker_ops)} {_fmt_opt(w.refine_from_proposal_ops)} "
+                f"{fmt_opt(w.refine_from_tracker_ops)} {fmt_opt(w.refine_from_proposal_ops)} "
                 f"{r.mask.coverage} {len(r.tracker_boxes)} "
                 f"{len(r.proposal_boxes)} {len(r.refine_proposals)} "
-                f"{w.merged_region_count} {_fmt_opt(w.estimated_time)}\n"
+                f"{w.merged_region_count} {fmt_opt(w.estimated_time)}\n"
             )
         fh.write(
             f"total {total.proposal_ops} {total.refine_ops} {total.total_ops} "
-            f"{_fmt_opt(total.refine_from_tracker_ops)} {_fmt_opt(total.refine_from_proposal_ops)} "
-            f"/ / / / {total.merged_region_count} {_fmt_opt(total.estimated_time)}\n"
+            f"{fmt_opt(total.refine_from_tracker_ops)} {fmt_opt(total.refine_from_proposal_ops)} "
+            f"/ / / / {total.merged_region_count} {fmt_opt(total.estimated_time)}\n"
         )
 
 
@@ -118,9 +120,9 @@ def _check_work_rows(path: Path) -> tuple[WorkReport, int]:
     frame_rows = 0
 
     def opt_float(token: str, lineno: int) -> float | None:
-        return None if token == "/" else _parse_float(token, "ops", path, lineno)
+        return None if token == "/" else parse_float(token, "ops", path, lineno)
 
-    for lineno, fields in _data_lines(path):
+    for lineno, fields in data_lines(path):
         if len(fields) != 12:
             raise DataError(f"expected 12 fields, got {len(fields)}", str(path), lineno)
         is_total = fields[0] == "total"
@@ -128,15 +130,15 @@ def _check_work_rows(path: Path) -> tuple[WorkReport, int]:
             problem = "second totals row" if is_total else "frame row after the totals row"
             raise DataError(problem, str(path), lineno)
         if not is_total:
-            frame = _parse_int(fields[0], "frame", path, lineno)
+            frame = parse_int(fields[0], "frame", path, lineno)
             if frame != frame_rows:
                 raise DataError(
                     f"frame {frame} out of order: expected frame {frame_rows}", str(path), lineno
                 )
             frame_rows += 1
-        proposal = _parse_float(fields[1], "ops", path, lineno)
-        refine = _parse_float(fields[2], "ops", path, lineno)
-        if _parse_float(fields[3], "ops", path, lineno) != proposal + refine:
+        proposal = parse_float(fields[1], "ops", path, lineno)
+        refine = parse_float(fields[2], "ops", path, lineno)
+        if parse_float(fields[3], "ops", path, lineno) != proposal + refine:
             raise DataError(
                 f"total_ops {fields[3]} is not proposal_ops + refine_ops ({proposal + refine})",
                 str(path),
@@ -146,7 +148,7 @@ def _check_work_rows(path: Path) -> tuple[WorkReport, int]:
         from_proposal = opt_float(fields[5], lineno)
         estimated = opt_float(fields[11], lineno)
         if is_total:
-            merged = _parse_int(fields[10], "merged region count", path, lineno)
+            merged = parse_int(fields[10], "merged region count", path, lineno)
             total = WorkReport(proposal, refine, from_tracker, from_proposal, estimated, merged)
     if total is None:
         raise DataError("missing totals row", str(path))
@@ -195,14 +197,14 @@ def parse_mask_dump(path: str | Path) -> dict[int, dict[str, list[BoundingBox]]]
     """frame -> kind -> boxes; every frame key holds all four kinds."""
     path = Path(path)
     frames: dict[int, dict[str, list[BoundingBox]]] = {}
-    for lineno, fields in _data_lines(path):
+    for lineno, fields in data_lines(path):
         if len(fields) != 6:
             raise DataError(f"expected 6 fields, got {len(fields)}", str(path), lineno)
-        frame = _parse_int(fields[0], "frame", path, lineno)
+        frame = parse_int(fields[0], "frame", path, lineno)
         kind = fields[1]
         if kind not in MASK_KINDS:
             raise DataError(f"unknown mask kind {kind!r}", str(path), lineno)
-        x1, y1, x2, y2 = (_parse_float(t, "coordinate", path, lineno) for t in fields[2:6])
+        x1, y1, x2, y2 = (parse_float(t, "coordinate", path, lineno) for t in fields[2:6])
         try:
             box = BoundingBox(x1, y1, x2, y2)
         except ValueError as exc:

@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from trackcascade import ClassMap, cli
 from trackcascade.cascade import MASK_MIN_OVERLAP
 from trackcascade.cli import main
-from trackcascade.costmodel import WorkReport, estimate_time, greedy_merge, refine_cost
+from trackcascade.costmodel import MODES, WorkReport, estimate_time, greedy_merge, refine_cost
 from trackcascade.errors import DataError
 from trackcascade.geometry import (
     BoundingBox,
@@ -28,14 +28,15 @@ from trackcascade.geometry import (
 from trackcascade.ingest import (
     DONTCARE_ID,
     DetectionStore,
+    GroundTruthTrack,
+    GtEntry,
     KittiLabels,
     SequenceMeta,
-    SyntheticData,
     read_text,
     write_detections,
     write_meta,
 )
-from trackcascade.metrics import GroundTruthTrack, GtEntry
+from trackcascade.synthetic import SyntheticData
 from trackcascade.tracker import _canonical_det_order, predict
 
 DATA = Path(__file__).parent / "data"
@@ -458,10 +459,15 @@ def reference_delay_from_labels(data, threshold):
     return total / len(data.tracks), never
 
 
+def box_center(box: BoundingBox) -> tuple[float, float]:
+    """(cx, cy), the midpoint of `box`'s corners."""
+    return (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
+
+
 def reference_box_at(obj, frame):
     """The scripted, unclipped box of `obj` at `frame`, built as BoundingBox operations."""
     age = frame - obj.entry_frame
-    cx, cy = obj.box.center
+    cx, cy = box_center(obj.box)
     width = obj.box.width + obj.velocity[2] * age
     height = width * (obj.box.height / obj.box.width)
     return BoundingBox.from_center(
@@ -656,7 +662,7 @@ def reference_parser() -> argparse.ArgumentParser:
     run.add_argument("--sequence", action="append", required=True, help="sequence directory")
     run.add_argument(
         "--mode",
-        choices=cli.MODES,
+        choices=MODES,
         help="same as --set pipeline.mode=MODE, and applied after every --set",
     )
     run.add_argument("--out", required=True, help="output directory")

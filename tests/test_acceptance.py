@@ -18,6 +18,7 @@ from trackcascade import (
     parse_meta,
 )
 from trackcascade.cli import main as cli_main
+from trackcascade.config import load_settings
 from trackcascade.costmodel import (
     CostModelConfig,
     estimate_time,
@@ -27,10 +28,10 @@ from trackcascade.costmodel import (
 from trackcascade.geometry import BoundingBox, Detection, RegionMask, iou
 from trackcascade.ingest import (
     DetectionStore,
+    GroundTruthTrack,
+    GtEntry,
     SequenceMeta,
-    generate_synthetic,
     parse_kitti_tracking_labels,
-    parse_scenario,
     write_detections,
     write_meta,
     write_tracks,
@@ -38,12 +39,12 @@ from trackcascade.ingest import (
 from trackcascade.metrics import (
     DIFFICULTY_PRESETS,
     EvalConfig,
-    GroundTruthTrack,
-    GtEntry,
     average_precision,
     evaluate_classes,
     label_class_detections,
 )
+from trackcascade.runio import parse_work_total
+from trackcascade.synthetic import generate_synthetic, parse_scenario
 from trackcascade.tracker import Tracker, TrackerConfig, associate
 
 from conftest import DATA, source_costs
@@ -428,3 +429,43 @@ def test_criterion_8_roundtrips_and_run_determinism(tmp_path, monkeypatch):
     assert trees[0] == trees[1]
     assert set(trees[0]) == {"detections.txt", "manifest.json", "masks.txt", "work.txt"}
     _passed(8, "parser round-trips exact; repeated runs byte-identical incl. manifest")
+
+
+def _headline(runs, ap_recall_points):
+    """mode -> (work.txt total ops, mAP, mD) of one scenario run, evaluated at `moderate`."""
+    settings = load_settings(overrides=[f"eval.ap_recall_points={ap_recall_points}"])
+    class_map = ClassMap(settings.eval_classes)
+    labels = parse_kitti_tracking_labels(runs["single"].parent / "seq" / "labels.txt", class_map)
+    rows = {}
+    for mode in ("single", "cascaded", "catdet"):
+        detections = parse_detections(runs[mode] / "detections.txt", class_map).all()
+        report = evaluate_classes(
+            labels.tracks, detections, settings.eval, DIFFICULTY_PRESETS["moderate"],
+            labels.dontcare_by_frame,
+        )
+        assert report.delay is not None, report.delay_error
+        total, _ = parse_work_total(runs[mode] / "work.txt")
+        rows[mode] = (total.total_ops, report.mean_ap, report.delay.mean_delay)
+    return rows
+
+
+def test_criterion_9_paper_headline(scenario_runs):
+    """The paper's trade-off on benchmark_scenario.cfg: catdet keeps single's mAP at a
+    fraction of its ops, cascaded loses mAP, and the tracker never adds delay."""
+    all_points = _headline(scenario_runs, "all")
+    eleven = _headline(scenario_runs, 11)
+    ops = {mode: row[0] for mode, row in all_points.items()}
+    ap = {mode: row[1] for mode, row in all_points.items()}
+    md = {mode: row[2] for mode, row in all_points.items()}
+    assert ops["catdet"] <= ops["single"] / 4, ops
+    assert ap["catdet"] >= ap["single"] - 0.01, ap
+    assert eleven["catdet"][1] == eleven["single"][1], eleven
+    assert ap["cascaded"] <= ap["catdet"] - 0.1, ap
+    assert md["catdet"] <= md["cascaded"], md
+    _passed(
+        9,
+        f"catdet {ops['single'] / ops['catdet']:.2f}x fewer ops than single; all-points mAP "
+        f"{ap['single']:.3f} / {ap['cascaded']:.3f} / {ap['catdet']:.3f} "
+        f"(single / cascaded / catdet); mD {md['cascaded']:.2f} / {md['catdet']:.2f} "
+        "(cascaded / catdet)",
+    )

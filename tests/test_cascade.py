@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from trackcascade import FileBackedSource, Pipeline, PipelineConfig, cascade
-from trackcascade.cascade import MODES, FrameResult
-from trackcascade.costmodel import CostModelConfig, total_work
+from trackcascade.cascade import FrameResult
+from trackcascade.costmodel import MODES, CostModelConfig, total_work
 from trackcascade.errors import MissingFrameError
 from trackcascade.geometry import (
     BoundingBox,
@@ -16,12 +16,8 @@ from trackcascade.geometry import (
     mask_overlap_fraction,
     nms,
 )
-from trackcascade.ingest import (
-    DetectionStore,
-    SequenceMeta,
-    generate_synthetic,
-    parse_scenario,
-)
+from trackcascade.ingest import DetectionStore, SequenceMeta
+from trackcascade.synthetic import generate_synthetic, parse_scenario
 
 from conftest import DATA, make_store, reference_work
 

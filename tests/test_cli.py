@@ -30,7 +30,12 @@ from trackcascade import cli, runio
 from trackcascade.cli import _check_out, main
 from trackcascade.costmodel import CostModelConfig
 from trackcascade.geometry import nms
-from trackcascade.ingest import DetectionStore, SequenceMeta, write_detections
+from trackcascade.ingest import (
+    DetectionStore,
+    SequenceMeta,
+    parse_kitti_tracking_labels,
+    write_detections,
+)
 from trackcascade.runio import (
     MASK_KINDS,
     parse_mask_dump,
@@ -1808,6 +1813,34 @@ class TestGenSynthetic:
         assert f"{scenario}: bad scenario: [object.flat] box corners must be finite, with width > 0" \
             " and height > 0" in err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
+        "object_lines",
+        [
+            # The width overflows to inf, so the height is inf * 0 = nan in every frame.
+            pytest.param("box = -1e308 0 1e308 10\n", id="width-overflows"),
+            # The centre is inf, and inf + -inf = nan from the third frame on.
+            pytest.param(
+                "box = 1e308 0 1.5e308 10\nvelocity = -1e308 0\n", id="centre-overflows"
+            ),
+        ],
+    )
+    def test_overflowing_scripted_box_is_out_of_view(self, tmp_path, object_lines):
+        # A frame whose scripted box has a nan corner once raised past main: a traceback.
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(
+            "[scenario]\nname = gen\nframes = 4\nframe_w = 1000\nframe_h = 400\n\n"
+            f"[object.huge]\nclass = car\nentry = 0\nexit = 3\n{object_lines}\n"
+            "[object.plain]\nclass = car\nentry = 0\nexit = 3\nbox = 100 100 220 180\n\n"
+            "[source.refine]\n"
+        )
+        out = tmp_path / "g"
+        assert run_cli("gen-synthetic", "--scenario", str(scenario), "--out", str(out)) == 0
+        labels = parse_kitti_tracking_labels(out / "labels.txt", ClassMap(["car"]))  # refuses nan
+        (plain,) = labels.tracks  # the overflowed object is in view in no frame
+        assert (plain.track_id, [e.frame_index for e in plain.frames]) == (2, [0, 1, 2, 3])
+        assert {e.box for e in plain.frames} == {geometry.BoundingBox(100, 100, 220, 180)}
+        assert len(parse_detections(out / "refine.txt", ClassMap(["car"])).all()) == 4
 
     @pytest.mark.parametrize(
         "scenario_line, object_line, message",

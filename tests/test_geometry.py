@@ -12,6 +12,8 @@ from trackcascade.geometry import (
     union_area,
 )
 
+from conftest import box_center
+
 
 def box(x1, y1, x2, y2):
     return BoundingBox(x1, y1, x2, y2)
@@ -43,7 +45,7 @@ class TestBoundingBox:
     def test_from_center_round_trip(self):
         b = BoundingBox.from_center(50, 60, 20, 40)
         assert (b.x1, b.y1, b.x2, b.y2) == (40, 40, 60, 80)
-        assert b.center == (50, 60)
+        assert box_center(b) == (50, 60)
 
 
 class TestIou:

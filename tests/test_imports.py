@@ -8,6 +8,9 @@ about 17 ms more, so a call must not import what it does not use.
 
 The package root exports only the README's library API, and no module of the
 package imports from the root but `__version__`, so `__init__` stays a leaf.
+
+The modules form layers, and a module imports at module level only from its
+own layer or a lower one, never another module's underscore name.
 """
 
 import ast
@@ -141,3 +144,170 @@ def test_the_scan_sees_root_imports():
     assert root_imports(ast.parse(code)) == [
         (1, "__version__"), (3, "cascade"), (4, "ClassMap"), (6, "trackcascade"), (8, "DataError")
     ]
+
+
+# The package's layers, lowest first. A module may import, at module level, only
+# from its own layer or a lower one.
+LAYERS = (
+    ("errors",),
+    ("geometry",),
+    ("ingest",),  # the file formats and the records they hold
+    ("_lsap", "costmodel", "tracker"),
+    ("cascade", "metrics", "synthetic"),
+    ("config", "runio"),
+    ("cli",),
+)
+LAYER = {module: depth for depth, layer in enumerate(LAYERS) for module in layer}
+
+
+def is_type_checking(node: ast.stmt) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "TYPE_CHECKING", "typing.TYPE_CHECKING"
+    )
+
+
+def module_level_statements(body: list[ast.stmt]):
+    """The statements that run on import: those outside any function body and
+    outside `if TYPE_CHECKING:`."""
+    for node in body:
+        if is_type_checking(node) or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "handlers", "finalbody"):
+            inner = getattr(node, field, None)
+            if isinstance(inner, list):
+                yield from module_level_statements(inner)
+
+
+def package_imports(nodes) -> list[tuple[int, str, list[str]]]:
+    """(line, package module, imported names) of each import of a module of the package.
+
+    `from . import x` counts as an import of module `x`, except `__version__`.
+    """
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            absolute = node.level == 0 and (node.module or "").split(".")[0] == "trackcascade"
+            if node.level == 1 or absolute:
+                module = (node.module or "").removeprefix("trackcascade").lstrip(".")
+                if module:
+                    found.append((node.lineno, module.split(".")[0], names))
+                else:  # from the package root
+                    found += [(node.lineno, n, []) for n in names if n != "__version__"]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "trackcascade" and len(parts) > 1:
+                    found.append((node.lineno, parts[1], []))
+    return found
+
+
+def upward_imports(module: str, tree: ast.Module) -> list[str]:
+    """Each module-level import by `module` of a module in a higher layer, or of no layer."""
+    return [
+        f"{module}.py:{line}: imports {target}"
+        for line, target, _ in package_imports(module_level_statements(tree.body))
+        if LAYER.get(target, len(LAYERS)) > LAYER[module]
+    ]
+
+
+def parse_modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "trackcascade").glob("*.py"))
+    }
+
+
+def test_every_module_has_one_layer():
+    modules = set(parse_modules()) - {"__init__"}
+    assert sorted(LAYER) == sorted(modules)
+    assert len(LAYER) == sum(map(len, LAYERS))
+
+
+def test_no_module_imports_a_higher_layer():
+    found = []
+    for module, tree in parse_modules().items():
+        if module != "__init__":
+            found += upward_imports(module, tree)
+    assert found == []
+
+
+def test_the_layer_scan_sees_an_upward_import():
+    code = (
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING\n"
+        "from .errors import DataError\n"
+        "from .metrics import DetLabel\n"
+        "from . import runio, __version__\n"
+        "import trackcascade.cli\n"
+        "try:\n"
+        "    from .cascade import Pipeline\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "if TYPE_CHECKING:\n"
+        "    from .cascade import FrameResult\n"
+        "def lazy():\n"
+        "    from .cli import main\n"
+    )
+    assert upward_imports("ingest", ast.parse(code)) == [
+        "ingest.py:4: imports metrics",
+        "ingest.py:5: imports runio",
+        "ingest.py:6: imports cli",
+        "ingest.py:8: imports cascade",
+    ]
+
+
+def closure(module: str, trees: dict[str, ast.Module]) -> set[str]:
+    """The package modules that importing `module` runs, by its module-level imports
+    (the package root, which every import runs first, aside)."""
+    seen: set[str] = set()
+    todo = [module]
+    while todo:
+        for _, target, _ in package_imports(module_level_statements(trees[todo.pop()].body)):
+            if target not in seen:
+                seen.add(target)
+                todo.append(target)
+    return seen
+
+
+def test_the_records_and_the_run_writers_stand_below_the_pipeline():
+    trees = parse_modules()
+    assert closure("ingest", trees) == {"errors", "geometry"}
+    assert closure("runio", trees) == {"costmodel", "errors", "geometry", "ingest"}
+    assert "cascade" not in closure("metrics", trees)
+
+
+def test_numpy_is_imported_only_by_the_generator():
+    found = []
+    for module, tree in parse_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            if "scipy" in roots or ("numpy" in roots and module != "synthetic"):
+                found.append(f"{module}.py:{node.lineno}")
+    assert found == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = []
+    for module, tree in parse_modules().items():
+        for line, target, names in package_imports(ast.walk(tree)):
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            found += [f"{module}.py:{line}: {target}.{n}" for n in private]
+    assert found == []
+
+
+def test_the_package_root_loads_neither_the_evaluator_nor_the_generator():
+    code = "import sys, trackcascade; print(*sorted(m for m in sys.modules if 'trackcascade' in m))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = {m.removeprefix("trackcascade.") for m in done.stdout.split()}
+    assert loaded.isdisjoint({"metrics", "synthetic", "config", "runio", "cli"}), sorted(loaded)

@@ -15,17 +15,19 @@ from trackcascade import ClassMap, DataError, parse_detections, parse_meta
 from trackcascade.geometry import BoundingBox, Detection
 from trackcascade.ingest import (
     DONTCARE_ID,
-    NoiseModel,
-    ObjectScript,
     SequenceMeta,
-    SyntheticScenario,
-    generate_synthetic,
     parse_kitti_tracking_labels,
-    parse_scenario,
     write_detections,
     write_meta,
-    write_sequence_dir,
     write_tracks,
+)
+from trackcascade.synthetic import (
+    NoiseModel,
+    ObjectScript,
+    SyntheticScenario,
+    generate_synthetic,
+    parse_scenario,
+    write_sequence_dir,
 )
 
 

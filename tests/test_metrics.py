@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackcascade.geometry import BoundingBox, Detection, iou, left_sum
+from trackcascade.ingest import GroundTruthTrack, GtEntry
 from trackcascade.metrics import (
     DIFFICULTY_PRESETS,
     ClassEvalData,
     DetLabel,
     EvalConfig,
-    GroundTruthTrack,
-    GtEntry,
     TrackDelayInfo,
     average_precision,
     delay_from_labels,

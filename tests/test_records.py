@@ -20,7 +20,8 @@ import pytest
 import trackcascade
 from trackcascade.cascade import PipelineConfig
 from trackcascade.geometry import BoundingBox, Detection, RegionMask
-from trackcascade.metrics import DetLabel, DifficultyFilter, GtEntry
+from trackcascade.ingest import GtEntry
+from trackcascade.metrics import DetLabel, DifficultyFilter
 from trackcascade.tracker import TrackerConfig, TrackState
 
 SRC = Path(trackcascade.__file__).parent
